@@ -25,6 +25,7 @@ no connectivity states, no matrix products, just subsets of edges.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,8 +123,8 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     """Counts of bond subsets per (clusters, bonds, winding clusters).
 
     With workers > 1 the subset range is split into equal chunks processed
-    in separate processes; the merge is a plain sum per key, so the result
-    is identical for every worker count.
+    in separate processes, at most one per CPU; the merge is a plain sum per
+    key, so the result is identical for every worker count.
     """
     cached = _HISTOGRAM_CACHE.get(strip)
     if cached is not None:
@@ -131,6 +132,7 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     _check_edge_budget(strip)
     edges = strip.edges()
     total = 1 << strip.edge_count
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or total < 1 << 12:
         counts = _subset_histogram(edges, strip.vertex_count, 0, total)
     else:

@@ -304,15 +304,21 @@ def z_fixed_boundary_minimal(
 
     Returns (value, terms) with terms = (l, coefficient, chi(l)); the chi
     are polynomials in v, still at the direct bond weight (the caller sees
-    the v -> Q/v substitution only inside ``value``).
+    the v -> Q/v substitution only inside ``value``).  p = 2 is rejected:
+    there Q = 0 and the dual weight Q/v vanishes.
     """
     beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
     if beraha.p % 2:
         raise ValueError("the minimal regrouping is stated for even p")
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    inner = square_strip(width - 1, length)
     q = beraha.q_value
+    if not q:
+        raise ValueError(
+            "the fixed-boundary regrouping is undefined at p=2: Q = 0 makes "
+            "the dual bond weight Q/v vanish"
+        )
+    inner = square_strip(width - 1, length)
     terms = []
     total = MultiPoly.zero()
     for l in range((beraha.p - 2) // 2 + 1):

@@ -315,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for exhaustive enumeration (result bytes "
         "do not depend on this)",
     )
-    common.add_argument(
-        "--seed-order",
-        choices=("code-lex",),
-        default="code-lex",
-        help="basis enumeration order (reserved; only the canonical "
-        "code-lex order exists)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_char = sub.add_parser(

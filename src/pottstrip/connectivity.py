@@ -395,13 +395,6 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
 # two-slice states
 
 
-def left_position(width: int, point: int) -> int:
-    """Boundary position of left-slice point k (0-based): positions 0..L-1."""
-    if not 0 <= point < width:
-        raise ValueError(f"point {point} outside range(0, {width})")
-    return point
-
-
 def right_position(width: int, point: int) -> int:
     """Boundary position of right-slice point k: the walk returns along the
     right slice in reverse, so point k sits at position 2L-1-k."""
@@ -568,7 +561,9 @@ class TwoSliceState:
             for label in comp:
                 if label.endswith("'"):
                     k = int(label[:-1])
-                    block.append(left_position(width, k - 1))
+                    if not 1 <= k <= width:
+                        raise ValueError(f"left point {label} outside 1'..{width}'")
+                    block.append(k - 1)
                 else:
                     k = int(label)
                     block.append(right_position(width, k - 1))

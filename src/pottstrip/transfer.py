@@ -16,8 +16,11 @@ of the full transfer matrix in the l-bridge sector, and the character
 
     K(l) = trace(T_l ** N)
 
-is an exact polynomial in Q and v.  Powers are computed by repeated exact
-matrix multiplication; no eigenvalues, no floats.
+is an exact polynomial in Q and v.  Each bond's action is compiled once per
+(width, marks, bond) into an index table, and K(l) pushes every basis state
+through N copies of the column program, one start column at a time, and
+sums the diagonal entries it returns to; no matrix power is ever formed, no
+eigenvalues, no floats.
 
 ``verify_block_structure`` rebuilds the *full* transfer matrix on two-slice
 states and checks the claimed structure directly: bridge count never
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 from .connectivity import (
     ConnectivityState,
@@ -39,10 +43,23 @@ from .connectivity import (
     enumerate_states,
     enumerate_two_slice,
 )
-from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
-from .polynomial import MultiPoly, Q, v
+from .lattice import VERTICAL, CyclicStrip, EdgeOp
+from .polynomial import ONE, ZERO, MultiPoly, Q, v
 
 Row = tuple[MultiPoly, ...]
+
+#: ``table[b]`` lists the (target index, weight) branches of one bond on
+#: basis state b.
+BondTable = tuple[tuple[tuple[int, MultiPoly], ...], ...]
+
+#: The bound of every cache in this module.  A width-6 strip compiles
+#: (L+1)(2L-1) = 77 bond tables.
+_CACHE_SIZE = 128
+
+# Bond weights are shared objects, so ``_push`` can tell a unit weight by
+# identity and add instead of multiplying.
+_ONE_PLUS_V = ONE + v
+_Q_PLUS_V = Q + v
 
 
 @dataclass(frozen=True)
@@ -64,43 +81,8 @@ class TransferBlock:
     def entry(self, a: int, b: int) -> MultiPoly:
         return self.rows[a][b]
 
-    def __matmul__(self, other: "TransferBlock") -> "TransferBlock":
-        if self.basis != other.basis:
-            raise ValueError("transfer blocks act on different bases")
-        n = self.dimension
-        rows = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                acc = MultiPoly.zero()
-                for k in range(n):
-                    left = self.rows[a][k]
-                    if left.is_zero:
-                        continue
-                    right = other.rows[k][b]
-                    if right.is_zero:
-                        continue
-                    acc = acc + left * right
-                row.append(acc)
-            rows.append(tuple(row))
-        return TransferBlock(self.width, self.marks, self.basis, tuple(rows))
 
-    def power(self, n: int) -> "TransferBlock":
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        result = self
-        for _ in range(n - 1):
-            result = result @ self
-        return result
-
-    def trace(self) -> MultiPoly:
-        out = MultiPoly.zero()
-        for a in range(self.dimension):
-            out = out + self.rows[a][a]
-        return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
     return tuple(enumerate_states(width, marks))
 
@@ -112,18 +94,57 @@ def _action(op: EdgeOp, state: ConnectivityState) -> list[tuple[ConnectivityStat
         bi = state.block_index_of(i)
         bj = state.block_index_of(i + 1)
         if bi == bj:
-            return [(state, MultiPoly.one() + v)]
-        out = [(state, MultiPoly.one())]
-        if not (state.is_marked(bi) and state.is_marked(bj)):
-            out.append((state.join(i, i + 1), v))
-        return out
+            return [(state, _ONE_PLUS_V)]
+        if state.is_marked(bi) and state.is_marked(bj):
+            return [(state, ONE)]
+        return [(state, ONE), (state.join(i, i + 1), v)]
     outcome = state.detach(op.site)
-    out = [(state, v)]
     if outcome.tag is DetachTag.TERMINATED_MARKED:
-        return out
-    weight = Q if outcome.tag is DetachTag.COMPLETED_UNMARKED else MultiPoly.one()
-    out.append((outcome.state, weight))
-    return out
+        return [(state, v)]
+    if outcome.tag is DetachTag.COMPLETED_UNMARKED:
+        return [(state, _Q_PLUS_V)]
+    return [(state, v), (outcome.state, ONE)]
+
+
+def _compile(basis: Sequence, action: Callable, op: EdgeOp) -> BondTable:
+    """The bond ``op`` as an index table over ``basis``."""
+    index = {s: k for k, s in enumerate(basis)}
+    return tuple(
+        tuple((index[target], weight) for target, weight in action(op, state))
+        for state in basis
+    )
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
+    return _compile(_basis(width, marks), _action, op)
+
+
+def _column_program(strip: CyclicStrip, marks: int) -> tuple[BondTable, ...]:
+    return tuple(_bond_table(strip.width, marks, op) for op in strip.column_program)
+
+
+def _push(program: Sequence[BondTable], start: int) -> dict[int, MultiPoly]:
+    """Column ``start`` of the ordered product of ``program``'s bonds (first
+    bond applied first), as a sparse {row: entry} map."""
+    col = {start: ONE}
+    for table in program:
+        out: dict[int, MultiPoly] = {}
+        for k, coeff in col.items():
+            for a, weight in table[k]:
+                term = coeff if weight is ONE else coeff * weight
+                prev = out.get(a)
+                out[a] = term if prev is None else prev + term
+        col = out
+    return col
+
+
+def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
+    basis = _basis(width, marks)
+    n = len(basis)
+    cols = [_push(program, b) for b in range(n)]
+    rows = tuple(tuple(cols[b].get(a, ZERO) for b in range(n)) for a in range(n))
+    return TransferBlock(width, marks, basis, rows)
 
 
 def edge_operator(width: int, marks: int, op: EdgeOp) -> TransferBlock:
@@ -134,23 +155,10 @@ def edge_operator(width: int, marks: int, op: EdgeOp) -> TransferBlock:
     >>> print(blk.rows[0][0])
     Q + v
     """
-    basis = _basis(width, marks)
-    index = {s: k for k, s in enumerate(basis)}
-    cols: list[dict[int, MultiPoly]] = []
-    for state in basis:
-        col: dict[int, MultiPoly] = {}
-        for target, weight in _action(op, state):
-            a = index[target]
-            col[a] = col.get(a, MultiPoly.zero()) + weight
-        cols.append(col)
-    n = len(basis)
-    rows = tuple(
-        tuple(cols[b].get(a, MultiPoly.zero()) for b in range(n)) for a in range(n)
-    )
-    return TransferBlock(width, marks, basis, rows)
+    return _block(width, marks, (_bond_table(width, marks, op),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """The ordered product of the column program's bond operators (first
     bond applied first) on the fixed-mark basis.
@@ -163,33 +171,15 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """
     if marks > strip.width:
         raise ValueError(f"cannot mark {marks} blocks on width {strip.width}")
-    basis = _basis(strip.width, marks)
-    index = {s: k for k, s in enumerate(basis)}
-    # start as identity, then push each bond through
-    cols: list[dict[int, MultiPoly]] = [{k: MultiPoly.one()} for k in range(len(basis))]
-    for op in strip.column_program:
-        new_cols: list[dict[int, MultiPoly]] = []
-        for col in cols:
-            out: dict[int, MultiPoly] = {}
-            for k, coeff in col.items():
-                for target, weight in _action(op, basis[k]):
-                    a = index[target]
-                    value = out.get(a, MultiPoly.zero()) + coeff * weight
-                    out[a] = value
-            new_cols.append(out)
-        cols = new_cols
-    n = len(basis)
-    rows = tuple(
-        tuple(cols[b].get(a, MultiPoly.zero()) for b in range(n)) for a in range(n)
-    )
-    return TransferBlock(strip.width, marks, basis, rows)
+    return _block(strip.width, marks, _column_program(strip, marks))
 
 
 def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     """The character K(1, 2l+1) = trace(T_l ** N), an exact polynomial.
 
-    Zero for l > L: a width-L slice cannot seed more than L wrapping
-    clusters.
+    Each basis state is pushed through N columns on its own, so only one
+    column of T_l ** N is held at a time.  Zero for l > L: a width-L slice
+    cannot seed more than L wrapping clusters.
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))
@@ -201,7 +191,13 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
         raise ValueError("marks must be >= 0")
     if marks > strip.width:
         return MultiPoly.zero()
-    return column_transfer(strip, marks).power(strip.length).trace()
+    program = _column_program(strip, marks) * strip.length
+    total = MultiPoly.zero()
+    for b in range(len(_basis(strip.width, marks))):
+        diagonal = _push(program, b).get(b)
+        if diagonal is not None:
+            total = total + diagonal
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +209,10 @@ def _two_slice_action(op: EdgeOp, state: TwoSliceState) -> list[tuple[TwoSliceSt
         i = op.site
         joined = state.join_right(i, i + 1)
         if joined == state:
-            return [(state, MultiPoly.one() + v)]
-        return [(state, MultiPoly.one()), (joined, v)]
+            return [(state, _ONE_PLUS_V)]
+        return [(state, ONE), (joined, v)]
     detached, completed = state.detach_right(op.site)
-    weight = Q if completed else MultiPoly.one()
+    weight = Q if completed else ONE
     if detached == state:
         return [(state, v + weight)]
     return [(state, v), (detached, weight)]
@@ -272,20 +268,9 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     if strip.width > 4:
         raise ValueError("block-structure verification is capped at width 4")
     basis = enumerate_two_slice(strip.width)
-    index = {s: k for k, s in enumerate(basis)}
     n = len(basis)
-
-    cols: list[dict[int, MultiPoly]] = [{k: MultiPoly.one()} for k in range(n)]
-    for op in strip.column_program:
-        new_cols = []
-        for col in cols:
-            out: dict[int, MultiPoly] = {}
-            for k, coeff in col.items():
-                for target, weight in _two_slice_action(op, basis[k]):
-                    a = index[target]
-                    out[a] = out.get(a, MultiPoly.zero()) + coeff * weight
-            new_cols.append(out)
-        cols = new_cols
+    program = [_compile(basis, _two_slice_action, op) for op in strip.column_program]
+    cols = [_push(program, b) for b in range(n)]
 
     bridges = [s.bridge_count() for s in basis]
     failures: list[str] = []
@@ -348,7 +333,7 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
             ordered = sorted(members, key=lambda k: ref_index[reduced[k]])
             for bb, b in enumerate(ordered):
                 for aa, a in enumerate(ordered):
-                    got = cols[b].get(a, MultiPoly.zero())
+                    got = cols[b].get(a, ZERO)
                     want = reference.rows[aa][bb]
                     if got != want:
                         matches = False

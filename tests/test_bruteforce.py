@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pottstrip import bruteforce
 from pottstrip.bruteforce import (
     dual_boundary_z,
     duality_witness_check,
@@ -59,6 +60,34 @@ def test_histogram_is_cached_and_worker_independent():
     assert fk_histogram(strip) is fk_histogram(strip)
     assert fk_histogram(strip, workers=1) == fk_histogram(strip, workers=2)
     assert fk_z(strip, workers=2) == fk_z(strip, workers=1)
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    """A huge --workers value reaches the pool as the CPU count; a fake pool
+    runs the chunks in this process, so no process is started."""
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bruteforce, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(3, 3)
+    pooled = fk_histogram(strip, workers=10**6)
+    assert seen == [2]
+    bruteforce._HISTOGRAM_CACHE.clear()
+    assert fk_histogram(strip, workers=1) == pooled
 
 
 def test_edge_budget():

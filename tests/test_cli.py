@@ -105,6 +105,9 @@ def test_decompose_missing_flags(capsys):
                    "--target", "zff")[0] == 2  # width below 3
     assert run_cli(capsys, "decompose", "--lattice", "square:2x2",
                    "--target", "z", "--p", "5")[0] == 2
+    code, out, err = run_cli(capsys, "decompose", "--lattice", "square:3x2",
+                             "--target", "zff", "--p", "2")
+    assert code == 2 and out == "" and "Q/v vanish" in err
 
 
 def test_decompose_zff_beraha(capsys):

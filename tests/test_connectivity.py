@@ -229,6 +229,9 @@ def test_two_slice_crossing_rejected():
     # chords 1'-2 and 2'-1 cross in the boundary order 1', 2', 2, 1
     with pytest.raises(ValueError):
         TwoSliceState.from_components(2, [("1'", "2"), ("2'", "1")])
+    # 3' would land on right point 2's position: a valid-looking partition
+    with pytest.raises(ValueError):
+        TwoSliceState.from_components(2, [("3'", "1"), ("1'",), ("2'",)])
 
 
 def test_reduced_state_profiles():
