@@ -34,6 +34,6 @@ assert all(w.ok for w in witnesses)
 print("every per-configuration weight identity holds")
 
 # duality_witness_check additionally verifies the aggregate form:
-# Q^(1-F) * v^E * Zdual(Q/v) equals Z as a rational-function identity.
+# Q^(1-F) * v^E * Zdual(Q/v) equals Z, checked with denominators cleared.
 assert duality_witness_check(strip)
 print("aggregate duality identity holds")

@@ -34,7 +34,7 @@ for p in (2, 3, 4, 6):
     chis = [
         minimal_character(strip, l, p) for l in range(0, (p - 2) // 2 + 1)
     ]
-    z_regrouped = z_minimal(strip, p).value.as_poly()
+    z_regrouped = z_minimal(strip, p).value
     z_direct = fk_z(strip).subs_poly("Q", q)
     assert z_regrouped == z_direct
     print(f"p={p} (Q={q}): Z regroups onto {len(chis)} minimal character(s)")

@@ -40,6 +40,6 @@ for q in (2, 3):
 # At the Ising point only chi_1,1 survives; the three-state point keeps
 # chi_1,1 and chi_1,5.
 for p in (4, 6):
-    _, terms = z_fixed_boundary_minimal(width, length, p)
+    terms = z_fixed_boundary_minimal(width, length, p).terms
     alive = [(l, str(coeff)) for l, coeff, _ in terms if coeff != 0]
     print(f"p={p}: surviving minimal characters {alive}")

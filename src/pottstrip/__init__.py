@@ -20,7 +20,6 @@ from .polynomial import (
     VARIABLES,
     ZERO,
     MultiPoly,
-    RationalFunction,
     v,
 )
 from .connectivity import (
@@ -37,8 +36,6 @@ from .connectivity import (
 from .lattice import (
     CyclicStrip,
     EdgeOp,
-    FixedBoundaryLattice,
-    fixed_boundary_lattice,
     horizontal,
     parse_lattice,
     square_strip,
@@ -86,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly",
-    "RationalFunction",
     "Q",
     "v",
     "Q0",
@@ -104,8 +100,6 @@ __all__ = [
     "noncrossing_partitions",
     "CyclicStrip",
     "EdgeOp",
-    "FixedBoundaryLattice",
-    "fixed_boundary_lattice",
     "horizontal",
     "parse_lattice",
     "square_strip",

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .lattice import VERTICAL, CyclicStrip, FixedBoundaryLattice, square_strip
+from .lattice import VERTICAL, CyclicStrip, square_strip
 from .polynomial import MultiPoly
 
 #: subsets beyond 2**24 are refused; the point of this module is certainty,
@@ -249,19 +249,22 @@ def fixed_boundary_spin_z(
 
     All bonds of the cyclic strip contribute, including the bonds inside
     each frozen row (each worth 1+v); only rows 1..width-2 are summed over.
+    Width 2 has no free rows at all and is excluded as degenerate.
     """
-    lat = FixedBoundaryLattice(width, length)
+    if width < 3:
+        raise ValueError("fixed-boundary strips need width >= 3")
+    if length < 1:
+        raise ValueError("length must be >= 1")
     if q < 1:
         raise ValueError("q must be a positive integer")
-    free = lat.free_site_count
+    free = (width - 2) * length
     if q ** free > MAX_SPIN_CONFIGS:
         raise ValueError(
             f"spin sum over {q}**{free} configurations exceeds the "
             f"{MAX_SPIN_CONFIGS} budget"
         )
     v = Fraction(v)
-    strip = lat.strip()
-    pairs = [(u, w) for u, w, _ in strip.edges()]
+    pairs = [(u, w) for u, w, _ in square_strip(width, length).edges()]
     total = Fraction(0)
     for assignment in product(range(q), repeat=free):
         spins = []
@@ -436,8 +439,8 @@ def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
 
 def duality_witness_check(strip: CyclicStrip) -> bool:
     """True iff every configuration's weight identity holds *and* the
-    aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds as a
-    rational-function identity, with Zdual the plain cluster expansion of
+    aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked
+    with its denominators cleared, with Zdual the plain cluster expansion of
     the dual graph.
     """
     _check_edge_budget(strip)

@@ -23,6 +23,9 @@ through which Z decomposes with the amplitudes c(l) evaluated at that Q.
 boundary-reweighted cluster sum and the fixed-boundary partition function
 through the same characters, with amplitudes b(l) carrying the boundary
 cluster weight Q0 and with the bond weight moved to its dual v -> Q/v.
+The dual weight never leaves the polynomial ring: v**E * p(v -> Q/v) is a
+monomial map on the terms of p, and the remaining division by a power of Q
+is exact and asserted.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import comb
 from .bruteforce import NtcSpectrum, fk_spectrum
 from .connectivity import count_states
 from .lattice import CyclicStrip, square_strip
-from .polynomial import MultiPoly, Q, Q0, RationalFunction, v
+from .polynomial import MultiPoly, v
 from .transfer import character_K
 
 
@@ -105,12 +108,14 @@ class DecompositionResult:
     """A value together with the amplitude-times-character terms composing it.
 
     ``terms`` holds (l, amplitude, character) triples; ``value`` is their
-    accumulated sum, times any stated prefactor in the fixed-boundary case.
+    accumulated sum, an exact polynomial.  In the fixed-boundary case
+    ``value`` is that sum at the dual bond weight times the stated prefactor,
+    while the terms stay at the direct weight.
     """
 
     target: str
     strip: CyclicStrip
-    value: RationalFunction
+    value: MultiPoly
     terms: tuple[tuple[int, MultiPoly, MultiPoly], ...]
 
 
@@ -123,9 +128,7 @@ def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
         k = character_K(strip, l)
         terms.append((l, amp, k))
         total = total + amp * k
-    return DecompositionResult(
-        "z", strip, RationalFunction.from_poly(total), tuple(terms)
-    )
+    return DecompositionResult("z", strip, total, tuple(terms))
 
 
 def z_sector_from_characters(strip: CyclicStrip, j: int) -> DecompositionResult:
@@ -139,9 +142,7 @@ def z_sector_from_characters(strip: CyclicStrip, j: int) -> DecompositionResult:
         k = character_K(strip, l)
         terms.append((l, amp, k))
         total = total + amp * k
-    return DecompositionResult(
-        f"z2j[{j}]", strip, RationalFunction.from_poly(total), tuple(terms)
-    )
+    return DecompositionResult(f"z2j[{j}]", strip, total, tuple(terms))
 
 
 def _sector(strip: CyclicStrip, j: int, spectrum: NtcSpectrum | None) -> MultiPoly:
@@ -218,9 +219,7 @@ def z_minimal(strip: CyclicStrip, p: int | BerahaParam) -> DecompositionResult:
         chi = minimal_character(strip, l, beraha)
         terms.append((l, amp, chi))
         total = total + amp * chi
-    return DecompositionResult(
-        f"z@p={beraha.p}", strip, RationalFunction.from_poly(total), tuple(terms)
-    )
+    return DecompositionResult(f"z@p={beraha.p}", strip, total, tuple(terms))
 
 
 def z1_minimal_alternating(strip: CyclicStrip, p: int | BerahaParam) -> MultiPoly:
@@ -249,13 +248,14 @@ def dual_boundary_decomposition(strip: CyclicStrip) -> DecompositionResult:
         k = character_K(strip, l)
         terms.append((l, amp, k))
         total = total + amp * k
-    return DecompositionResult(
-        "dual", strip, RationalFunction.from_poly(total), tuple(terms)
-    )
+    return DecompositionResult("dual", strip, total, tuple(terms))
 
 
-def _dual_v() -> RationalFunction:
-    return RationalFunction(Q, v)
+def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
+    """v**edges * poly(v -> Q/v), term by term: c Q**a v**k Q0**m becomes
+    c Q**(a+k) v**(edges-k) Q0**m.  A term with k > edges is rejected by
+    the MultiPoly constructor as a negative exponent."""
+    return MultiPoly({(a + k, edges - k, m): c for (a, k, m), c in poly.terms()})
 
 
 def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
@@ -269,8 +269,10 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
     caps, giving the (1+v)**(2N) boundary-bond factor and the unit weight
     (Q0 = 1) of every cluster touching a cap.
 
-    ``terms`` holds the (l, b(l)|_{Q0=1}, K(l)) summands before the v -> vd
-    substitution.
+    The division by Q**(E+2-F) = Q**((L-1)N) is exact term by term, so
+    Z_ff is asserted to be a polynomial; a negative power of Q raises
+    ValueError.  ``terms`` holds the (l, b(l)|_{Q0=1}, K(l)) summands before
+    the v -> vd substitution.
     """
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
@@ -282,13 +284,11 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
         k = character_K(inner, l)
         terms.append((l, amp, k))
         total = total + amp * k
-    dual_sum = total.substitute("v", _dual_v())
-    prefactor = RationalFunction(
-        (MultiPoly.one() + v) ** (2 * length)
-        * MultiPoly.monomial(1, (inner.face_count - 2, 0, 0)),
-        MultiPoly.one(),
-    ) / _dual_v() ** inner.edge_count
-    value = prefactor * dual_sum
+    edges = inner.edge_count
+    dual_sum = _at_dual_weight(total, edges).quotient_by_monomial(
+        (edges + 2 - inner.face_count, 0, 0)
+    )
+    value = (MultiPoly.one() + v) ** (2 * length) * dual_sum
     return DecompositionResult(
         f"zff[{width}x{length}]", square_strip(width, length), value, tuple(terms)
     )
@@ -296,15 +296,15 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
 
 def z_fixed_boundary_minimal(
     width: int, length: int, p: int | BerahaParam
-) -> tuple[RationalFunction, tuple[tuple[int, Fraction, MultiPoly], ...]]:
+) -> DecompositionResult:
     """The fixed-boundary decomposition at a Beraha point, regrouped into
     minimal characters of the width-(L-1) strip:
 
         Z_ff = prefactor * sum_{l=0}^{floor((p-2)/2)} b(l)|_{Q0=1, Q} chi(l)
 
-    Returns (value, terms) with terms = (l, coefficient, chi(l)); the chi
-    are polynomials in v, still at the direct bond weight (the caller sees
-    the v -> Q/v substitution only inside ``value``).  p = 2 is rejected:
+    ``terms`` holds (l, b(l)|_{Q0=1, Q}, chi(l)) with constant amplitudes;
+    the chi are polynomials in v, still at the direct bond weight (the
+    v -> Q/v substitution shows only inside ``value``).  p = 2 is rejected:
     there Q = 0 and the dual weight Q/v vanishes.
     """
     beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
@@ -322,15 +322,20 @@ def z_fixed_boundary_minimal(
     terms = []
     total = MultiPoly.zero()
     for l in range((beraha.p - 2) // 2 + 1):
-        coeff = amplitude_b(l).subs_poly("Q0", 1).evaluate({"Q": q})
+        amp = amplitude_b(l).subs_poly("Q0", 1).subs_poly("Q", q)
         chi = minimal_character(inner, l, beraha)
-        terms.append((l, coeff, chi))
-        total = total + coeff * chi
-    dual_sum = total.subs_poly("Q", q).substitute("v", RationalFunction(MultiPoly.constant(q), v))
-    dual_v_at_q = RationalFunction(MultiPoly.constant(q), v)
-    prefactor = (
-        RationalFunction.from_poly((MultiPoly.one() + v) ** (2 * length))
-        * Fraction(q ** (inner.face_count - 2))
-        / dual_v_at_q ** inner.edge_count
+        terms.append((l, amp, chi))
+        total = total + amp * chi
+    edges = inner.edge_count
+    dual_sum = _at_dual_weight(total, edges).subs_poly("Q", q)
+    value = (
+        (MultiPoly.one() + v) ** (2 * length)
+        * dual_sum
+        * q ** (inner.face_count - 2 - edges)
     )
-    return prefactor * dual_sum, tuple(terms)
+    return DecompositionResult(
+        f"zff[{width}x{length}]@p={beraha.p}",
+        square_strip(width, length),
+        value,
+        tuple(terms),
+    )

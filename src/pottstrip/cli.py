@@ -29,27 +29,10 @@ from .characters import (
     z_sector_from_characters,
 )
 from .lattice import parse_lattice
-from .polynomial import MultiPoly, RationalFunction
+from .polynomial import MultiPoly
 from .transfer import character_K, verify_block_structure
 
 FORMATS = ("json", "csv", "text")
-
-
-def _encode(value) -> object:
-    """JSON encoding of a MultiPoly (term list) or RationalFunction."""
-    if isinstance(value, RationalFunction):
-        if value.is_polynomial:
-            return value.as_poly().to_json_obj()
-        return value.to_json_obj()
-    return value.to_json_obj()
-
-
-def _csv_items(name: str, value) -> list[tuple[str, MultiPoly]]:
-    if isinstance(value, RationalFunction):
-        if value.is_polynomial:
-            return [(name, value.as_poly())]
-        return [(name + ".num", value.num), (name + ".den", value.den)]
-    return [(name, value)]
 
 
 def _print_csv(named: list[tuple[str, MultiPoly]]) -> None:
@@ -57,6 +40,8 @@ def _print_csv(named: list[tuple[str, MultiPoly]]) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("name", "degQ", "degv", "degQ0", "coeff"))
     for name, poly in named:
+        if poly.is_zero:
+            writer.writerow((name, 0, 0, 0, 0))
         for mono, coeff in poly.terms():
             writer.writerow((name, mono[0], mono[1], mono[2], str(coeff)))
     sys.stdout.write(buffer.getvalue())
@@ -71,21 +56,21 @@ def _emit_values(
 ) -> None:
     """Render named exact values in the requested format.
 
-    ``values`` pairs display names with MultiPoly, RationalFunction, or
-    plain string entries (strings are scalars, already exact).
+    ``values`` pairs display names with MultiPoly or plain string entries
+    (strings are scalars, already exact).  In CSV a polynomial is one row
+    per term, and a zero polynomial is the single row ``name,0,0,0,0``.
     """
     if fmt == "json":
         payload = dict(meta)
         for name, value in values:
-            payload[name] = value if isinstance(value, str) else _encode(value)
+            payload[name] = value if isinstance(value, str) else value.to_json_obj()
         _print_json(payload)
     elif fmt == "csv":
         named = []
         for name, value in values:
             if isinstance(value, str):
-                named.append((name, MultiPoly.constant(Fraction(value))))
-            else:
-                named.extend(_csv_items(name, value))
+                value = MultiPoly.constant(Fraction(value))
+            named.append((name, value))
         _print_csv(named)
     else:
         for key, entry in meta.items():
@@ -146,19 +131,10 @@ def _cmd_decompose(args) -> int:
     elif args.target == "zff":
         if args.p is not None:
             meta["p"] = args.p
-            value, terms = z_fixed_boundary_minimal(
-                strip.width, strip.length, args.p
-            )
-            values = [("value", value)]
-            for l, coeff, chi in terms:
-                values.append(
-                    (f"amplitude[l={l}]", MultiPoly.constant(coeff))
-                )
-                values.append((f"character[l={l}]", chi))
+            result = z_fixed_boundary_minimal(strip.width, strip.length, args.p)
         else:
-            values = _decomposition_values(
-                z_fixed_boundary(strip.width, strip.length)
-            )
+            result = z_fixed_boundary(strip.width, strip.length)
+        values = _decomposition_values(result)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown target {args.target!r}")
     _emit_values(args.format, meta, values)

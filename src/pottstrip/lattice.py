@@ -1,4 +1,4 @@
-"""Strip lattices: cyclic square-lattice strips and their fixed-boundary kin.
+"""Strip lattices: cyclic square-lattice strips and their column programs.
 
 A cyclic strip of width L and length N lives on an annulus: N columns of L
 sites, consecutive columns joined by horizontal bonds, column N joined back
@@ -124,42 +124,6 @@ def square_strip(width: int, length: int) -> CyclicStrip:
         horizontal(i) for i in range(width)
     )
     return CyclicStrip(width, length, program)
-
-
-@dataclass(frozen=True)
-class FixedBoundaryLattice:
-    """A width-L strip whose first and last rows are frozen to one spin value.
-
-    The geometry is that of the cyclic strip (same bonds, including the
-    bonds inside each boundary row, each worth a factor 1+v when the
-    boundary spins agree); only rows 1..L-2 carry free spins.  Width 2 has
-    no free rows at all and is excluded as degenerate.
-    """
-
-    width: int
-    length: int
-
-    def __post_init__(self):
-        if self.width < 3:
-            raise ValueError("fixed-boundary strips need width >= 3")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-
-    @property
-    def free_site_count(self) -> int:
-        return (self.width - 2) * self.length
-
-    @property
-    def boundary_site_count(self) -> int:
-        return 2 * self.length
-
-    def strip(self) -> CyclicStrip:
-        """The underlying cyclic strip whose bonds this lattice uses."""
-        return square_strip(self.width, self.length)
-
-
-def fixed_boundary_lattice(width: int, length: int) -> FixedBoundaryLattice:
-    return FixedBoundaryLattice(width, length)
 
 
 _BUILDERS = {"square": square_strip}

@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic in the variables Q, v, Q0.
+"""Exact sparse polynomial arithmetic in the variables Q, v, Q0.
 
 Everything this package computes -- transfer-matrix entries, partition
 functions, amplitudes, duality prefactors -- is a sparse polynomial in the
@@ -9,20 +9,11 @@ every identity can be asserted with zero tolerance.
 A monomial is an exponent triple ``(deg_Q, deg_v, deg_Q0)``; monomials are
 ordered lexicographically on that triple, and a polynomial's terms are
 serialized in decreasing monomial order so output is deterministic.
-
-Substituting a quotient for a variable (e.g. the dual temperature v -> Q/v)
-leaves the polynomial ring; the result is a :class:`RationalFunction`, a
-normalized numerator/denominator pair.  Normalization removes the common
-monomial content and scales the denominator to be primitive with positive
-leading coefficient; cancellation of non-trivial polynomial GCDs is not
-attempted, so equality of rational functions is decided by cross
-multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 VARIABLES = ("Q", "v", "Q0")
@@ -107,38 +98,6 @@ class MultiPoly:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), _ZERO)
-
-    def degree(self, name: str) -> int:
-        """Largest exponent of ``name`` appearing; 0 for the zero polynomial."""
-        i = _var_index(name)
-        return max((m[i] for m in self._terms), default=0)
-
-    def variables(self) -> frozenset[str]:
-        """Names of the variables that actually occur."""
-        used = [False, False, False]
-        for m in self._terms:
-            for i in range(3):
-                used[i] = used[i] or m[i] > 0
-        return frozenset(n for i, n in enumerate(VARIABLES) if used[i])
-
-    def leading_monomial(self) -> Monomial:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms)
-
-    def leading_coefficient(self) -> Fraction:
-        return self._terms[self.leading_monomial()]
-
-    def content(self) -> Fraction:
-        """The positive rational c with self/c integral and primitive."""
-        if not self._terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -271,38 +230,6 @@ class MultiPoly:
             out = out + MultiPoly.monomial(c, tuple(rest)) * power(e)
         return out
 
-    def substitute(self, name: str, value: "RationalFunction | MultiPoly | Scalar") -> "RationalFunction":
-        """Substitute a rational function for a variable.
-
-        >>> print((v * v).substitute("v", RationalFunction(Q, v)))
-        (Q^2)/(v^2)
-        """
-        if not isinstance(value, RationalFunction):
-            coerced = self._coerce(value)
-            if coerced is None:
-                raise TypeError("substitute needs a RationalFunction, MultiPoly or rational")
-            return RationalFunction(self.subs_poly(name, coerced), MultiPoly.one())
-        i = _var_index(name)
-        d = self.degree(name)
-        num = MultiPoly.zero()
-        num_pows: dict[int, MultiPoly] = {0: MultiPoly.one()}
-        den_pows: dict[int, MultiPoly] = {0: MultiPoly.one()}
-
-        def grow(cache: dict[int, MultiPoly], base: MultiPoly, e: int) -> MultiPoly:
-            if e not in cache:
-                cache[e] = grow(cache, base, e - 1) * base
-            return cache[e]
-
-        for m, c in self._terms.items():
-            rest = list(m)
-            e = rest[i]
-            rest[i] = 0
-            term = MultiPoly.monomial(c, tuple(rest))
-            term = term * grow(num_pows, value.num, e)
-            term = term * grow(den_pows, value.den, d - e)
-            num = num + term
-        return RationalFunction(num, grow(den_pows, value.den, d))
-
     def quotient_by_monomial(self, mono: Monomial) -> "MultiPoly":
         """Exact division by a monomial; every term must be divisible.
 
@@ -396,168 +323,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
-
-
-class RationalFunction:
-    """A quotient of two MultiPoly values, kept in a normalized form.
-
-    Normalization cancels the common monomial content of numerator and
-    denominator and rescales so the denominator is integral, primitive and
-    has positive leading coefficient.  Polynomial GCDs beyond that are not
-    cancelled, so ``==`` compares by cross multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | Scalar = 1):
-        if not isinstance(num, MultiPoly):
-            num = MultiPoly.constant(num)
-        coerced = MultiPoly._coerce(den)
-        if coerced is None:
-            raise TypeError("denominator must be a MultiPoly or rational")
-        den = coerced
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = MultiPoly.zero(), MultiPoly.one()
-        else:
-            shift = tuple(
-                min(
-                    min(m[i] for m in num._terms),
-                    min(m[i] for m in den._terms),
-                )
-                for i in range(3)
-            )
-            if any(shift):
-                num = num.quotient_by_monomial(shift)
-                den = den.quotient_by_monomial(shift)
-            scale = den.content()
-            if den.leading_coefficient() < 0:
-                scale = -scale
-            num = num._scaled(1 / scale)
-            den = den._scaled(1 / scale)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly | Scalar) -> "RationalFunction":
-        coerced = MultiPoly._coerce(p)
-        if coerced is None:
-            raise TypeError("from_poly needs a MultiPoly or rational")
-        return cls(coerced, MultiPoly.one())
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == MultiPoly.one()
-
-    def as_poly(self) -> MultiPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not in polynomial form")
-        return self.num
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @staticmethod
-    def _coerce(other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        p = MultiPoly._coerce(other)
-        if p is None:
-            return None
-        return RationalFunction(p, MultiPoly.one())
-
-    def __add__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RationalFunction(self.num * q.den + q.num * self.den, self.den * q.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RationalFunction(self.num * q.num, self.den * q.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        if q.num.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * q.den, self.den * q.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q / self
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if not isinstance(n, int):
-            raise ValueError("rational-function powers must be integers")
-        if n < 0:
-            if self.num.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
-
-    def __eq__(self, other) -> bool:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self.num * q.den == q.num * self.den
-
-    __hash__ = None  # equality is cross-multiplicative, not structural
-
-    def subs_poly(self, name: str, value: MultiPoly | Scalar) -> "RationalFunction":
-        return RationalFunction(self.num.subs_poly(name, value), self.den.subs_poly(name, value))
-
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        d = self.den.evaluate(assignment)
-        if not d:
-            raise ZeroDivisionError(f"denominator {self.den} vanishes at {dict(assignment)}")
-        return self.num.evaluate(assignment) / d
-
-    def to_json_obj(self) -> dict:
-        return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, data) -> "RationalFunction":
-        if not isinstance(data, dict) or "num" not in data or "den" not in data:
-            raise ValueError("rational function encoding must have num and den")
-        return cls(MultiPoly.from_json_obj(data["num"]), MultiPoly.from_json_obj(data["den"]))
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self})"
 
 
 #: The three generators of the coefficient ring, ready for expressions

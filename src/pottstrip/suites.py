@@ -91,7 +91,7 @@ def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
         out.append(
             _poly_check(
                 f"z-decomposition[{name}]",
-                characters.z_from_characters(strip).value.as_poly(),
+                characters.z_from_characters(strip).value,
                 spectrum.total(),
             )
         )
@@ -99,7 +99,7 @@ def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
             out.append(
                 _poly_check(
                     f"sector-decomposition[{name},j={j}]",
-                    characters.z_sector_from_characters(strip, j).value.as_poly(),
+                    characters.z_sector_from_characters(strip, j).value,
                     spectrum[j],
                 )
             )
@@ -208,7 +208,7 @@ def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
             out.append(
                 _poly_check(
                     f"minimal-z[{name},p={p}]",
-                    characters.z_minimal(strip, p).value.as_poly(),
+                    characters.z_minimal(strip, p).value,
                     z.subs_poly("Q", q),
                 )
             )
@@ -230,7 +230,7 @@ def dual_checks(l_max: int, n_max: int) -> list[CheckResult]:
         ok = bruteforce.duality_witness_check(strip)
         out.append(CheckResult(f"duality-witness[{name}]", ok,
                                "" if ok else "a configuration's dual weight disagrees"))
-        decomposition = characters.dual_boundary_decomposition(strip).value.as_poly()
+        decomposition = characters.dual_boundary_decomposition(strip).value
         out.append(
             _poly_check(
                 f"dual-decomposition[{name}]",
@@ -268,7 +268,7 @@ def dual_checks(l_max: int, n_max: int) -> list[CheckResult]:
                         )
                     )
         for p in (4, 6):
-            _, terms = characters.z_fixed_boundary_minimal(3, 2, p)
+            terms = characters.z_fixed_boundary_minimal(3, 2, p).terms
             alive = tuple(l for l, coeff, _ in terms if coeff != 0)
             expect = (0,) if p == 4 else (0, 2)
             ok = alive == expect

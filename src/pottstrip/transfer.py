@@ -174,12 +174,14 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     return _block(strip.width, marks, _column_program(strip, marks))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     """The character K(1, 2l+1) = trace(T_l ** N), an exact polynomial.
 
     Each basis state is pushed through N columns on its own, so only one
     column of T_l ** N is held at a time.  Zero for l > L: a width-L slice
-    cannot seed more than L wrapping clusters.
+    cannot seed more than L wrapping clusters.  Results are cached, so every
+    decomposition of a strip shares one computation of each K(l).
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))

@@ -125,6 +125,15 @@ def test_fixed_boundary_spin_z_reduces_to_free_row():
     assert fixed_boundary_spin_z(3, 2, 5, 0) == 25
 
 
+def test_fixed_boundary_spin_z_validation():
+    # rows 1..width-2 are free: at v = 0 the 3x4 strip counts 2**4 spins
+    assert fixed_boundary_spin_z(3, 4, 2, 0) == 2 ** 4
+    with pytest.raises(ValueError):
+        fixed_boundary_spin_z(2, 4, 2, 1)  # no free rows
+    with pytest.raises(ValueError):
+        fixed_boundary_spin_z(3, 0, 2, 1)
+
+
 def test_dual_boundary_z_two_site_ring():
     strip = square_strip(1, 2)
     assert dual_boundary_z(strip) == Q ** 2 + 2 * Q * v + Q0 * v ** 2

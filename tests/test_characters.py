@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pottstrip import characters
 from pottstrip.bruteforce import (
     NtcSpectrum,
     dual_boundary_z,
@@ -28,7 +29,7 @@ from pottstrip.characters import (
     z_sector_from_characters,
 )
 from pottstrip.lattice import square_strip
-from pottstrip.polynomial import Q, Q0, MultiPoly, RationalFunction, v
+from pottstrip.polynomial import ONE, ZERO, Q, Q0, MultiPoly, v
 from pottstrip.transfer import character_K
 
 STRIPS = [square_strip(1, 2), square_strip(2, 2), square_strip(2, 3)]
@@ -60,13 +61,9 @@ def test_amplitude_b_values():
 def test_amplitude_b_rational_form():
     """b(l) agrees with (-1)^l + (Q0/Q) * (c(l) - (-1)^l), the boundary
     reweighting of the cyclic amplitude, once cleared of the 1/Q."""
-    ratio = RationalFunction(Q0, Q)
     for l in range(9):
-        sign = RationalFunction.from_poly((-1) ** l)
-        expected = sign + ratio * RationalFunction.from_poly(
-            amplitude_c(l) - (-1) ** l
-        )
-        assert RationalFunction.from_poly(amplitude_b(l)) == expected
+        sign = (-1) ** l
+        assert Q * amplitude_b(l) == sign * Q + Q0 * (amplitude_c(l) - sign)
 
 
 def test_beraha_param():
@@ -82,7 +79,7 @@ def test_beraha_param():
 def test_z_from_characters_matches_oracle():
     for strip in STRIPS:
         result = z_from_characters(strip)
-        assert result.value.as_poly() == fk_z(strip)
+        assert result.value == fk_z(strip)
         assert [l for l, _, _ in result.terms] == list(range(strip.width + 1))
 
 
@@ -90,7 +87,7 @@ def test_sector_decomposition_matches_oracle():
     for strip in STRIPS:
         spectrum = fk_spectrum(strip)
         for j in range(strip.width + 1):
-            got = z_sector_from_characters(strip, j).value.as_poly()
+            got = z_sector_from_characters(strip, j).value
             assert got == spectrum[j]
     with pytest.raises(ValueError):
         z_sector_from_characters(STRIPS[0], 5)
@@ -146,16 +143,16 @@ def test_z_minimal_matches_oracle_at_every_supported_point():
         z = fk_z(strip)
         for p in (2, 3, 4, 6):
             q = BerahaParam.from_p(p).q_value
-            assert z_minimal(strip, p).value.as_poly() == z.subs_poly("Q", q)
+            assert z_minimal(strip, p).value == z.subs_poly("Q", q)
 
 
 def test_z_minimal_degenerate_points():
     strip = square_strip(2, 2)
     # Q = 0: every configuration carries at least one cluster factor
-    assert z_minimal(strip, 2).value.as_poly().is_zero
+    assert z_minimal(strip, 2).value.is_zero
     # Q = 1: the cluster weights drop out, leaving the free bond sum
     ones = (MultiPoly.one() + v) ** strip.edge_count
-    assert z_minimal(strip, 3).value.as_poly() == ones
+    assert z_minimal(strip, 3).value == ones
 
 
 def test_z1_minimal_alternating():
@@ -171,19 +168,19 @@ def test_z1_minimal_alternating():
 def test_dual_boundary_decomposition_matches_oracle():
     for strip in (square_strip(1, 2), square_strip(2, 2), square_strip(2, 3)):
         result = dual_boundary_decomposition(strip)
-        assert result.value.as_poly() == dual_boundary_z(strip)
+        assert result.value == dual_boundary_z(strip)
 
 
 def test_dual_boundary_specializations():
     strip = square_strip(2, 2)
-    reweighted = dual_boundary_decomposition(strip).value.as_poly()
+    reweighted = dual_boundary_decomposition(strip).value
     assert reweighted.subs_poly("Q0", Q) == fk_z(strip)
     assert reweighted.subs_poly("Q0", 0) == fk_spectrum(strip)[0]
 
 
 def test_fixed_boundary_value():
     result = z_fixed_boundary(3, 2)
-    assert result.value.is_polynomial
+    assert isinstance(result.value, MultiPoly)
     got = result.value.evaluate({"Q": 2, "v": 1, "Q0": 0})
     assert got == fixed_boundary_spin_z(3, 2, 2, 1) == 1216
 
@@ -193,11 +190,27 @@ def test_fixed_boundary_rejects_narrow_strips():
         z_fixed_boundary(2, 2)
 
 
+def test_fixed_boundary_rejects_a_negative_power_of_q(monkeypatch):
+    # A character sum of 1 on the inner 2x2 strip maps to v^6 at the dual
+    # weight, which Q^4 = Q^(E+2-F) does not divide: Z_ff would not be a
+    # polynomial, and that must raise rather than truncate.
+    monkeypatch.setattr(
+        characters, "character_K", lambda strip, l: ONE if l == 0 else ZERO
+    )
+    with pytest.raises(ValueError, match="not divisible"):
+        z_fixed_boundary(3, 2)
+    # a v power above the edge count has no image under the map
+    with pytest.raises(ValueError, match="negative exponent"):
+        characters._at_dual_weight(v ** 7, 6)
+
+
 def test_fixed_boundary_minimal_terms():
-    value4, terms4 = z_fixed_boundary_minimal(3, 2, 4)
+    result4 = z_fixed_boundary_minimal(3, 2, 4)
+    value4, terms4 = result4.value, result4.terms
     live4 = [l for l, coeff, _ in terms4 if coeff != 0]
     assert live4 == [0]
-    value6, terms6 = z_fixed_boundary_minimal(3, 2, 6)
+    result6 = z_fixed_boundary_minimal(3, 2, 6)
+    value6, terms6 = result6.value, result6.terms
     live6 = [l for l, coeff, _ in terms6 if coeff != 0]
     assert live6 == [0, 2]
     # the specialized values agree with the spin oracle at v = 1

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,13 @@ def test_characters_csv_shape(capsys):
     # K_1,1 = Q + v on the single-site ring; the name is comma-quoted
     assert '"K_1,1",1,0,0,1' in lines
     assert '"K_1,1",0,1,0,1' in lines
+    # a zero polynomial (no l = 5 state on width 2) is one all-zero row
+    code, out, _ = run_cli(
+        capsys,
+        "characters", "--lattice", "square:2x2", "--l", "5", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [lines[0], '"K_1,11",0,0,0,0']
 
 
 def test_characters_text(capsys):
@@ -120,6 +128,30 @@ def test_decompose_zff_beraha(capsys):
     payload = json.loads(out)
     value = MultiPoly.from_json_obj(payload["value"])
     assert value.evaluate({"Q": 2, "v": 1, "Q0": 0}) == 1216
+
+
+#: sha256 of ``decompose --lattice square:3x2 --target zff`` stdout, recorded
+#: when the fixed-boundary value still went through rational functions.
+ZFF_DIGESTS = {
+    ("json", ()): "e3b22a1a0031f863dca57cfdf55db4418291e6b7202b6385b5df5846a1bec4c2",
+    ("text", ()): "9524cf91be4c5bd47caca4f82d4f6691c1cf352e193613c72cd624a66c87dd83",
+    ("json", ("--p", "4")): "30ccdb2eb65259039fb7bbca1a078071fd74b89f20a75a20f86e8b78ba57ba40",
+    ("text", ("--p", "4")): "e299505356fd3aa2ef48dfd06b9f16424e7597ec45419d3d82fe9790d4f45567",
+    ("json", ("--p", "6")): "66fb0197047c75183f56c95595242a624d3dccd26dd61c3704d0eddee6b86ffe",
+    ("text", ("--p", "6")): "908ffeb13c3041d4873367ad6a654903557d789c54631d6a5a541d0d84094204",
+}
+
+
+@pytest.mark.parametrize("fmt,extra", sorted(ZFF_DIGESTS))
+def test_decompose_zff_bytes_are_unchanged(capsys, fmt, extra):
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--lattice", "square:3x2", "--target", "zff",
+        "--format", fmt, *extra,
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ZFF_DIGESTS[fmt, extra]
 
 
 def test_oracle_sections(capsys):

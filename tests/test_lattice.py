@@ -6,8 +6,6 @@ from pottstrip.lattice import (
     HORIZONTAL,
     VERTICAL,
     CyclicStrip,
-    FixedBoundaryLattice,
-    fixed_boundary_lattice,
     horizontal,
     parse_lattice,
     square_strip,
@@ -88,16 +86,6 @@ def test_parse_lattice():
                 "square:ax3", "square:2x-1"):
         with pytest.raises(ValueError):
             parse_lattice(bad)
-
-
-def test_fixed_boundary_lattice():
-    lat = fixed_boundary_lattice(3, 4)
-    assert isinstance(lat, FixedBoundaryLattice)
-    assert lat.free_site_count == 4
-    assert lat.boundary_site_count == 8
-    assert lat.strip() == square_strip(3, 4)  # same bond geometry
-    with pytest.raises(ValueError):
-        fixed_boundary_lattice(2, 4)
 
 
 def test_strip_is_hashable_and_frozen():

@@ -1,4 +1,4 @@
-"""Exact sparse polynomial and rational-function arithmetic."""
+"""Exact sparse polynomial arithmetic."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottstrip.polynomial import ONE, Q, Q0, ZERO, MultiPoly, RationalFunction, v
+from pottstrip.polynomial import ONE, Q, Q0, ZERO, MultiPoly, v
 
 coefficients = st.fractions(
     min_value=-50, max_value=50, max_denominator=9
@@ -108,12 +108,6 @@ def test_substitution():
     assert p.subs_poly("Q", Q + 1) == (Q + 1) ** 2 * v + Q0
 
 
-def test_substitute_with_rational_value():
-    p = Q ** 2
-    r = p.substitute("Q", RationalFunction(MultiPoly.one(), v))
-    assert r == RationalFunction(MultiPoly.one(), v ** 2)
-
-
 def test_quotient_by_monomial():
     p = Q ** 2 * v + Q * v ** 2
     assert p.quotient_by_monomial((1, 1, 0)) == Q + v
@@ -125,65 +119,3 @@ def test_power_requires_nonnegative_exponent():
     with pytest.raises(ValueError):
         Q ** -1
 
-
-# ----------------------------------------------------------------------
-# rational functions
-
-
-def test_rational_normalization():
-    r = RationalFunction(Q ** 2 * v, Q * v ** 2)
-    assert r == RationalFunction(Q, v)
-    assert str(r) == "(Q)/(v)"
-    s = RationalFunction(Q, -2 * v)
-    assert s.den.leading_coefficient() > 0
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(Q, ZERO)
-
-
-def test_rational_equality_by_cross_multiplication():
-    a = RationalFunction(Q ** 2 - v ** 2, Q - v)
-    b = RationalFunction(Q + v)
-    assert a == b
-    assert not (a != b)
-
-
-def test_rational_is_unhashable():
-    with pytest.raises(TypeError):
-        hash(RationalFunction(Q, v))
-
-
-def test_rational_arithmetic():
-    half_q = RationalFunction(Q, 2)
-    assert half_q + half_q == RationalFunction.from_poly(Q)
-    dual = RationalFunction(Q, v)
-    assert dual * RationalFunction(v, Q) == RationalFunction.from_poly(1)
-    assert 1 / dual == RationalFunction(v, Q)
-    assert dual ** -2 == RationalFunction(v ** 2, Q ** 2)
-    assert dual ** 0 == RationalFunction.from_poly(1)
-
-
-def test_rational_evaluate():
-    r = RationalFunction(Q + v, v)
-    assert r.evaluate({"Q": 2, "v": Fraction(1, 2), "Q0": 0}) == 5
-    with pytest.raises(ZeroDivisionError):
-        r.evaluate({"Q": 1, "v": 0, "Q0": 0})
-
-
-def test_rational_json_round_trip():
-    r = RationalFunction(Q ** 2 + Q0, 3 * v)
-    back = RationalFunction.from_json_obj(r.to_json_obj())
-    assert back == r
-
-
-@settings(max_examples=40, deadline=None)
-@given(polys(), polys())
-def test_rational_field_laws(a, b):
-    ra = RationalFunction.from_poly(a)
-    rb = RationalFunction.from_poly(b)
-    assert ra + rb == rb + ra
-    assert ra * rb == rb * ra
-    if not b.is_zero:
-        assert (ra / rb) * rb == ra

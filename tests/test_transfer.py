@@ -8,6 +8,7 @@ from pottstrip.connectivity import count_states
 from pottstrip.lattice import horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
+    _CACHE_SIZE,
     character_K,
     column_transfer,
     edge_operator,
@@ -118,6 +119,13 @@ def test_character_in_length_is_a_trace_power():
                     power = _matmul(power, block.rows)
                 trace = sum((power[a][a] for a in range(n)), MultiPoly.zero())
                 assert character_K(square_strip(width, length), marks) == trace
+
+
+def test_characters_are_computed_once():
+    strip = square_strip(2, 3)
+    first = character_K(strip, 1)
+    assert character_K(strip, 1) is first
+    assert character_K.cache_info().maxsize == _CACHE_SIZE
 
 
 def test_block_structure_reports():
