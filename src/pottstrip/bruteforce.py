@@ -116,6 +116,9 @@ def _histogram_chunk(args) -> Histogram:
     return _subset_histogram(edges, n_vertices, lo, hi)
 
 
+#: histograms kept, in order of last use; the least recently used is
+#: evicted first.  ``verify --suite all --Lmax 3 --Nmax 4`` revisits 12 strips.
+_HISTOGRAM_CACHE_SIZE = 16
 _HISTOGRAM_CACHE: dict[CyclicStrip, Histogram] = {}
 
 
@@ -126,8 +129,9 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     in separate processes, at most one per CPU; the merge is a plain sum per
     key, so the result is identical for every worker count.
     """
-    cached = _HISTOGRAM_CACHE.get(strip)
+    cached = _HISTOGRAM_CACHE.pop(strip, None)
     if cached is not None:
+        _HISTOGRAM_CACHE[strip] = cached
         return cached
     _check_edge_budget(strip)
     edges = strip.edges()
@@ -147,6 +151,8 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
                 for key, c in part.items():
                     counts[key] = counts.get(key, 0) + c
     _HISTOGRAM_CACHE[strip] = counts
+    if len(_HISTOGRAM_CACHE) > _HISTOGRAM_CACHE_SIZE:
+        del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]
     return counts
 
 

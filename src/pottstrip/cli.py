@@ -30,7 +30,7 @@ from .characters import (
 )
 from .lattice import parse_lattice
 from .polynomial import MultiPoly
-from .transfer import character_K, verify_block_structure
+from .transfer import character_K, check_character_budget, verify_block_structure
 
 FORMATS = ("json", "csv", "text")
 
@@ -91,6 +91,8 @@ def _cmd_characters(args) -> int:
         marks = [int(args.l)]
         if marks[0] < 0:
             raise ValueError("--l must be nonnegative")
+    for l in marks:
+        check_character_budget(strip, l)
     values = [
         (f"K_1,{2 * l + 1}", character_K(strip, l)) for l in marks
     ]

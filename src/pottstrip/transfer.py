@@ -17,10 +17,22 @@ of the full transfer matrix in the l-bridge sector, and the character
     K(l) = trace(T_l ** N)
 
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
-(width, marks, bond) into an index table, and K(l) pushes every basis state
-through N copies of the column program, one start column at a time, and
-sums the diagonal entries it returns to; no matrix power is ever formed, no
-eigenvalues, no floats.
+(width, marks, bond) into an index table, and one loop, ``_push``, pushes a
+start column through a program of E bonds; K(l) pushes every basis state
+through N copies of the column program and sums the diagonal entries it
+returns to.  No matrix power is ever formed, no eigenvalues, no floats.
+
+``_push`` never multiplies polynomials.  Every branch weight is a sum of
+distinct monomials from {1, v, Q} with coefficient 1, so after Kronecker
+substitution, v -> 2**w and Q -> 2**(w*(E+1)), an entry is one Python int
+and a bond is a few shifts and adds.  The substitution is exact when no
+coefficient reaches 2**w.  At Q = v = 1 a state's branch weights add up to
+at most 2 (``_compile`` checks both properties for every table), so after
+k bonds every coefficient is at most 2**k, a trace over n start states is
+below n * 2**E, and deg_Q + deg_v <= E fits the E + 1 slots per power of
+Q.  Hence w = E + n.bit_length() + 1, rounded up to whole bytes, needs no
+first pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
+in one pass over their bytes.
 
 ``verify_block_structure`` rebuilds the *full* transfer matrix on two-slice
 states and checks the claimed structure directly: bridge count never
@@ -44,22 +56,33 @@ from .connectivity import (
     enumerate_two_slice,
 )
 from .lattice import VERTICAL, CyclicStrip, EdgeOp
-from .polynomial import ONE, ZERO, MultiPoly, Q, v
+from .polynomial import ZERO, MultiPoly
 
 Row = tuple[MultiPoly, ...]
 
-#: ``table[b]`` lists the (target index, weight) branches of one bond on
-#: basis state b.
-BondTable = tuple[tuple[tuple[int, MultiPoly], ...], ...]
+# A branch weight is a sum of distinct monomials from {1, v, Q}, each with
+# coefficient 1, coded as a bit mask over the three; small ints are shared
+# objects, so a table holds no weight of its own.
+_ONE, _V, _Q = 1, 2, 4
+
+#: ``table[b]`` lists the (target index, weight mask) branches of one bond
+#: on basis state b.
+BondTable = tuple[tuple[tuple[int, int], ...], ...]
 
 #: The bound of every cache in this module.  A width-6 strip compiles
 #: (L+1)(2L-1) = 77 bond tables.
 _CACHE_SIZE = 128
 
-# Bond weights are shared objects, so ``_push`` can tell a unit weight by
-# identity and add instead of multiplying.
-_ONE_PLUS_V = ONE + v
-_Q_PLUS_V = Q + v
+#: ``character_K`` predicts the cost of a sector with n states and E bonds
+#: before building any state, from the packed size of one entry,
+#: w * (E + 1)**2 bits, and refuses it when its column of n entries would
+#: exceed MAX_COLUMN_BITS (32 MiB) ...
+MAX_COLUMN_BITS = 1 << 28
+#: ... or when n pushes through E bonds would shift and add more than
+#: MAX_PUSH_BITS bits, n * E * (column bits).  That is about two minutes
+#: of CPU at 4e10 bits/s (a 2-core VM, Python 3.11); 6x6 and 3x40 fit,
+#: 7x4 and width 9 do not.
+MAX_PUSH_BITS = 1 << 42
 
 
 @dataclass(frozen=True)
@@ -87,32 +110,41 @@ def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
     return tuple(enumerate_states(width, marks))
 
 
-def _action(op: EdgeOp, state: ConnectivityState) -> list[tuple[ConnectivityState, MultiPoly]]:
+def _action(op: EdgeOp, state: ConnectivityState) -> list[tuple[ConnectivityState, int]]:
     """Sparse action of one bond on one state (dropped transitions omitted)."""
     if op.kind == VERTICAL:
         i = op.site
         bi = state.block_index_of(i)
         bj = state.block_index_of(i + 1)
         if bi == bj:
-            return [(state, _ONE_PLUS_V)]
+            return [(state, _ONE | _V)]
         if state.is_marked(bi) and state.is_marked(bj):
-            return [(state, ONE)]
-        return [(state, ONE), (state.join(i, i + 1), v)]
+            return [(state, _ONE)]
+        return [(state, _ONE), (state.join(i, i + 1), _V)]
     outcome = state.detach(op.site)
     if outcome.tag is DetachTag.TERMINATED_MARKED:
-        return [(state, v)]
+        return [(state, _V)]
     if outcome.tag is DetachTag.COMPLETED_UNMARKED:
-        return [(state, _Q_PLUS_V)]
-    return [(state, v), (outcome.state, ONE)]
+        return [(state, _Q | _V)]
+    return [(state, _V), (outcome.state, _ONE)]
 
 
 def _compile(basis: Sequence, action: Callable, op: EdgeOp) -> BondTable:
-    """The bond ``op`` as an index table over ``basis``."""
+    """The bond ``op`` as an index table over ``basis``.
+
+    Raises AssertionError unless every branch weight is a non-empty mask
+    over {1, v, Q} and every state's weights add up to at most 2 at
+    Q = v = 1: the packing in ``_push`` is exact only under that bound.
+    """
     index = {s: k for k, s in enumerate(basis)}
-    return tuple(
-        tuple((index[target], weight) for target, weight in action(op, state))
-        for state in basis
-    )
+    table = []
+    for state in basis:
+        branches = action(op, state)
+        masks = [weight for _, weight in branches]
+        if not all(0 < m <= _ONE | _V | _Q for m in masks) or sum(m.bit_count() for m in masks) > 2:
+            raise AssertionError(f"{op} on {state} breaks the packing bound: {branches}")
+        table.append(tuple((index[target], weight) for target, weight in branches))
+    return tuple(table)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -124,25 +156,57 @@ def _column_program(strip: CyclicStrip, marks: int) -> tuple[BondTable, ...]:
     return tuple(_bond_table(strip.width, marks, op) for op in strip.column_program)
 
 
-def _push(program: Sequence[BondTable], start: int) -> dict[int, MultiPoly]:
+def _slot_width(bonds: int, states: int) -> int:
+    """Bits per Kronecker slot for a program of ``bonds`` bonds whose
+    entries, or whose trace over ``states`` start states, are unpacked."""
+    return -(-(bonds + states.bit_length() + 1) // 8) * 8
+
+
+def _push(program: Sequence[BondTable], start: int, w: int) -> dict[int, int]:
     """Column ``start`` of the ordered product of ``program``'s bonds (first
-    bond applied first), as a sparse {row: entry} map."""
-    col = {start: ONE}
+    bond applied first), as a sparse {row: entry} map of packed entries,
+    v -> 2**w and Q -> 2**(w * (len(program) + 1))."""
+    slot = ((_ONE, 0), (_V, w), (_Q, w * (len(program) + 1)))
+    shifts = [tuple(s for mask, s in slot if code & mask) for code in range(8)]
+    col = {start: 1}
     for table in program:
-        out: dict[int, MultiPoly] = {}
-        for k, coeff in col.items():
-            for a, weight in table[k]:
-                term = coeff if weight is ONE else coeff * weight
-                prev = out.get(a)
-                out[a] = term if prev is None else prev + term
+        out: dict[int, int] = {}
+        get = out.get
+        for k, c in col.items():
+            for a, code in table[k]:
+                for s in shifts[code]:
+                    out[a] = get(a, 0) + (c << s)
         col = out
     return col
+
+
+def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
+    """The polynomial behind a packed entry of a ``bonds``-bond program with
+    slot width ``w``, read in one pass over its bytes."""
+    size = w // 8
+    data = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+    terms = {}
+    for i in range(0, len(data), size):
+        c = int.from_bytes(data[i : i + size], "little")
+        if c:
+            dq, dv = divmod(i // size, bonds + 1)
+            terms[(dq, dv, 0)] = c
+    return MultiPoly(terms)
+
+
+def _columns(program: Sequence[BondTable], n: int) -> list[dict[int, MultiPoly]]:
+    """Every column of the product of ``program`` on an n-state basis, with
+    its (non-zero) entries unpacked; equal entries share one polynomial."""
+    w = _slot_width(len(program), n)
+    cols = [_push(program, b, w) for b in range(n)]
+    polys = {c: _unpack(c, w, len(program)) for c in {c for col in cols for c in col.values()}}
+    return [{a: polys[c] for a, c in col.items()} for col in cols]
 
 
 def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
     basis = _basis(width, marks)
     n = len(basis)
-    cols = [_push(program, b) for b in range(n)]
+    cols = _columns(program, n)
     rows = tuple(tuple(cols[b].get(a, ZERO) for b in range(n)) for a in range(n))
     return TransferBlock(width, marks, basis, rows)
 
@@ -174,14 +238,42 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     return _block(strip.width, marks, _column_program(strip, marks))
 
 
+def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, int]:
+    """The cost of K(marks) on ``strip``, predicted without building a
+    state: (states n, bonds E, slot width w).  Raises ValueError when the
+    packed column or the bits pushed are above ``MAX_COLUMN_BITS`` or
+    ``MAX_PUSH_BITS``.
+
+    >>> from .lattice import square_strip
+    >>> check_character_budget(square_strip(3, 10), 1)
+    (9, 50, 56)
+    """
+    n = count_states(strip.width, marks)
+    bonds = len(strip.column_program) * strip.length
+    w = _slot_width(bonds, n)
+    column_bits = n * w * (bonds + 1) ** 2
+    if column_bits > MAX_COLUMN_BITS or n * bonds * column_bits > MAX_PUSH_BITS:
+        raise ValueError(
+            f"K({marks}) of {strip} needs {n} states x {bonds} bonds of packed "
+            f"columns of {column_bits} bits; the caps are {MAX_COLUMN_BITS} bits "
+            f"per column and {MAX_PUSH_BITS} bits pushed (use a smaller strip)"
+        )
+    return n, bonds, w
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     """The character K(1, 2l+1) = trace(T_l ** N), an exact polynomial.
 
-    Each basis state is pushed through N columns on its own, so only one
-    column of T_l ** N is held at a time.  Zero for l > L: a width-L slice
-    cannot seed more than L wrapping clusters.  Results are cached, so every
+    Each of the n(L, l) basis states is pushed through the E = N * |column
+    program| bonds on its own, as one packed int per entry, so only one
+    column of T_l ** N is held at a time; the n diagonal ints are summed and
+    the sum is unpacked once.  Zero for l > L: a width-L slice cannot seed
+    more than L wrapping clusters.  Results are cached, so every
     decomposition of a strip shares one computation of each K(l).
+
+    Before any state is built, ``check_character_budget`` predicts the
+    cost and refuses a sector beyond the caps with ValueError.
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))
@@ -193,31 +285,27 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
         raise ValueError("marks must be >= 0")
     if marks > strip.width:
         return MultiPoly.zero()
+    n, bonds, w = check_character_budget(strip, marks)
     program = _column_program(strip, marks) * strip.length
-    total = MultiPoly.zero()
-    for b in range(len(_basis(strip.width, marks))):
-        diagonal = _push(program, b).get(b)
-        if diagonal is not None:
-            total = total + diagonal
-    return total
+    return _unpack(sum(_push(program, b, w).get(b, 0) for b in range(n)), w, bonds)
 
 
 # ----------------------------------------------------------------------
 # full-matrix verification
 
 
-def _two_slice_action(op: EdgeOp, state: TwoSliceState) -> list[tuple[TwoSliceState, MultiPoly]]:
+def _two_slice_action(op: EdgeOp, state: TwoSliceState) -> list[tuple[TwoSliceState, int]]:
     if op.kind == VERTICAL:
         i = op.site
         joined = state.join_right(i, i + 1)
         if joined == state:
-            return [(state, _ONE_PLUS_V)]
-        return [(state, ONE), (joined, v)]
+            return [(state, _ONE | _V)]
+        return [(state, _ONE), (joined, _V)]
     detached, completed = state.detach_right(op.site)
-    weight = Q if completed else ONE
+    weight = _Q if completed else _ONE
     if detached == state:
-        return [(state, v + weight)]
-    return [(state, v), (detached, weight)]
+        return [(state, _V | weight)]
+    return [(state, _V), (detached, weight)]
 
 
 @dataclass(frozen=True)
@@ -272,16 +360,14 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     basis = enumerate_two_slice(strip.width)
     n = len(basis)
     program = [_compile(basis, _two_slice_action, op) for op in strip.column_program]
-    cols = [_push(program, b) for b in range(n)]
+    cols = _columns(program, n)
 
     bridges = [s.bridge_count() for s in basis]
     failures: list[str] = []
 
     triangular_ok = True
     for b, col in enumerate(cols):
-        for a, value in col.items():
-            if value.is_zero:
-                continue
+        for a in col:
             if bridges[a] > bridges[b]:
                 triangular_ok = False
                 failures.append(
@@ -315,8 +401,8 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
                 for k in s
             }
             for b in members:
-                for a, value in cols[b].items():
-                    if not value.is_zero and a in others:
+                for a in cols[b]:
+                    if a in others:
                         cross_zero = False
                         failures.append(
                             f"leakage between sub-blocks at l={l}: "

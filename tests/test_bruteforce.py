@@ -62,6 +62,24 @@ def test_histogram_is_cached_and_worker_independent():
     assert fk_z(strip, workers=2) == fk_z(strip, workers=1)
 
 
+def test_histogram_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    size = bruteforce._HISTOGRAM_CACHE_SIZE
+    strips = sorted(
+        (square_strip(width, length) for width in range(1, 6) for length in range(1, 11)),
+        key=lambda s: (s.edge_count, s.width),
+    )[: size + 1]
+    for strip in strips[:size]:
+        fk_histogram(strip)
+    first = fk_histogram(strips[0], workers=2)  # a hit, whatever the workers
+    assert first is bruteforce._HISTOGRAM_CACHE[strips[0]]
+    fk_histogram(strips[size])
+    cache = bruteforce._HISTOGRAM_CACHE
+    assert len(cache) == size
+    assert strips[1] not in cache
+    assert strips[0] in cache and strips[size] in cache
+
+
 def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     """A huge --workers value reaches the pool as the CPU count; a fake pool
     runs the chunks in this process, so no process is started."""

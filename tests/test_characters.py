@@ -6,11 +6,13 @@ import pytest
 
 from pottstrip import characters
 from pottstrip.bruteforce import (
+    MAX_EDGES,
     NtcSpectrum,
     dual_boundary_z,
     fixed_boundary_spin_z,
     fk_spectrum,
     fk_z,
+    spin_z,
 )
 from pottstrip.characters import (
     BerahaParam,
@@ -81,6 +83,28 @@ def test_z_from_characters_matches_oracle():
         result = z_from_characters(strip)
         assert result.value == fk_z(strip)
         assert [l for l, _, _ in result.terms] == list(range(strip.width + 1))
+
+
+#: strips beyond the 2**E oracle whose characters hold coefficients close to
+#: the 2**E bound the packed slot width is derived from.
+LONG_STRIPS = [square_strip(2, 20), square_strip(3, 10), square_strip(4, 6), square_strip(5, 4)]
+
+
+@pytest.mark.parametrize("strip", LONG_STRIPS, ids=str)
+def test_identities_beyond_the_oracle(strip):
+    """Z(Q = 1) = (1 + v)^E, since every bond subset weighs v^|B|, and
+    K(L) = v^(LN), since L marked blocks must all wrap."""
+    assert strip.edge_count > MAX_EDGES
+    z = z_from_characters(strip).value
+    assert z.subs_poly("Q", 1) == (1 + v) ** strip.edge_count
+    assert character_K(strip, strip.width) == v ** (strip.width * strip.length)
+
+
+def test_z_from_characters_matches_spin_sum_beyond_the_oracle():
+    strip = square_strip(4, 4)
+    assert strip.edge_count > MAX_EDGES
+    value = z_from_characters(strip).value.evaluate({"Q": 2, "v": Fraction(1, 2)})
+    assert value == spin_z(strip, 2, Fraction(1, 2))
 
 
 def test_sector_decomposition_matches_oracle():

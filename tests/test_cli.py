@@ -4,9 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from pottstrip import transfer
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
 
@@ -81,6 +83,21 @@ def test_malformed_lattice_and_flags(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "characters", "--lattice", "square:2x2",
                    "--workers", "0")[0] == 2
+
+
+@pytest.mark.parametrize("lattice", ["square:30x1", "square:2x100000"])
+def test_characters_over_budget_exit_quickly(capsys, monkeypatch, lattice):
+    """Catalan-many states on 30x1, and gigabit packed entries on 2x100000,
+    are refused from the predicted cost, before any state is built."""
+    def no_states(*args):
+        raise AssertionError("a state was enumerated")
+
+    monkeypatch.setattr(transfer, "enumerate_states", no_states)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "characters", "--lattice", lattice, "--l", "all")
+    assert code == 2 and out == ""
+    assert "caps are" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_help_exits_zero(capsys):

@@ -9,7 +9,9 @@ from pottstrip.lattice import horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
     _CACHE_SIZE,
+    _compile,
     character_K,
+    check_character_budget,
     column_transfer,
     edge_operator,
     verify_block_structure,
@@ -126,6 +128,28 @@ def test_characters_are_computed_once():
     first = character_K(strip, 1)
     assert character_K(strip, 1) is first
     assert character_K.cache_info().maxsize == _CACHE_SIZE
+
+
+def test_compile_refuses_weights_beyond_the_packing_bound():
+    """An empty weight, a monomial outside {1, v, Q}, and branch weights
+    adding up to 3 at Q = v = 1 would each break the slot width."""
+    for branches in ([("s", 0)], [("s", 8)], [("s", 3), ("s", 1)]):
+        with pytest.raises(AssertionError, match="packing bound"):
+            _compile(("s",), lambda op, state: branches, vertical(0))
+
+
+def test_character_budget():
+    """Strips that run in two minutes or less are accepted; 7x4 would take
+    several and is refused."""
+    for width, length in ((6, 6), (5, 10), (3, 40), (8, 1)):
+        strip = square_strip(width, length)
+        for marks in range(width + 1):
+            check_character_budget(strip, marks)
+    assert check_character_budget(square_strip(2, 20), 2) == (1, 60, 64)
+    with pytest.raises(ValueError, match="bits pushed"):
+        check_character_budget(square_strip(7, 4), 1)
+    with pytest.raises(ValueError):
+        character_K(square_strip(2, 10**5), 0)
 
 
 def test_block_structure_reports():
