@@ -4,20 +4,24 @@ The cluster expansion of the Potts partition function on a graph G,
 
     Z = sum over bond subsets B of  Q**n(B) * v**|B|,
 
-with n(B) the number of connected components, is evaluated here literally,
-by iterating over all 2**E subsets.  Each subset is classified by
+with n(B) the number of connected components, is evaluated here literally:
+every one of the 2**E subsets is visited and classified by
 
     n -- number of clusters,
     b -- number of bonds,
     j -- number of clusters winding around the periodic direction
          (non-trivial clusters, NTC),
 
-using a union-find whose nodes carry an integer column displacement: merging
-two already-connected endpoints whose recorded displacements disagree with
-the new bond's displacement is exactly a cycle of non-zero winding, so the
-cluster wraps.  Weights only depend on (n, b, j), so the enumeration
-accumulates an integer histogram and the polynomials are assembled at the
-end; all arithmetic is exact.
+using a union-find whose nodes carry an integer column displacement: a bond
+between two already-connected endpoints whose recorded displacements
+disagree with the bond's displacement closes a cycle of non-zero winding,
+so the cluster wraps.  The subsets are the leaves of a depth-first walk
+that decides the edges in order, each excluded and then included, on one
+union-find without path compression that every include undoes on the way
+back; so the walk does about one union per subset, where classifying a
+subset on its own takes one per bond.  Weights only depend on (n, b, j),
+so the walk accumulates an integer histogram and the polynomials are
+assembled at the end; all arithmetic is exact.
 
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges.
@@ -26,7 +30,6 @@ no connectivity states, no matrix products, just subsets of edges.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -54,66 +57,92 @@ def _check_edge_budget(strip: CyclicStrip) -> None:
 
 
 def _subset_histogram(
-    edges: tuple[tuple[int, int, int], ...], n_vertices: int, lo: int, hi: int
+    edges: tuple[tuple[int, int, int], ...],
+    n_vertices: int,
+    depth: int = 0,
+    prefix: int = 0,
 ) -> Histogram:
-    """Classify the bond subsets with indices in [lo, hi)."""
+    """Classify the bond subsets that agree with ``prefix`` on the first
+    ``depth`` edges (bit k of ``prefix`` set: edge k is in the subset).
+
+    A depth-first walk decides the edges in order, excluded first, on one
+    union-find that each include undoes on the way back.  The walk carries
+    (n, b, j) packed in one int: joining two roots drops n by one, and j by
+    one more if both were wrapped; a bond closing a cycle of non-zero
+    winding in an unwrapped root raises j by one.  A leaf adds 1 to the
+    count of its key.
+
+    >>> counts = _subset_histogram(((0, 0, 1),), 1)
+    >>> sorted(counts.items())
+    [((1, 0, 0), 1), ((1, 1, 1), 1)]
+    """
     n_edges = len(edges)
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    ed = [e[2] for e in edges]
-    bit_index = {1 << k: k for k in range(n_edges)}
+    parent = list(range(n_vertices))
+    shift = [0] * n_vertices
+    wrapped = [False] * n_vertices
+    # key = n * n_step + b * b_step + j, with b <= E and j <= n <= V
+    b_step = n_vertices + 1
+    n_step = b_step * (n_edges + 1)
+    counts = [0] * (n_step * b_step)
+    may_skip = [k >= depth or not prefix >> k & 1 for k in range(n_edges)]
+    may_take = [k >= depth or bool(prefix >> k & 1) for k in range(n_edges)]
+    last = n_edges - 1
 
-    counts: Histogram = {}
-    parent0 = list(range(n_vertices))
-    zeros = [0] * n_vertices
-    falses = [False] * n_vertices
-    parent = list(parent0)
-    shift = list(zeros)
-    wrapped = list(falses)
-
-    for mask in range(lo, hi):
-        parent[:] = parent0
-        shift[:] = zeros
-        wrapped[:] = falses
-        n = n_vertices
-        b = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            k = bit_index[low]
-            b += 1
-            x = eu[k]
-            dx = 0
-            while parent[x] != x:
-                dx += shift[x]
-                x = parent[x]
-            y = ev[k]
-            dy = 0
-            while parent[y] != y:
-                dy += shift[y]
-                y = parent[y]
-            if x == y:
-                if dy - dx != ed[k]:
-                    wrapped[x] = True
+    def walk(k: int, key: int) -> None:
+        if may_skip[k]:
+            if k == last:
+                counts[key] += 1
             else:
-                n -= 1
-                parent[y] = x
-                shift[y] = ed[k] + dx - dy
-                if wrapped[y]:
-                    wrapped[x] = True
-        j = 0
-        for i in range(n_vertices):
-            if parent[i] == i and wrapped[i]:
-                j += 1
-        key = (n, b, j)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+                walk(k + 1, key)
+        if not may_take[k]:
+            return
+        u, w, d = edges[k]
+        x = u
+        dx = 0
+        while parent[x] != x:
+            dx += shift[x]
+            x = parent[x]
+        y = w
+        dy = 0
+        while parent[y] != y:
+            dy += shift[y]
+            y = parent[y]
+        wx = wrapped[x]
+        key += b_step
+        if x != y:
+            key -= n_step
+            if wx and wrapped[y]:
+                key -= 1
+        elif not wx and dy - dx != d:
+            key += 1
+        if k == last:
+            counts[key] += 1
+            return
+        if x != y:
+            parent[y] = x
+            shift[y] = d + dx - dy
+            wrapped[x] = wx or wrapped[y]
+            walk(k + 1, key)
+            parent[y] = y
+        else:
+            wrapped[x] = wx or dy - dx != d
+            walk(k + 1, key)
+        wrapped[x] = wx
+
+    if n_edges:
+        walk(0, n_vertices * n_step)
+    else:
+        counts[n_vertices * n_step] = 1
+    return {
+        (key // n_step, key % n_step // b_step, key % b_step): c
+        for key, c in enumerate(counts)
+        if c
+    }
 
 
 def _histogram_chunk(args) -> Histogram:
-    edges, n_vertices, lo, hi = args
-    return _subset_histogram(edges, n_vertices, lo, hi)
+    edges, n_vertices, depth, prefix = args
+    return _subset_histogram(edges, n_vertices, depth, prefix)
 
 
 #: histograms kept, in order of last use; the least recently used is
@@ -121,13 +150,19 @@ def _histogram_chunk(args) -> Histogram:
 _HISTOGRAM_CACHE_SIZE = 16
 _HISTOGRAM_CACHE: dict[CyclicStrip, Histogram] = {}
 
+#: prefix jobs per pool worker, so that an uneven split of the subtrees
+#: leaves no worker idle for long.
+_JOBS_PER_WORKER = 4
+
 
 def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     """Counts of bond subsets per (clusters, bonds, winding clusters).
 
-    With workers > 1 the subset range is split into equal chunks processed
-    in separate processes, at most one per CPU; the merge is a plain sum per
-    key, so the result is identical for every worker count.
+    With workers > 1 (at most one per CPU) the walk is split by fixing the
+    choices on the first d edges: the 2**d prefix jobs, a few per worker,
+    run in separate processes and each walks the subsets below its prefix.
+    The merge is a plain sum per key, so the result is identical for every
+    worker count.
     """
     cached = _HISTOGRAM_CACHE.pop(strip, None)
     if cached is not None:
@@ -138,13 +173,12 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     total = 1 << strip.edge_count
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or total < 1 << 12:
-        counts = _subset_histogram(edges, strip.vertex_count, 0, total)
+        counts = _subset_histogram(edges, strip.vertex_count)
     else:
-        bounds = [total * k // workers for k in range(workers + 1)]
-        jobs = [
-            (edges, strip.vertex_count, bounds[k], bounds[k + 1])
-            for k in range(workers)
-        ]
+        from concurrent.futures import ProcessPoolExecutor
+
+        depth = min((_JOBS_PER_WORKER * workers - 1).bit_length(), strip.edge_count)
+        jobs = [(edges, strip.vertex_count, depth, p) for p in range(1 << depth)]
         counts = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_histogram_chunk, jobs):
@@ -438,8 +472,36 @@ def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:
 
 
 def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
-    counts = _subset_histogram(edges, n_vertices, mask, mask + 1)
-    ((n, b, j),) = counts.keys()
+    """(clusters, bonds, winding clusters) of one bond subset."""
+    parent = list(range(n_vertices))
+    shift = [0] * n_vertices
+    wrapped = [False] * n_vertices
+
+    def find(x: int) -> tuple[int, int]:
+        d = 0
+        while parent[x] != x:
+            d += shift[x]
+            x = parent[x]
+        return x, d
+
+    n = n_vertices
+    b = 0
+    for k, (uu, vv, disp) in enumerate(edges):
+        if not mask >> k & 1:
+            continue
+        b += 1
+        x, dx = find(uu)
+        y, dy = find(vv)
+        if x == y:
+            if dy - dx != disp:
+                wrapped[x] = True
+        else:
+            n -= 1
+            parent[y] = x
+            shift[y] = disp + dx - dy
+            if wrapped[y]:
+                wrapped[x] = True
+    j = sum(1 for i in range(n_vertices) if parent[i] == i and wrapped[i])
     return n, b, j
 
 
@@ -449,22 +511,15 @@ def duality_witness_check(strip: CyclicStrip) -> bool:
     with its denominators cleared, with Zdual the plain cluster expansion of
     the dual graph.
     """
-    _check_edge_budget(strip)
-    dual_edges, n_dual, exterior = _dual_graph(strip)
-    edges = strip.edges()
-    n_edges = len(edges)
-    full = (1 << n_edges) - 1
+    E = strip.edge_count
     F = strip.face_count
-
     aggregate: dict = {}
     for w in duality_witnesses(strip):
         if not w.ok:
             return False
-    for mask in range(1 << n_edges):
-        dmask = full ^ mask
-        dn, db, _ = _dual_stats(dmask, dual_edges, n_dual, exterior)
         # Q**(1-F) v**E * Q**dn * (Q/v)**db, multiplied by Q**(F-1):
-        key = (dn + db, n_edges - db, 0)
+        db = w.dual_bonds
+        key = (w.dual_ntc + w.dual_trivial + db, E - db, 0)
         aggregate[key] = aggregate.get(key, 0) + 1
     lhs = MultiPoly(aggregate)  # = Q**(F-1) * v**E * Zdual(Q/v)
     rhs = fk_z(strip)

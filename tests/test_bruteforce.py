@@ -1,5 +1,7 @@
 """Exhaustive enumeration oracles: cluster sums, spin sums, duality."""
 
+import concurrent.futures
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -98,7 +100,7 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(bruteforce, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
     strip = square_strip(3, 3)
@@ -106,6 +108,56 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     assert seen == [2]
     bruteforce._HISTOGRAM_CACHE.clear()
     assert fk_histogram(strip, workers=1) == pooled
+
+
+def test_walk_matches_single_mask_classification():
+    """The depth-first walk against the plain union-find run on each mask
+    alone, on every square strip with E <= 12 (width 1 and the N = 1
+    self-loop strips included).  With the column program reversed, the
+    horizontal bonds come first, so two winding clusters can merge."""
+    square = [
+        strip
+        for strip in (square_strip(w, n) for w in range(1, 13) for n in range(1, 13))
+        if strip.edge_count <= 12
+    ]
+    assert square_strip(1, 1) in square and square_strip(6, 1) in square
+    reversed_program = [
+        dataclasses.replace(s, column_program=s.column_program[::-1])
+        for s in square
+    ]
+    for strip in square + reversed_program:
+        edges = strip.edges()
+        expected = {}
+        for mask in range(1 << strip.edge_count):
+            key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
+            expected[key] = expected.get(key, 0) + 1
+        assert fk_histogram(strip) == expected, strip
+
+
+def test_prefix_jobs_add_up_to_the_serial_walk():
+    strip = square_strip(3, 3)
+    edges = strip.edges()
+    serial = bruteforce._subset_histogram(edges, strip.vertex_count)
+    assert sum(serial.values()) == 2 ** strip.edge_count
+    for depth in range(5):
+        merged = {}
+        for prefix in range(1 << depth):
+            part = bruteforce._subset_histogram(edges, strip.vertex_count, depth, prefix)
+            for key, c in part.items():
+                merged[key] = merged.get(key, 0) + c
+        assert merged == serial, depth
+
+
+def test_two_worker_pool_matches_one_worker(monkeypatch):
+    """A real two-process pool on 3x3 (2**15 subsets, above the serial
+    threshold) returns the one-worker histogram."""
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(3, 3)
+    pooled = fk_histogram(strip, workers=2)
+    bruteforce._HISTOGRAM_CACHE.clear()
+    assert fk_histogram(strip, workers=1) == pooled
+    assert sum(pooled.values()) == 2 ** strip.edge_count
 
 
 def test_edge_budget():
@@ -191,8 +243,6 @@ def test_duality_witness_counts_on_empty_and_full_masks():
 
 
 def test_duality_requires_square_program():
-    import dataclasses
-
     strip = square_strip(2, 2)
     reordered = dataclasses.replace(
         strip, column_program=tuple(reversed(strip.column_program))

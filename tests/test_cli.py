@@ -100,6 +100,35 @@ def test_characters_over_budget_exit_quickly(capsys, monkeypatch, lattice):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("square:7x4", "z"),
+        ("square:7x4", "z", "--p", "3"),
+        ("square:7x4", "z2j", "--j", "1"),
+        ("square:7x4", "dual"),
+        ("square:8x4", "zff"),
+        ("square:8x4", "zff", "--p", "4"),
+    ],
+)
+def test_decompose_over_budget_exits_quickly(capsys, monkeypatch, argv):
+    """On 7x4 K(0) fits the caps and K(1), K(2) do not; every sector a
+    target uses (those of the inner 7x4 strip for zff) is checked before
+    any is computed, so no state is built."""
+    def no_states(*args):
+        raise AssertionError("a state was enumerated")
+
+    monkeypatch.setattr(transfer, "enumerate_states", no_states)
+    lattice, target, *extra = argv
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", "--lattice", lattice, "--target", target, *extra
+    )
+    assert code == 2 and out == ""
+    assert "caps are" in err
+    assert time.perf_counter() - start < 10
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
