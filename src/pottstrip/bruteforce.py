@@ -256,6 +256,21 @@ def dual_boundary_z(strip: CyclicStrip, workers: int = 1) -> MultiPoly:
     return MultiPoly(terms)
 
 
+def _spin_sum(strip: CyclicStrip, q: int, v: Fraction | int, pinned: set[int]) -> Fraction:
+    """sum over q**(V - |pinned|) assignments of the unpinned sites, pinned
+    sites held at spin 0, of (1 + v)**(number of bonds with equal ends)."""
+    free = [x for x in range(strip.vertex_count) if x not in pinned]
+    pairs = [(u, w) for u, w, _ in strip.edges()]
+    spins = [0] * strip.vertex_count
+    counts = [0] * (len(pairs) + 1)
+    for assignment in product(range(q), repeat=len(free)):
+        for x, s in zip(free, assignment):
+            spins[x] = s
+        counts[sum(spins[u] == spins[w] for u, w in pairs)] += 1
+    one_plus_v = 1 + Fraction(v)
+    return sum(c * one_plus_v ** k for k, c in enumerate(counts))
+
+
 def spin_z(strip: CyclicStrip, q: int, v: Fraction | int) -> Fraction:
     """Potts partition function by explicit spin sum: sum over q**V spin
     assignments of the product over bonds of (1 + v * delta).
@@ -270,16 +285,7 @@ def spin_z(strip: CyclicStrip, q: int, v: Fraction | int) -> Fraction:
             f"spin sum over {q}**{nv} configurations exceeds the "
             f"{MAX_SPIN_CONFIGS} budget"
         )
-    v = Fraction(v)
-    pairs = [(u, w) for u, w, _ in strip.edges()]
-    total = Fraction(0)
-    for spins in product(range(q), repeat=nv):
-        weight = Fraction(1)
-        for u, w in pairs:
-            if spins[u] == spins[w]:
-                weight *= 1 + v
-        total += weight
-    return total
+    return _spin_sum(strip, q, v, set())
 
 
 def fixed_boundary_spin_z(
@@ -303,21 +309,9 @@ def fixed_boundary_spin_z(
             f"spin sum over {q}**{free} configurations exceeds the "
             f"{MAX_SPIN_CONFIGS} budget"
         )
-    v = Fraction(v)
-    pairs = [(u, w) for u, w, _ in square_strip(width, length).edges()]
-    total = Fraction(0)
-    for assignment in product(range(q), repeat=free):
-        spins = []
-        for col in range(length):
-            spins.append(0)
-            spins.extend(assignment[col * (width - 2) : (col + 1) * (width - 2)])
-            spins.append(0)
-        weight = Fraction(1)
-        for u, w in pairs:
-            if spins[u] == spins[w]:
-                weight *= 1 + v
-        total += weight
-    return total
+    strip = square_strip(width, length)
+    pinned = {strip.vertex(row, t) for row in (0, width - 1) for t in range(length)}
+    return _spin_sum(strip, q, v, pinned)
 
 
 # ----------------------------------------------------------------------
@@ -337,11 +331,12 @@ def _dual_graph(strip: CyclicStrip):
     direct edge k (same index), so complementing a bond subset is a bitwise
     NOT of the mask.
 
-    Returns (dual edge list, number of dual vertices, exterior pair).
-    Dual edges between interior vertices carry a column displacement for
-    winding detection; edges touching an exterior vertex have displacement
-    None (clusters through the caps count as winding by convention, so their
-    displacement is never consulted).
+    Returns (dual edges, cap loops, number of dual vertices).  Dual edges are
+    ordinary (u, w, column displacement) edges, those touching a cap with
+    displacement 0.  The two cap loops (c, c, 1) come after them: a loop
+    whose ends disagree by one column marks its cluster as winding, which
+    is the convention for every dual cluster through a cap (a cluster
+    through both caps still counts once).
     """
     _require_square(strip)
     L, N = strip.width, strip.length
@@ -352,7 +347,7 @@ def _dual_graph(strip: CyclicStrip):
     n_interior = (L - 1) * N
     bottom = n_interior
     top = n_interior + 1
-    dual_edges: list[tuple[int, int, int | None]] = []
+    dual_edges: list[tuple[int, int, int]] = []
     for t in range(N):
         for op in strip.column_program:
             if op.kind == VERTICAL:
@@ -362,68 +357,8 @@ def _dual_graph(strip: CyclicStrip):
                 r = op.site
                 below = bottom if r == 0 else face(r - 1, t)
                 above = top if r == L - 1 else face(r, t)
-                if below >= n_interior or above >= n_interior:
-                    dual_edges.append((below, above, None))
-                else:
-                    dual_edges.append((below, above, 0))
-    return tuple(dual_edges), n_interior + 2, (bottom, top)
-
-
-def _dual_stats(dual_mask: int, dual_edges, n_dual: int, exterior: tuple[int, int]):
-    """(clusters, bonds, winding clusters) of one dual bond configuration.
-
-    A dual cluster is winding when it contains an exterior vertex or when
-    its interior part winds the annulus; a cluster through both caps still
-    counts once.
-    """
-    parent = list(range(n_dual))
-    shift = [0] * n_dual
-    wrapped = [False] * n_dual
-
-    def find(x: int) -> tuple[int, int]:
-        d = 0
-        while parent[x] != x:
-            d += shift[x]
-            x = parent[x]
-        return x, d
-
-    n = n_dual
-    b = 0
-    # interior displacement pass
-    for k, (uu, vv, disp) in enumerate(dual_edges):
-        if not dual_mask >> k & 1:
-            continue
-        b += 1
-        if disp is None:
-            continue
-        x, dx = find(uu)
-        y, dy = find(vv)
-        if x == y:
-            if dy - dx != disp:
-                wrapped[x] = True
-        else:
-            n -= 1
-            parent[y] = x
-            shift[y] = disp + dx - dy
-            if wrapped[y]:
-                wrapped[x] = True
-    # now merge through the caps (winding no longer matters for these)
-    for k, (uu, vv, disp) in enumerate(dual_edges):
-        if disp is not None or not dual_mask >> k & 1:
-            continue
-        x, _ = find(uu)
-        y, _ = find(vv)
-        if x != y:
-            n -= 1
-            parent[y] = x
-            if wrapped[y]:
-                wrapped[x] = True
-    winding = 0
-    ext_roots = {find(e)[0] for e in exterior}
-    for i in range(n_dual):
-        if parent[i] == i and (wrapped[i] or i in ext_roots):
-            winding += 1
-    return n, b, winding
+                dual_edges.append((below, above, 0))
+    return tuple(dual_edges), ((bottom, bottom, 1), (top, top, 1)), n_interior + 2
 
 
 @dataclass(frozen=True)
@@ -451,16 +386,19 @@ def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:
     check compares exponents exactly.
     """
     _check_edge_budget(strip)
-    dual_edges, n_dual, exterior = _dual_graph(strip)
+    dual_edges, cap_loops, n_dual = _dual_graph(strip)
+    dual_edges += cap_loops
     edges = strip.edges()
     n_edges = len(edges)
     full = (1 << n_edges) - 1
+    loops = 3 << n_edges  # the two cap loops are always present
     F = strip.face_count
 
     for mask in range(1 << n_edges):
         n, b, j = _direct_stats(mask, edges, strip.vertex_count)
         t = n - j
-        dn, db, dwind = _dual_stats(full ^ mask, dual_edges, n_dual, exterior)
+        dn, db, dwind = _direct_stats(full ^ mask | loops, dual_edges, n_dual)
+        db -= 2
         dt = dn - dwind
         # LHS exponents: Q: (1-F) + (j+1) + t~ + b~ ; v: E - b~
         ok = (

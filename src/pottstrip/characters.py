@@ -26,19 +26,27 @@ cluster weight Q0 and with the bond weight moved to its dual v -> Q/v.
 The dual weight never leaves the polynomial ring: v**E * p(v -> Q/v) is a
 monomial map on the terms of p, and the remaining division by a power of Q
 is exact and asserted.
+
+Every decomposition here is one call of a single sum, amplitude times
+character over l (K(l), or chi(l) through the signed K(m) of its
+definition; for Z_ff, on the width-(L-1) strip).  That sum passes each
+K(m) it will read through ``check_character_budget`` before computing
+any, so a strip over the caps is refused before a state is built, for
+library and CLI callers alike; the K(m) themselves are cached in
+``character_K`` and shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
 from .bruteforce import NtcSpectrum, fk_spectrum
 from .connectivity import count_states
 from .lattice import CyclicStrip, square_strip
-from .polynomial import MultiPoly, v
-from .transfer import character_K
+from .polynomial import ONE, MultiPoly, v
+from .transfer import character_K, check_character_budget
 
 
 def amplitude_c(l: int) -> MultiPoly:
@@ -119,36 +127,87 @@ class DecompositionResult:
     terms: tuple[tuple[int, MultiPoly, MultiPoly], ...]
 
 
-def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
-    """Z as the amplitude-weighted character sum over l = 0..L."""
+def _minimal_marks(width: int, l: int, p: int) -> list[tuple[int, int]]:
+    """The signed characters of chi(l) on a width-L strip: (m, +1) for
+    K(np + l) and (m, -1) for K((n+1)p - 1 - l), every m <= L (K(m) is
+    zero beyond).
+
+    >>> _minimal_marks(4, 0, 4)
+    [(0, 1), (3, -1), (4, 1)]
+    """
+    marks = []
+    for n in range(width // p + 1):
+        for m, sign in ((n * p + l, 1), ((n + 1) * p - 1 - l, -1)):
+            if m <= width:
+                marks.append((m, sign))
+    return marks
+
+
+def _character_sum(
+    target: str,
+    strip: CyclicStrip,
+    amplitudes: list[tuple[int, MultiPoly]],
+    beraha: BerahaParam | None = None,
+) -> DecompositionResult:
+    """sum amplitude * K(l) over the (l, amplitude) pairs; with ``beraha``,
+    sum amplitude * chi(l) with Q at its Beraha value in both factors.
+
+    Every K(m) the sum reads passes ``check_character_budget`` first, so a
+    strip over the caps is refused before any state is built.
+    """
+    reads = [
+        [(l, 1)] if beraha is None else _minimal_marks(strip.width, l, beraha.p)
+        for l, _ in amplitudes
+    ]
+    for m in sorted({m for marks in reads for m, _ in marks}):
+        check_character_budget(strip, m)
     terms = []
     total = MultiPoly.zero()
-    for l in range(strip.width + 1):
-        amp = amplitude_c(l)
-        k = character_K(strip, l)
-        terms.append((l, amp, k))
-        total = total + amp * k
-    return DecompositionResult("z", strip, total, tuple(terms))
+    for (l, amp), marks in zip(amplitudes, reads):
+        character = MultiPoly.zero()
+        for m, sign in marks:
+            k = character_K(strip, m)
+            character = character + k if sign > 0 else character - k
+        if beraha is not None:
+            amp = amp.subs_poly("Q", beraha.q_value)
+            character = character.subs_poly("Q", beraha.q_value)
+        terms.append((l, amp, character))
+        total = total + amp * character
+    return DecompositionResult(target, strip, total, tuple(terms))
+
+
+def _beraha(p: int | BerahaParam) -> BerahaParam:
+    return p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
+
+
+def _minimal_range(beraha: BerahaParam) -> range:
+    """The l of the minimal characters a Beraha decomposition sums over."""
+    return range((beraha.p - 2) // 2 + 1)
+
+
+def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
+    """Z as the amplitude-weighted character sum over l = 0..L."""
+    amplitudes = [(l, amplitude_c(l)) for l in range(strip.width + 1)]
+    return _character_sum("z", strip, amplitudes)
 
 
 def z_sector_from_characters(strip: CyclicStrip, j: int) -> DecompositionResult:
     """The j-winding sector Z_(2j+1) as a character sum over l = j..L."""
     if not 0 <= j <= strip.width:
         raise ValueError(f"sector {j} outside range(0, {strip.width + 1})")
-    terms = []
-    total = MultiPoly.zero()
-    for l in range(j, strip.width + 1):
-        amp = amplitude_c_term(j, l)
-        k = character_K(strip, l)
-        terms.append((l, amp, k))
-        total = total + amp * k
-    return DecompositionResult(f"z2j[{j}]", strip, total, tuple(terms))
+    amplitudes = [(l, amplitude_c_term(j, l)) for l in range(j, strip.width + 1)]
+    return _character_sum(f"z2j[{j}]", strip, amplitudes)
 
 
-def _sector(strip: CyclicStrip, j: int, spectrum: NtcSpectrum | None) -> MultiPoly:
-    if spectrum is None:
-        spectrum = fk_spectrum(strip)
-    return spectrum[j]
+def _sector_sum(strip: CyclicStrip, l: int, coeff, spectrum: NtcSpectrum | None) -> MultiPoly:
+    """sum_{j = l..L} coeff(j) * Z_(2j+1) / Q**j, the division checked term
+    by term; the oracle's spectrum is enumerated only if some j is summed."""
+    out = MultiPoly.zero()
+    for j in range(l, strip.width + 1):
+        if spectrum is None:
+            spectrum = fk_spectrum(strip)
+        out = out + coeff(j) * spectrum[j].quotient_by_monomial((j, 0, 0))
+    return out
 
 
 def character_from_sectors(
@@ -163,12 +222,8 @@ def character_from_sectors(
     """
     if not 0 <= l <= strip.width:
         raise ValueError(f"l={l} outside range(0, {strip.width + 1})")
-    out = MultiPoly.zero()
-    for j in range(l, strip.width + 1):
-        sector = _sector(strip, j, spectrum).quotient_by_monomial((j, 0, 0))
-        coeff = count_states(j, l) if j > 0 else 1  # n(0, 0) = 1, and j = 0 forces l = 0
-        out = out + coeff * sector
-    return out
+    # n(0, 0) = 1, and j = 0 forces l = 0
+    return _sector_sum(strip, l, lambda j: count_states(j, l) if j > 0 else 1, spectrum)
 
 
 def character_F(
@@ -180,11 +235,7 @@ def character_F(
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = MultiPoly.zero()
-    for j in range(l, strip.width + 1):
-        sector = _sector(strip, j, spectrum).quotient_by_monomial((j, 0, 0))
-        out = out + comb(2 * j, j - l) * sector
-    return out
+    return _sector_sum(strip, l, lambda j: comb(2 * j, j - l), spectrum)
 
 
 def minimal_character(strip: CyclicStrip, l: int, p: int | BerahaParam) -> MultiPoly:
@@ -193,45 +244,28 @@ def minimal_character(strip: CyclicStrip, l: int, p: int | BerahaParam) -> Multi
     chi(l) = sum_{n >= 0} [K(np + l) - K((n+1)p - 1 - l)] with K(m) = 0 for
     m > L, Q evaluated at the Beraha value.  Requires 0 <= l <= p - 2.
     """
-    beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
+    beraha = _beraha(p)
     if not 0 <= l <= beraha.p - 2:
         raise ValueError(f"minimal characters need 0 <= l <= p-2, got l={l}, p={beraha.p}")
-    out = MultiPoly.zero()
-    n = 0
-    while True:
-        plus = n * beraha.p + l
-        minus = (n + 1) * beraha.p - 1 - l
-        if plus > strip.width and minus > strip.width:
-            break
-        out = out + character_K(strip, plus) - character_K(strip, minus)
-        n += 1
-    return out.subs_poly("Q", beraha.q_value)
+    return _character_sum(f"chi[{l}]@p={beraha.p}", strip, [(l, ONE)], beraha).value
 
 
 def z_minimal(strip: CyclicStrip, p: int | BerahaParam) -> DecompositionResult:
     """Z at a Beraha point as a finite sum of minimal characters:
     Z = sum_{l=0}^{floor((p-2)/2)} c(l)|_Q  chi(l)."""
-    beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
-    terms = []
-    total = MultiPoly.zero()
-    for l in range((beraha.p - 2) // 2 + 1):
-        amp = amplitude_c(l).subs_poly("Q", beraha.q_value)
-        chi = minimal_character(strip, l, beraha)
-        terms.append((l, amp, chi))
-        total = total + amp * chi
-    return DecompositionResult(f"z@p={beraha.p}", strip, total, tuple(terms))
+    beraha = _beraha(p)
+    amplitudes = [(l, amplitude_c(l)) for l in _minimal_range(beraha)]
+    return _character_sum(f"z@p={beraha.p}", strip, amplitudes, beraha)
 
 
 def z1_minimal_alternating(strip: CyclicStrip, p: int | BerahaParam) -> MultiPoly:
     """For even p: the zero-winding sector as an alternating sum of minimal
     characters, Z_1 = sum_l (-1)**l chi(l)."""
-    beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
+    beraha = _beraha(p)
     if beraha.p % 2:
         raise ValueError("the alternating minimal-character form needs even p")
-    out = MultiPoly.zero()
-    for l in range((beraha.p - 2) // 2 + 1):
-        out = out + (-1) ** l * minimal_character(strip, l, beraha)
-    return out
+    amplitudes = [(l, MultiPoly.constant((-1) ** l)) for l in _minimal_range(beraha)]
+    return _character_sum(f"z1@p={beraha.p}", strip, amplitudes, beraha).value
 
 
 def dual_boundary_decomposition(strip: CyclicStrip) -> DecompositionResult:
@@ -241,14 +275,8 @@ def dual_boundary_decomposition(strip: CyclicStrip) -> DecompositionResult:
     Specializations: Q0 = Q gives back Z; Q0 = 0 leaves the zero-winding
     sector Z_1.
     """
-    terms = []
-    total = MultiPoly.zero()
-    for l in range(strip.width + 1):
-        amp = amplitude_b(l)
-        k = character_K(strip, l)
-        terms.append((l, amp, k))
-        total = total + amp * k
-    return DecompositionResult("dual", strip, total, tuple(terms))
+    amplitudes = [(l, amplitude_b(l)) for l in range(strip.width + 1)]
+    return _character_sum("dual", strip, amplitudes)
 
 
 def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
@@ -256,6 +284,32 @@ def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
     c Q**(a+k) v**(edges-k) Q0**m.  A term with k > edges is rejected by
     the MultiPoly constructor as a negative exponent."""
     return MultiPoly({(a + k, edges - k, m): c for (a, k, m), c in poly.terms()})
+
+
+def _fixed_boundary(
+    width: int, length: int, beraha: BerahaParam | None
+) -> DecompositionResult:
+    """Z_ff from the b(l)|_{Q0=1} character sum of the width-(L-1) strip:
+    the sum at the dual weight, divided exactly by Q**(E+2-F) or, at a
+    Beraha point, times that Q's power F-2-E, and times (1+v)**(2N)."""
+    inner = square_strip(width - 1, length)
+    target = f"zff[{width}x{length}]"
+    if beraha is None:
+        marks = range(width)
+    else:
+        marks = _minimal_range(beraha)
+        target += f"@p={beraha.p}"
+    amplitudes = [(l, amplitude_b(l).subs_poly("Q0", 1)) for l in marks]
+    result = _character_sum(target, inner, amplitudes, beraha)
+    edges = inner.edge_count
+    dual_sum = _at_dual_weight(result.value, edges)
+    if beraha is None:
+        dual_sum = dual_sum.quotient_by_monomial((edges + 2 - inner.face_count, 0, 0))
+    else:
+        q = beraha.q_value
+        dual_sum = dual_sum.subs_poly("Q", q) * q ** (inner.face_count - 2 - edges)
+    value = (ONE + v) ** (2 * length) * dual_sum
+    return replace(result, strip=square_strip(width, length), value=value)
 
 
 def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
@@ -276,22 +330,7 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
     """
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    inner = square_strip(width - 1, length)
-    terms = []
-    total = MultiPoly.zero()
-    for l in range(inner.width + 1):
-        amp = amplitude_b(l).subs_poly("Q0", 1)
-        k = character_K(inner, l)
-        terms.append((l, amp, k))
-        total = total + amp * k
-    edges = inner.edge_count
-    dual_sum = _at_dual_weight(total, edges).quotient_by_monomial(
-        (edges + 2 - inner.face_count, 0, 0)
-    )
-    value = (MultiPoly.one() + v) ** (2 * length) * dual_sum
-    return DecompositionResult(
-        f"zff[{width}x{length}]", square_strip(width, length), value, tuple(terms)
-    )
+    return _fixed_boundary(width, length, None)
 
 
 def z_fixed_boundary_minimal(
@@ -307,35 +346,14 @@ def z_fixed_boundary_minimal(
     v -> Q/v substitution shows only inside ``value``).  p = 2 is rejected:
     there Q = 0 and the dual weight Q/v vanishes.
     """
-    beraha = p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
+    beraha = _beraha(p)
     if beraha.p % 2:
         raise ValueError("the minimal regrouping is stated for even p")
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    q = beraha.q_value
-    if not q:
+    if not beraha.q_value:
         raise ValueError(
             "the fixed-boundary regrouping is undefined at p=2: Q = 0 makes "
             "the dual bond weight Q/v vanish"
         )
-    inner = square_strip(width - 1, length)
-    terms = []
-    total = MultiPoly.zero()
-    for l in range((beraha.p - 2) // 2 + 1):
-        amp = amplitude_b(l).subs_poly("Q0", 1).subs_poly("Q", q)
-        chi = minimal_character(inner, l, beraha)
-        terms.append((l, amp, chi))
-        total = total + amp * chi
-    edges = inner.edge_count
-    dual_sum = _at_dual_weight(total, edges).subs_poly("Q", q)
-    value = (
-        (MultiPoly.one() + v) ** (2 * length)
-        * dual_sum
-        * q ** (inner.face_count - 2 - edges)
-    )
-    return DecompositionResult(
-        f"zff[{width}x{length}]@p={beraha.p}",
-        square_strip(width, length),
-        value,
-        tuple(terms),
-    )
+    return _fixed_boundary(width, length, beraha)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import suites
 from .bruteforce import dual_boundary_z, fk_spectrum, fk_z, spin_z
 from .characters import (
-    BerahaParam,
     character_F,
     dual_boundary_decomposition,
     z_fixed_boundary,
@@ -29,7 +28,7 @@ from .characters import (
     z_minimal,
     z_sector_from_characters,
 )
-from .lattice import CyclicStrip, parse_lattice, square_strip
+from .lattice import parse_lattice
 from .polynomial import MultiPoly
 from .transfer import character_K, check_character_budget, verify_block_structure
 
@@ -109,34 +108,8 @@ def _decomposition_values(result) -> list[tuple[str, object]]:
     return values
 
 
-def _decompose_sectors(strip: CyclicStrip, args) -> tuple[CyclicStrip, list[int]]:
-    """The strip and the marks l of every K(l) a decompose target computes:
-    the inner width-(L-1) strip for zff, l >= j for z2j, and with --p only
-    the l whose residue mod p enters a minimal character.  Targets with
-    missing or invalid flags get no sectors, so their own error shows."""
-    if args.target == "zff":
-        if strip.width < 3:
-            return strip, []
-        strip = square_strip(strip.width - 1, strip.length)
-    elif args.target == "z2j":
-        if args.j is None or not 0 <= args.j <= strip.width:
-            return strip, []
-        return strip, list(range(args.j, strip.width + 1))
-    elif args.target == "bigf":
-        return strip, []  # F(l) comes from the oracle's winding sectors
-    marks = range(strip.width + 1)
-    if args.p is not None and args.target in ("z", "zff"):
-        p = BerahaParam.from_p(args.p).p
-        # chi(l) for l <= (p-2)//2 uses K(np + l) and K((n+1)p - 1 - l)
-        return strip, [m for m in marks if min(m % p, p - 1 - m % p) <= (p - 2) // 2]
-    return strip, list(marks)
-
-
 def _cmd_decompose(args) -> int:
     strip = parse_lattice(args.lattice)
-    budget_strip, marks = _decompose_sectors(strip, args)
-    for l in marks:
-        check_character_budget(budget_strip, l)
     meta: dict = {"lattice": str(strip), "target": args.target}
     if args.target == "z":
         if args.p is not None:

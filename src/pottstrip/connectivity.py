@@ -232,10 +232,6 @@ class ConnectivityState:
                 return i
         raise ValueError(f"point {point} outside range(0, {self.width})")
 
-    def unnested_blocks(self) -> tuple[int, ...]:
-        """Indices of the blocks not enclosed by another block's span."""
-        return _unnested(self.blocks)
-
     def is_marked(self, block_index: int) -> bool:
         return block_index in self.marked
 

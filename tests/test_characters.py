@@ -1,10 +1,11 @@
 """Amplitudes and decomposition identities against the oracles."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from pottstrip import characters
+from pottstrip import characters, transfer
 from pottstrip.bruteforce import (
     MAX_EDGES,
     NtcSpectrum,
@@ -242,3 +243,27 @@ def test_fixed_boundary_minimal_terms():
     assert value6.evaluate({"Q": 3, "v": 1, "Q0": 0}) == fixed_boundary_spin_z(
         3, 2, 3, 1
     )
+
+
+def test_decompositions_check_the_budget_before_any_state(monkeypatch):
+    """On 7x4 K(0) fits the caps and K(1) does not: every decomposition
+    (of the inner 7x4 strip for Z_ff) checks each K(m) it reads before it
+    computes any, so none builds a state."""
+    def no_states(*args):
+        raise AssertionError("a state was enumerated")
+
+    monkeypatch.setattr(transfer, "enumerate_states", no_states)
+    strip = square_strip(7, 4)
+    calls = [
+        lambda: z_from_characters(strip),
+        lambda: z_sector_from_characters(strip, 1),
+        lambda: dual_boundary_decomposition(strip),
+        lambda: z_minimal(strip, 3),
+        lambda: z_fixed_boundary(8, 4),
+        lambda: z_fixed_boundary_minimal(8, 4, 4),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="caps are"):
+            call()
+        assert time.perf_counter() - start < 10

@@ -176,28 +176,50 @@ def test_decompose_zff_beraha(capsys):
     assert value.evaluate({"Q": 2, "v": 1, "Q0": 0}) == 1216
 
 
-#: sha256 of ``decompose --lattice square:3x2 --target zff`` stdout, recorded
-#: when the fixed-boundary value still went through rational functions.
-ZFF_DIGESTS = {
-    ("json", ()): "e3b22a1a0031f863dca57cfdf55db4418291e6b7202b6385b5df5846a1bec4c2",
-    ("text", ()): "9524cf91be4c5bd47caca4f82d4f6691c1cf352e193613c72cd624a66c87dd83",
-    ("json", ("--p", "4")): "30ccdb2eb65259039fb7bbca1a078071fd74b89f20a75a20f86e8b78ba57ba40",
-    ("text", ("--p", "4")): "e299505356fd3aa2ef48dfd06b9f16424e7597ec45419d3d82fe9790d4f45567",
-    ("json", ("--p", "6")): "66fb0197047c75183f56c95595242a624d3dccd26dd61c3704d0eddee6b86ffe",
-    ("text", ("--p", "6")): "908ffeb13c3041d4873367ad6a654903557d789c54631d6a5a541d0d84094204",
+#: sha256 of ``decompose`` stdout per (lattice, target, format, flags).  The
+#: zff digests were recorded when the fixed-boundary value still went
+#: through rational functions; the square:3x3 ones before every target
+#: became one call of the shared character sum.
+DECOMPOSE_DIGESTS = {
+    ("square:3x2", "zff", "json", ()): "e3b22a1a0031f863dca57cfdf55db4418291e6b7202b6385b5df5846a1bec4c2",
+    ("square:3x2", "zff", "json", ("--p", "4")): "30ccdb2eb65259039fb7bbca1a078071fd74b89f20a75a20f86e8b78ba57ba40",
+    ("square:3x2", "zff", "json", ("--p", "6")): "66fb0197047c75183f56c95595242a624d3dccd26dd61c3704d0eddee6b86ffe",
+    ("square:3x2", "zff", "text", ()): "9524cf91be4c5bd47caca4f82d4f6691c1cf352e193613c72cd624a66c87dd83",
+    ("square:3x2", "zff", "text", ("--p", "4")): "e299505356fd3aa2ef48dfd06b9f16424e7597ec45419d3d82fe9790d4f45567",
+    ("square:3x2", "zff", "text", ("--p", "6")): "908ffeb13c3041d4873367ad6a654903557d789c54631d6a5a541d0d84094204",
+    ("square:3x3", "z", "json", ()): "3fd85c4b42f2fbe59c11074012709eaa57322d00dd73f763d7653e0a78a68712",
+    ("square:3x3", "z", "text", ()): "dce53415daa20b5e5bfbe5fecc0c1c4c89a4d44fa12d246ec15f8fd03803dff6",
+    ("square:3x3", "z", "json", ("--p", "3")): "73a28e62f2c9015df5fc7890e0d180b7f701f90782d54e7645cf8442c69aeb6c",
+    ("square:3x3", "z", "text", ("--p", "3")): "8547d908cc2b82d342cf40a48fb04a8550882d2fe979f84b4e37ba140fd30d5d",
+    ("square:3x3", "z", "json", ("--p", "4")): "185f4425e64520ab3b8e540a30713bd6a7bc18ce42965110a05e3df5be6d9332",
+    ("square:3x3", "z", "text", ("--p", "4")): "871b1e10777933a2b2db7ef017197822e8384baef401b7cd3cf73d82bbd3212f",
+    ("square:3x3", "z", "json", ("--p", "6")): "e343f48a3b03b4034bc5c94917c09ec1785230347697c6fca981ce6c362cb25a",
+    ("square:3x3", "z", "text", ("--p", "6")): "e44b341b67762eff9876280d15d1da4090db536843e5dcbfd4ad009cea0b4445",
+    ("square:3x3", "z2j", "json", ("--j", "1")): "3097b26401a960d7110e11580f4bd5abe8a01a4add58ddfd4a745bd9e400cb26",
+    ("square:3x3", "z2j", "text", ("--j", "1")): "b5746936c51160def63aaf6521e5c7aac9df23cf4bd48419c22c7831550d00c6",
+    ("square:3x3", "dual", "json", ()): "af68cd76709f93de2c3a7c85d703dd2961ade8d2d5e734e8d90ba8aa8dfd15c0",
+    ("square:3x3", "dual", "text", ()): "d3310df4755418265099bcb3190f6c5e7285af3d50986fc05ab56882df712a57",
+    ("square:3x3", "dual", "csv", ()): "f7cfcbf535adeab252150d024b746ca1a172d432120bf2b99ee930a405e4d9cd",
 }
 
 
-@pytest.mark.parametrize("fmt,extra", sorted(ZFF_DIGESTS))
-def test_decompose_zff_bytes_are_unchanged(capsys, fmt, extra):
+# the ids are "<format>-extra<position>", as pytest named the zff cases
+# while format and flags were the only parameters, so those ids still hold
+@pytest.mark.parametrize(
+    "lattice,target,fmt,extra",
+    DECOMPOSE_DIGESTS,
+    ids=[f"{key[2]}-extra{i}" for i, key in enumerate(DECOMPOSE_DIGESTS)],
+)
+def test_decompose_zff_bytes_are_unchanged(capsys, lattice, target, fmt, extra):
+    """Every decompose target's stdout bytes, pinned by sha256."""
     code, out, _ = run_cli(
         capsys,
-        "decompose", "--lattice", "square:3x2", "--target", "zff",
+        "decompose", "--lattice", lattice, "--target", target,
         "--format", fmt, *extra,
     )
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == ZFF_DIGESTS[fmt, extra]
+    assert digest == DECOMPOSE_DIGESTS[lattice, target, fmt, extra]
 
 
 def test_oracle_sections(capsys):
