@@ -23,6 +23,12 @@ subset on its own takes one per bond.  Weights only depend on (n, b, j),
 so the walk accumulates an integer histogram and the polynomials are
 assembled at the end; all arithmetic is exact.
 
+When the width reflection, row -> L-1-row, maps the first column's bonds
+onto themselves, it is a symmetry of the whole strip, and a subset and its
+mirror image have the same (n, b, j).  The walk then prunes one of each
+pair of mirror-image first-column bond patterns and counts the subtree of
+the other twice.  The reflection is read off the edge list itself.
+
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges.
 """
@@ -35,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .lattice import VERTICAL, CyclicStrip, square_strip
+from .lattice import VERTICAL, CyclicStrip, Edge, square_strip
 from .polynomial import MultiPoly
 
 #: subsets beyond 2**24 are refused; the point of this module is certainty,
@@ -57,10 +63,11 @@ def _check_edge_budget(strip: CyclicStrip) -> None:
 
 
 def _subset_histogram(
-    edges: tuple[tuple[int, int, int], ...],
+    edges: tuple[Edge, ...],
     n_vertices: int,
     depth: int = 0,
     prefix: int = 0,
+    mirror: tuple[tuple[int, int], ...] = (),
 ) -> Histogram:
     """Classify the bond subsets that agree with ``prefix`` on the first
     ``depth`` edges (bit k of ``prefix`` set: edge k is in the subset).
@@ -72,6 +79,14 @@ def _subset_histogram(
     winding in an unwrapped root raises j by one.  A leaf adds 1 to the
     count of its key.
 
+    ``mirror`` lists the pairs (a, b), a < b, that a symmetry of the graph
+    swaps among the edges up to the last b; it fixes the other edges up to
+    there, may permute the later ones, and keeps every subset's (n, b, j).
+    Of each pattern on those first edges and its mirror image only one is
+    walked: at the first pair to be decided whose two edges differ, the
+    earlier edge must be in.  The leaves below that pair go to a second
+    block of counts, which is added twice at the end.
+
     >>> counts = _subset_histogram(((0, 0, 1),), 1)
     >>> sorted(counts.items())
     [((1, 0, 0), 1), ((1, 1, 1), 1)]
@@ -80,22 +95,49 @@ def _subset_histogram(
     parent = list(range(n_vertices))
     shift = [0] * n_vertices
     wrapped = [False] * n_vertices
-    # key = n * n_step + b * b_step + j, with b <= E and j <= n <= V
+    # key = n * n_step + b * b_step + j, with b <= E and j <= n <= V, plus
+    # size for a leaf that also stands for its mirror image
     b_step = n_vertices + 1
     n_step = b_step * (n_edges + 1)
-    counts = [0] * (n_step * b_step)
-    may_skip = [k >= depth or not prefix >> k & 1 for k in range(n_edges)]
-    may_take = [k >= depth or bool(prefix >> k & 1) for k in range(n_edges)]
+    size = n_step * b_step
+    counts = [0] * (2 * size if mirror else size)
+    # the head edges are fixed by the prefix or closed by a mirror pair
+    closes = [-1] * n_edges
+    head = depth
+    for a, b in mirror:
+        closes[b] = a
+        head = max(head, b + 1)
+    taken = [False] * head
     last = n_edges - 1
 
     def walk(k: int, key: int) -> None:
-        if may_skip[k]:
-            if k == last:
-                counts[key] += 1
-            else:
-                walk(k + 1, key)
-        if not may_take[k]:
-            return
+        if k < head:
+            taken[k] = False
+            skip_key = key
+            may_take = True
+            a = closes[k]
+            if a >= 0 and key < size:  # the pattern is its own mirror so far
+                if taken[a]:
+                    skip_key += size
+                else:
+                    may_take = False
+            if k < depth:
+                if prefix >> k & 1:
+                    skip_key = -1
+                else:
+                    may_take = False
+            if skip_key >= 0:
+                if k == last:
+                    counts[skip_key] += 1
+                else:
+                    walk(k + 1, skip_key)
+            if not may_take:
+                return
+            taken[k] = True
+        elif k == last:
+            counts[key] += 1
+        else:
+            walk(k + 1, key)
         u, w, d = edges[k]
         x = u
         dx = 0
@@ -133,6 +175,8 @@ def _subset_histogram(
         walk(0, n_vertices * n_step)
     else:
         counts[n_vertices * n_step] = 1
+    if mirror:
+        counts = [c + 2 * twice for c, twice in zip(counts, counts[size:])]
     return {
         (key // n_step, key % n_step // b_step, key % b_step): c
         for key, c in enumerate(counts)
@@ -141,14 +185,45 @@ def _subset_histogram(
 
 
 def _histogram_chunk(args) -> Histogram:
-    edges, n_vertices, depth, prefix = args
-    return _subset_histogram(edges, n_vertices, depth, prefix)
+    return _subset_histogram(*args)
+
+
+def _first_column_mirror(
+    width: int, first: tuple[Edge, ...]
+) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, b), a < b, of first-column edges ``first`` that the
+    width reflection, row -> width-1-row in every column, swaps; () unless
+    it maps them onto themselves, displacement-0 edges as unordered pairs
+    and displacement-1 edges with their direction.
+
+    Every column repeats the first one's program, so the reflection is
+    then a symmetry of the whole strip that keeps each subset's (n, b, j).
+    """
+    slots: dict[Edge, list[int]] = {}
+    for k, (u, w, d) in enumerate(first):
+        slots.setdefault((u, w, d) if d or u < w else (w, u, d), []).append(k)
+    pairs = []
+    for k, (u, w, d) in enumerate(first):
+        u += width - 1 - 2 * (u % width)
+        w += width - 1 - 2 * (w % width)
+        free = slots.get((u, w, d) if d or u < w else (w, u, d))
+        if not free:
+            return ()
+        image = free.pop(0)
+        if k < image:
+            pairs.append((k, image))
+    return tuple(pairs)
 
 
 #: histograms kept, in order of last use; the least recently used is
 #: evicted first.  ``verify --suite all --Lmax 3 --Nmax 4`` revisits 12 strips.
 _HISTOGRAM_CACHE_SIZE = 16
 _HISTOGRAM_CACHE: dict[CyclicStrip, Histogram] = {}
+
+#: a walk over fewer subsets takes a few milliseconds; it runs whole, in
+#: this process: on 2x1 to 4x1 the reflection's bookkeeping cost more than
+#: it saved.
+_SMALL_WALK = 1 << 12
 
 #: prefix jobs per pool worker, so that an uneven split of the subtrees
 #: leaves no worker idle for long.
@@ -157,6 +232,9 @@ _JOBS_PER_WORKER = 4
 
 def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
     """Counts of bond subsets per (clusters, bonds, winding clusters).
+
+    When the width reflection maps the strip onto itself, the walk covers
+    one first-column bond pattern of each mirror pair and counts it twice.
 
     With workers > 1 (at most one per CPU) the walk is split by fixing the
     choices on the first d edges: the 2**d prefix jobs, a few per worker,
@@ -170,20 +248,25 @@ def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
         return cached
     _check_edge_budget(strip)
     edges = strip.edges()
-    total = 1 << strip.edge_count
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or total < 1 << 12:
-        counts = _subset_histogram(edges, strip.vertex_count)
-    else:
+    mirror = ()
+    depth = 0
+    if 1 << strip.edge_count >= _SMALL_WALK:
+        mirror = _first_column_mirror(strip.width, edges[: len(strip.column_program)])
+        if workers > 1:
+            depth = min((_JOBS_PER_WORKER * workers - 1).bit_length(), strip.edge_count)
+    jobs = [(edges, strip.vertex_count, depth, p, mirror) for p in range(1 << depth)]
+    if depth:
         from concurrent.futures import ProcessPoolExecutor
 
-        depth = min((_JOBS_PER_WORKER * workers - 1).bit_length(), strip.edge_count)
-        jobs = [(edges, strip.vertex_count, depth, p) for p in range(1 << depth)]
-        counts = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_histogram_chunk, jobs):
-                for key, c in part.items():
-                    counts[key] = counts.get(key, 0) + c
+            parts = list(pool.map(_histogram_chunk, jobs))
+    else:
+        parts = list(map(_histogram_chunk, jobs))
+    counts = parts[0]
+    for part in parts[1:]:
+        for key, c in part.items():
+            counts[key] = counts.get(key, 0) + c
     _HISTOGRAM_CACHE[strip] = counts
     if len(_HISTOGRAM_CACHE) > _HISTOGRAM_CACHE_SIZE:
         del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]
@@ -443,11 +526,11 @@ def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
     return n, b, j
 
 
-def duality_witness_check(strip: CyclicStrip) -> bool:
+def duality_witness_check(strip: CyclicStrip, workers: int = 1) -> bool:
     """True iff every configuration's weight identity holds *and* the
     aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked
     with its denominators cleared, with Zdual the plain cluster expansion of
-    the dual graph.
+    the dual graph.  ``workers`` goes to the ``fk_z`` enumeration.
     """
     E = strip.edge_count
     F = strip.face_count
@@ -460,7 +543,7 @@ def duality_witness_check(strip: CyclicStrip) -> bool:
         key = (w.dual_ntc + w.dual_trivial + db, E - db, 0)
         aggregate[key] = aggregate.get(key, 0) + 1
     lhs = MultiPoly(aggregate)  # = Q**(F-1) * v**E * Zdual(Q/v)
-    rhs = fk_z(strip)
+    rhs = fk_z(strip, workers=workers)
     qpow = MultiPoly.monomial(1, (F - 1, 0, 0))
     return lhs == qpow * rhs
 

@@ -174,7 +174,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = suites.run_suite(args.suite, args.Lmax, args.Nmax)
+    results = suites.run_suite(args.suite, args.Lmax, args.Nmax, args.workers)
     failed = [r for r in results if not r.ok]
     if args.format == "json":
         payload = {

@@ -18,9 +18,16 @@ of the full transfer matrix in the l-bridge sector, and the character
 
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
 (width, marks, bond) into an index table, and one loop, ``_push``, pushes a
-start column through a program of E bonds; K(l) pushes every basis state
-through N copies of the column program and sums the diagonal entries it
-returns to.  No matrix power is ever formed, no eigenvalues, no floats.
+start column through a program of E bonds; K(l) pushes start states
+through N copies of the column program and sums the diagonal entries they
+return to.  No matrix power is ever formed, no eigenvalues, no floats.
+
+The width reflection P, point i -> L-1-i, maps the bonds of a square
+column onto themselves, and bonds of one kind commute, so P commutes with
+T_l and (T_l ** N)_ss = (T_l ** N)_{Ps,Ps}.  K(l) therefore pushes one
+state per P-orbit and counts the diagonal entry of a pair twice; a column
+program that P does not map onto itself, up to reordering within runs of
+one bond kind, pushes every state.
 
 ``_push`` never multiplies polynomials.  Every branch weight is a sum of
 distinct monomials from {1, v, Q} with coefficient 1, so after Kronecker
@@ -28,10 +35,11 @@ substitution, v -> 2**w and Q -> 2**(w*(E+1)), an entry is one Python int
 and a bond is a few shifts and adds.  The substitution is exact when no
 coefficient reaches 2**w.  At Q = v = 1 a state's branch weights add up to
 at most 2 (``_compile`` checks both properties for every table), so after
-k bonds every coefficient is at most 2**k, a trace over n start states is
-below n * 2**E, and deg_Q + deg_v <= E fits the E + 1 slots per power of
-Q.  Hence w = E + n.bit_length() + 1, rounded up to whole bytes, needs no
-first pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
+k bonds every coefficient is at most 2**k, a trace over n states (the
+weighted sum over orbits is that trace) is below n * 2**E, and
+deg_Q + deg_v <= E fits the E + 1 slots per power of Q.  Hence
+w = E + n.bit_length() + 1, rounded up to whole bytes, needs no first
+pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
 in one pass over their bytes.
 
 ``verify_block_structure`` rebuilds the *full* transfer matrix on two-slice
@@ -45,6 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .connectivity import (
@@ -55,7 +65,7 @@ from .connectivity import (
     enumerate_states,
     enumerate_two_slice,
 )
-from .lattice import VERTICAL, CyclicStrip, EdgeOp
+from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
 from .polynomial import ZERO, MultiPoly
 
 Row = tuple[MultiPoly, ...]
@@ -152,6 +162,42 @@ def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
     return _compile(_basis(width, marks), _action, op)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
+    """One (index, weight) per orbit of the width reflection P, point
+    i -> width-1-i, on ``_basis(width, marks)``: the lower index of the
+    orbit, with weight 1 for a state P fixes and 2 otherwise."""
+    basis = _basis(width, marks)
+    index = {(s.blocks, s.marked): k for k, s in enumerate(basis)}
+    orbits = []
+    for k, state in enumerate(basis):
+        raw = sorted(
+            (tuple(sorted(width - 1 - p for p in block)), i in state.marked)
+            for i, block in enumerate(state.blocks)
+        )
+        marked = tuple(i for i, (_, m) in enumerate(raw) if m)
+        image = index[tuple(b for b, _ in raw), marked]
+        if k <= image:
+            orbits.append((k, 1 if k == image else 2))
+    return tuple(orbits)
+
+
+def _reflection_invariant(program: Sequence[EdgeOp], width: int) -> bool:
+    """True when the width reflection maps ``program`` onto itself up to
+    reordering within maximal runs of one bond kind.  Bonds of one kind
+    commute, so the column transfer then commutes with P."""
+
+    def runs(ops):
+        return [
+            (kind, sorted(op.site for op in run))
+            for kind, run in groupby(ops, attrgetter("kind"))
+        ]
+
+    top = {VERTICAL: width - 2, HORIZONTAL: width - 1}
+    mirrored = (EdgeOp(op.kind, top[op.kind] - op.site) for op in program)
+    return runs(program) == runs(mirrored)
+
+
 def _column_program(strip: CyclicStrip, marks: int) -> tuple[BondTable, ...]:
     return tuple(_bond_table(strip.width, marks, op) for op in strip.column_program)
 
@@ -244,6 +290,12 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     packed column or the bits pushed are above ``MAX_COLUMN_BITS`` or
     ``MAX_PUSH_BITS``.
 
+    The bits pushed are counted for all n starts, although ``character_K``
+    pushes only one per orbit of the width reflection: counting the
+    states the reflection fixes without building them needs a formula
+    this module does not have.  So the prediction errs on the safe side,
+    by at most a factor of two.
+
     >>> from .lattice import square_strip
     >>> check_character_budget(square_strip(3, 10), 1)
     (9, 50, 56)
@@ -265,12 +317,13 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
 def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     """The character K(1, 2l+1) = trace(T_l ** N), an exact polynomial.
 
-    Each of the n(L, l) basis states is pushed through the E = N * |column
-    program| bonds on its own, as one packed int per entry, so only one
-    column of T_l ** N is held at a time; the n diagonal ints are summed and
-    the sum is unpacked once.  Zero for l > L: a width-L slice cannot seed
-    more than L wrapping clusters.  Results are cached, so every
-    decomposition of a strip shares one computation of each K(l).
+    Each start state is pushed through the E = N * |column program| bonds
+    on its own, as one packed int per entry, so only one column of T_l ** N
+    is held at a time; the diagonal ints, weighted by orbit size when the
+    program is reflection-invariant, are summed and the sum is unpacked
+    once.  Zero for l > L: a width-L slice cannot seed more than L wrapping
+    clusters.  Results are cached, so every decomposition of a strip
+    shares one computation of each K(l).
 
     Before any state is built, ``check_character_budget`` predicts the
     cost and refuses a sector beyond the caps with ValueError.
@@ -287,7 +340,12 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
         return MultiPoly.zero()
     n, bonds, w = check_character_budget(strip, marks)
     program = _column_program(strip, marks) * strip.length
-    return _unpack(sum(_push(program, b, w).get(b, 0) for b in range(n)), w, bonds)
+    if _reflection_invariant(strip.column_program, strip.width):
+        starts = _reflection_orbits(strip.width, marks)
+    else:
+        starts = [(b, 1) for b in range(n)]
+    trace = sum(weight * _push(program, b, w).get(b, 0) for b, weight in starts)
+    return _unpack(trace, w, bonds)
 
 
 # ----------------------------------------------------------------------

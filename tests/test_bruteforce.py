@@ -17,7 +17,7 @@ from pottstrip.bruteforce import (
     fk_z,
     spin_z,
 )
-from pottstrip.lattice import square_strip
+from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, Q0, v
 
 
@@ -158,6 +158,72 @@ def test_two_worker_pool_matches_one_worker(monkeypatch):
     bruteforce._HISTOGRAM_CACHE.clear()
     assert fk_histogram(strip, workers=1) == pooled
     assert sum(pooled.values()) == 2 ** strip.edge_count
+
+
+def _mask_histogram(strip):
+    """Counts per (n, b, j) from the plain union-find run on each mask alone."""
+    edges = strip.edges()
+    expected = {}
+    for mask in range(1 << strip.edge_count):
+        key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
+        expected[key] = expected.get(key, 0) + 1
+    return expected
+
+
+def _mirror(strip):
+    return bruteforce._first_column_mirror(
+        strip.width, strip.edges()[: len(strip.column_program)]
+    )
+
+
+def test_reduced_walk_matches_single_mask_classification(monkeypatch):
+    """On 3x3 and 2x5 (E = 15) the walk covers one first-column pattern of
+    each mirror pair, and still equals the per-mask count."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    assert _mirror(square_strip(3, 3)) == ((0, 1), (2, 4))
+    assert _mirror(square_strip(2, 5)) == ((1, 2),)
+    for strip in (square_strip(3, 3), square_strip(2, 5)):
+        assert fk_histogram(strip) == _mask_histogram(strip), strip
+
+
+def test_non_invariant_first_column_walks_every_pattern(monkeypatch):
+    """A first column the reflection does not map onto itself (vertical(1)
+    missing) gets no mirror pairs, and the walk stays exact."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = CyclicStrip(3, 3, (vertical(0), horizontal(0), horizontal(1), horizontal(2)))
+    assert strip.edge_count == 12
+    assert _mirror(strip) == ()
+    assert fk_histogram(strip) == _mask_histogram(strip)
+
+
+def test_walk_visits_20_of_32_first_column_patterns():
+    """On 3x4 the reflection swaps v0 with v1 and h0 with h2: 8 of the 32
+    first-column patterns are their own mirror image and 12 pairs are
+    walked once, so 12 prefix jobs are pruned to nothing."""
+    strip = square_strip(3, 4)
+    edges = strip.edges()
+    mirror = _mirror(strip)
+    parts = [
+        bruteforce._subset_histogram(edges, strip.vertex_count, 5, p, mirror)
+        for p in range(32)
+    ]
+    assert sum(1 for part in parts if part) == 20
+    merged = {}
+    for part in parts:
+        for key, c in part.items():
+            merged[key] = merged.get(key, 0) + c
+    assert sum(merged.values()) == 2 ** strip.edge_count
+    assert merged == fk_histogram(strip)
+
+
+def test_two_worker_pool_with_mirrored_jobs(monkeypatch):
+    """A real two-process pool on 4x2, whose prefix jobs hold subtrees
+    counted twice, returns the per-mask count."""
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(4, 2)
+    assert _mirror(strip) == ((0, 2), (3, 6), (4, 5))
+    assert fk_histogram(strip, workers=2) == _mask_histogram(strip)
 
 
 def test_edge_budget():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from pottstrip import transfer
+from pottstrip import bruteforce, transfer
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
 
@@ -222,6 +222,23 @@ def test_decompose_zff_bytes_are_unchanged(capsys, lattice, target, fmt, extra):
     assert digest == DECOMPOSE_DIGESTS[lattice, target, fmt, extra]
 
 
+#: sha256 of ``characters --l all --format json`` stdout, recorded before
+#: the trace pushed one start per orbit of the width reflection.
+CHARACTER_DIGESTS = {
+    "square:4x8": "f1c090fd4c0ca07c4ab69733103b139b20d156d8478e773620e36e9aac16b65d",
+    "square:5x4": "fa06d79e3964016822979e2ec42ac2f0920bf7110e27a19752389850a562baa5",
+}
+
+
+@pytest.mark.parametrize("lattice", CHARACTER_DIGESTS)
+def test_characters_all_bytes_are_unchanged(capsys, lattice):
+    code, out, _ = run_cli(
+        capsys, "characters", "--lattice", lattice, "--l", "all", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_DIGESTS[lattice]
+
+
 def test_oracle_sections(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -269,6 +286,32 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(check["ok"] for check in payload["checks"])
+
+
+def test_verify_honours_workers(capsys, monkeypatch):
+    """--workers reaches every oracle enumeration of verify, through a real
+    pool, and the bytes are those of one worker."""
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
+    seen = set()
+    histogram = bruteforce.fk_histogram
+
+    def spy(strip, workers=1):
+        seen.add(workers)
+        return histogram(strip, workers)
+
+    monkeypatch.setattr(bruteforce, "fk_histogram", spy)
+    argv = ["verify", "--suite", "all", "--Lmax", "3", "--Nmax", "4", "--format", "json"]
+    outputs = {}
+    for workers in ("2", "1"):
+        monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+        code, outputs[workers], _ = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 0
+        assert seen == {int(workers)}
+        seen.clear()
+    assert outputs["2"] == outputs["1"]
+    assert hashlib.sha256(outputs["1"].encode()).hexdigest() == (
+        "a856873281246a3f755efc327a9aac795e995528e7e2259cc5538b321f1c6e7d"
+    )
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -4,12 +4,17 @@ import dataclasses
 
 import pytest
 
-from pottstrip.connectivity import count_states
-from pottstrip.lattice import horizontal, square_strip, vertical
+from pottstrip import transfer
+from pottstrip.connectivity import ConnectivityState, count_states, enumerate_states
+from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
     _CACHE_SIZE,
+    _column_program,
     _compile,
+    _push,
+    _slot_width,
+    _unpack,
     character_K,
     check_character_budget,
     column_transfer,
@@ -121,6 +126,86 @@ def test_character_in_length_is_a_trace_power():
                     power = _matmul(power, block.rows)
                 trace = sum((power[a][a] for a in range(n)), MultiPoly.zero())
                 assert character_K(square_strip(width, length), marks) == trace
+
+
+def _mirror(state):
+    """The state with point i moved to width-1-i, marks kept."""
+    top = state.width - 1
+    raw = sorted(
+        (tuple(sorted(top - p for p in block)), i in state.marked)
+        for i, block in enumerate(state.blocks)
+    )
+    return ConnectivityState(
+        state.width,
+        tuple(b for b, _ in raw),
+        tuple(i for i, (_, marked) in enumerate(raw) if marked),
+    )
+
+
+def _full_diagonal(strip, marks):
+    """(T_l^N)_ss for every start s, one push each, as packed ints."""
+    n = count_states(strip.width, marks)
+    program = _column_program(strip, marks) * strip.length
+    w = _slot_width(len(program), n)
+    return [_push(program, b, w).get(b, 0) for b in range(n)], w, len(program)
+
+
+def test_diagonal_is_reflection_symmetric():
+    """(T_l^N)_ss == (T_l^N)_{Ps,Ps} for the width reflection P on every
+    square strip of width <= 8 and length <= 3 with n(L, l) <= 90, with the
+    diagonal pushed from every start."""
+    sectors = moved = 0
+    for width in range(1, 9):
+        for marks in range(width + 1):
+            if count_states(width, marks) > 90:
+                continue
+            basis = enumerate_states(width, marks)
+            index = {s: k for k, s in enumerate(basis)}
+            image = [index[_mirror(s)] for s in basis]
+            moved += sum(k != image[k] for k in range(len(basis)))
+            for length in (1, 2, 3):
+                diagonal, _, _ = _full_diagonal(square_strip(width, length), marks)
+                assert all(diagonal[k] == diagonal[image[k]] for k in range(len(basis)))
+                sectors += 1
+    assert sectors == 3 * 28 and moved > 0
+
+
+def test_character_pushes_one_start_per_reflection_orbit(monkeypatch):
+    """Width 5 has 252 states over all l and 142 orbits of the reflection."""
+    starts = []
+
+    def counting_push(program, start, w):
+        starts.append(start)
+        return _push(program, start, w)
+
+    monkeypatch.setattr(transfer, "_push", counting_push)
+    strip = square_strip(5, 2)
+    for marks in range(6):
+        diagonal, w, bonds = _full_diagonal(strip, marks)
+        del starts[:]
+        assert character_K.__wrapped__(strip, marks) == _unpack(sum(diagonal), w, bonds)
+        assert len(starts) == len(set(starts))
+        assert len(starts) == len(transfer._reflection_orbits(5, marks))
+    assert sum(count_states(5, l) for l in range(6)) == 252
+    assert sum(len(transfer._reflection_orbits(5, l)) for l in range(6)) == 142
+
+
+def test_non_invariant_program_sums_the_full_diagonal():
+    """An interleaved program is not mapped onto itself by the reflection,
+    so every start is pushed; a program equal to the square one up to
+    reordering within runs of one bond kind takes the orbits."""
+    interleaved = (vertical(0), horizontal(0), vertical(1), horizontal(1), horizontal(2))
+    reordered = (vertical(1), vertical(0), horizontal(2), horizontal(0), horizontal(1))
+    assert not transfer._reflection_invariant(interleaved, 3)
+    assert transfer._reflection_invariant(reordered, 3)
+    for length in (1, 2, 3):
+        for marks in range(4):
+            strip = CyclicStrip(3, length, interleaved)
+            diagonal, w, bonds = _full_diagonal(strip, marks)
+            assert character_K(strip, marks) == _unpack(sum(diagonal), w, bonds)
+            assert character_K(CyclicStrip(3, length, reordered), marks) == character_K(
+                square_strip(3, length), marks
+            )
 
 
 def test_characters_are_computed_once():
