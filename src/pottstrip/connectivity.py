@@ -16,6 +16,11 @@ This module provides
 * :class:`TwoSliceState` -- a non-crossing partition of the 2L points of two
   slices, the basis of the full (untruncated) transfer matrix, on which the
   block structure of the reduced matrices is verified;
+* the bond moves ``join`` and ``detach`` on the raw ``(blocks, marked)``
+  key of a state, and ``join_right`` and ``detach_right`` on the raw
+  blocks of a two-slice state: the one implementation of each move, which
+  the transfer engine compiles without building states and the classes'
+  methods wrap with validation;
 * enumeration in a canonical order, plus the ballot-number count
 
       count_states(L, l) = C(2L, L-l) - C(2L, L-l-1)
@@ -186,6 +191,65 @@ class DetachOutcome:
     state: "ConnectivityState | None"
 
 
+#: The raw key of a connectivity state: its ``(blocks, marked)`` pair.
+StateKey = tuple[Blocks, tuple[int, ...]]
+
+
+def _block_of(blocks: Blocks, point: int) -> int:
+    for k, b in enumerate(blocks):
+        if point in b:
+            return k
+    raise ValueError(f"point {point} is in no block of {blocks}")
+
+
+def _key(raw: list[tuple[tuple[int, ...], bool]]) -> StateKey:
+    """The key of (block, marked) pairs, listed in canonical block order."""
+    raw.sort()
+    return tuple([b for b, _ in raw]), tuple([k for k, (_, m) in enumerate(raw) if m])
+
+
+def join(key: StateKey, i: int) -> StateKey:
+    """Merge the blocks of points i and i+1 of a raw state key.
+
+    The merged block is marked if either constituent was, so merging two
+    marked blocks lowers the mark count by one.  Returns ``key`` itself when
+    both points already share a block.  Arguments are not validated; see
+    :meth:`ConnectivityState.join`.
+
+    >>> join((((0,), (1,), (2,)), (0, 1)), 0)
+    (((0, 1), (2,)), (0,))
+    """
+    blocks, marked = key
+    bi, bj = _block_of(blocks, i), _block_of(blocks, i + 1)
+    if bi == bj:
+        return key
+    raw = [(b, k in marked) for k, b in enumerate(blocks) if k != bi and k != bj]
+    raw.append((tuple(sorted(blocks[bi] + blocks[bj])), bi in marked or bj in marked))
+    return _key(raw)
+
+
+def detach(key: StateKey, i: int) -> tuple[DetachTag, StateKey | None]:
+    """Remove point i of a raw state key from its block and re-insert it as
+    a fresh singleton: (tag, key), with the tags of
+    :meth:`ConnectivityState.detach`.  The key is ``key`` itself for
+    COMPLETED_UNMARKED and None for TERMINATED_MARKED.  Arguments are not
+    validated.
+
+    >>> detach((((0, 1),), (0,)), 0)
+    (<DetachTag.STILL_POPULATED: 'still-populated'>, (((0,), (1,)), (1,)))
+    """
+    blocks, marked = key
+    bi = _block_of(blocks, i)
+    if len(blocks[bi]) == 1:
+        if bi in marked:
+            return DetachTag.TERMINATED_MARKED, None
+        return DetachTag.COMPLETED_UNMARKED, key
+    raw = [(b, k in marked) for k, b in enumerate(blocks) if k != bi]
+    raw.append((tuple(p for p in blocks[bi] if p != i), bi in marked))
+    raw.append(((i,), False))
+    return DetachTag.STILL_POPULATED, _key(raw)
+
+
 @dataclass(frozen=True)
 class ConnectivityState:
     """A non-crossing partition of slice points with marked, unnested blocks.
@@ -223,6 +287,11 @@ class ConnectivityState:
     # ------------------------------------------------------------------
 
     @property
+    def key(self) -> StateKey:
+        """The raw ``(blocks, marked)`` key the bond moves act on."""
+        return self.blocks, self.marked
+
+    @property
     def mark_count(self) -> int:
         return len(self.marked)
 
@@ -232,17 +301,8 @@ class ConnectivityState:
                 return i
         raise ValueError(f"point {point} outside range(0, {self.width})")
 
-    def is_marked(self, block_index: int) -> bool:
-        return block_index in self.marked
-
     # ------------------------------------------------------------------
     # transfer moves
-
-    def _rebuild(self, raw_blocks: list[tuple[tuple[int, ...], bool]]) -> "ConnectivityState":
-        raw_blocks.sort()
-        blocks = tuple(b for b, _ in raw_blocks)
-        marked = tuple(i for i, (_, m) in enumerate(raw_blocks) if m)
-        return ConnectivityState(self.width, blocks, marked)
 
     def join(self, i: int, j: int) -> "ConnectivityState":
         """Merge the blocks of two *adjacent* points (|i - j| must be 1).
@@ -262,19 +322,11 @@ class ConnectivityState:
             raise ValueError(f"join requires adjacent points, got {i} and {j}")
         if i < 0 or j >= self.width:
             raise ValueError(f"points {i}, {j} outside range(0, {self.width})")
-        bi = self.block_index_of(i)
-        bj = self.block_index_of(j)
-        if bi == bj:
+        key = self.key
+        target = join(key, i)
+        if target is key:
             return self
-        merged = tuple(sorted(self.blocks[bi] + self.blocks[bj]))
-        mark = bi in self.marked or bj in self.marked
-        raw = [
-            (b, k in self.marked)
-            for k, b in enumerate(self.blocks)
-            if k not in (bi, bj)
-        ]
-        raw.append((merged, mark))
-        return self._rebuild(raw)
+        return ConnectivityState(self.width, *target)
 
     def detach(self, i: int) -> DetachOutcome:
         """Remove point i from its block and re-insert it as a fresh singleton.
@@ -287,20 +339,10 @@ class ConnectivityState:
         """
         if not 0 <= i < self.width:
             raise ValueError(f"point {i} outside range(0, {self.width})")
-        bi = self.block_index_of(i)
-        rest = tuple(p for p in self.blocks[bi] if p != i)
-        if not rest:
-            if bi in self.marked:
-                return DetachOutcome(DetachTag.TERMINATED_MARKED, None)
-            return DetachOutcome(DetachTag.COMPLETED_UNMARKED, self)
-        raw = [
-            (b, k in self.marked)
-            for k, b in enumerate(self.blocks)
-            if k != bi
-        ]
-        raw.append((rest, bi in self.marked))
-        raw.append(((i,), False))
-        return DetachOutcome(DetachTag.STILL_POPULATED, self._rebuild(raw))
+        tag, target = detach(self.key, i)
+        if tag is DetachTag.STILL_POPULATED:
+            return DetachOutcome(tag, ConnectivityState(self.width, *target))
+        return DetachOutcome(tag, None if target is None else self)
 
     # ------------------------------------------------------------------
     # canonical encoding
@@ -399,6 +441,56 @@ def right_position(width: int, point: int) -> int:
     return 2 * width - 1 - point
 
 
+def join_right(blocks: Blocks, width: int, i: int) -> Blocks:
+    """Merge the blocks of right-slice points i and i+1 of the raw blocks
+    of a two-slice state; ``blocks`` itself when they already share one.
+    Arguments are not validated; see :meth:`TwoSliceState.join_right`.
+
+    >>> join_right(((0, 3), (1, 2)), 2, 0)
+    ((0, 1, 2, 3),)
+    """
+    pi = 2 * width - 1 - i
+    bi, bj = _block_of(blocks, pi), _block_of(blocks, pi - 1)
+    if bi == bj:
+        return blocks
+    rest = [b for k, b in enumerate(blocks) if k != bi and k != bj]
+    rest.append(tuple(sorted(blocks[bi] + blocks[bj])))
+    rest.sort()
+    return tuple(rest)
+
+
+def detach_right(blocks: Blocks, width: int, i: int) -> tuple[Blocks, bool]:
+    """Detach right point i of the raw blocks of a two-slice state into a
+    fresh singleton: (blocks, completed).  ``completed`` is True when the
+    old block was that singleton, and then ``blocks`` comes back unchanged.
+    Arguments are not validated.
+
+    >>> detach_right(((0, 3), (1, 2)), 2, 0)
+    (((0,), (1, 2), (3,)), False)
+    """
+    pos = 2 * width - 1 - i
+    bi = _block_of(blocks, pos)
+    if len(blocks[bi]) == 1:
+        return blocks, True
+    rest = [b for k, b in enumerate(blocks) if k != bi]
+    rest.append(tuple(p for p in blocks[bi] if p != pos))
+    rest.append((pos,))
+    rest.sort()
+    return tuple(rest), False
+
+
+def reduced(blocks: Blocks, width: int) -> StateKey:
+    """The key of :meth:`TwoSliceState.reduced` on raw two-slice blocks:
+    the partition induced on the right slice, bridge blocks marked."""
+    raw = []
+    for b in blocks:
+        # right point k sits at position 2L-1-k, so reversed order sorts them
+        right = tuple(2 * width - 1 - p for p in reversed(b) if p >= width)
+        if right:
+            raw.append((right, b[0] < width))
+    return _key(raw)
+
+
 @dataclass(frozen=True)
 class TwoSliceState:
     """A planar pairing of two slices: a non-crossing partition of the 2L
@@ -420,20 +512,9 @@ class TwoSliceState:
 
     # ------------------------------------------------------------------
 
-    def _left_part(self, block: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p for p in block if p < self.width)
-
-    def _right_points(self, block: tuple[int, ...]) -> tuple[int, ...]:
-        w = self.width
-        return tuple(sorted(2 * w - 1 - p for p in block if p >= w))
-
     def bridge_count(self) -> int:
         """Number of blocks containing points of both slices."""
-        return sum(
-            1
-            for b in self.blocks
-            if self._left_part(b) and self._right_points(b)
-        )
+        return sum(1 for b in self.blocks if b[0] < self.width <= b[-1])
 
     def left_profile(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """The partition induced on the left slice, each induced block tagged
@@ -443,32 +524,20 @@ class TwoSliceState:
         count the left profile is conserved; states sharing a profile form
         one diagonal sub-block of the full transfer matrix.
         """
-        out = []
-        for b in self.blocks:
-            left = self._left_part(b)
-            if left:
-                out.append((left, bool(self._right_points(b))))
-        out.sort()
-        return tuple(out)
+        w = self.width
+        return tuple(
+            sorted(
+                (tuple(p for p in b if p < w), b[-1] >= w) for b in self.blocks if b[0] < w
+            )
+        )
 
     def reduced(self) -> ConnectivityState:
         """Forget the left slice: the partition induced on the right slice,
         with bridge blocks marked.  Blocks living only on the left vanish."""
-        raw = []
-        for b in self.blocks:
-            right = self._right_points(b)
-            if right:
-                raw.append((right, bool(self._left_part(b))))
-        raw.sort()
-        blocks = tuple(b for b, _ in raw)
-        marked = tuple(i for i, (_, m) in enumerate(raw) if m)
-        return ConnectivityState(self.width, blocks, marked)
+        return ConnectivityState(self.width, *reduced(self.blocks, self.width))
 
     # ------------------------------------------------------------------
     # transfer moves on the right slice
-
-    def _rebuild(self, blocks: list[tuple[int, ...]]) -> "TwoSliceState":
-        return TwoSliceState(self.width, tuple(sorted(blocks)))
 
     def join_right(self, i: int, j: int) -> "TwoSliceState":
         """Merge the blocks of adjacent right-slice points i and j."""
@@ -476,16 +545,12 @@ class TwoSliceState:
             i, j = j, i
         if j != i + 1:
             raise ValueError(f"join requires adjacent points, got {i} and {j}")
-        pi = right_position(self.width, i)
-        pj = right_position(self.width, j)
-        bi = next(k for k, b in enumerate(self.blocks) if pi in b)
-        bj = next(k for k, b in enumerate(self.blocks) if pj in b)
-        if bi == bj:
+        if i < 0 or j >= self.width:
+            raise ValueError(f"points {i}, {j} outside range(0, {self.width})")
+        target = join_right(self.blocks, self.width, i)
+        if target is self.blocks:
             return self
-        merged = tuple(sorted(self.blocks[bi] + self.blocks[bj]))
-        rest = [b for k, b in enumerate(self.blocks) if k not in (bi, bj)]
-        rest.append(merged)
-        return self._rebuild(rest)
+        return TwoSliceState(self.width, target)
 
     def detach_right(self, i: int) -> tuple["TwoSliceState", bool]:
         """Detach right point i into a fresh singleton.
@@ -494,16 +559,12 @@ class TwoSliceState:
         vacated entirely, i.e. a cluster with no remaining attachment closed
         (worth a factor Q upstream).
         """
-        pos = right_position(self.width, i)
-        bi = next(k for k, b in enumerate(self.blocks) if pos in b)
-        rest_block = tuple(p for p in self.blocks[bi] if p != pos)
-        rest = [b for k, b in enumerate(self.blocks) if k != bi]
-        if rest_block:
-            rest.append(rest_block)
-            rest.append((pos,))
-            return self._rebuild(rest), False
-        rest.append((pos,))
-        return self._rebuild(rest), True
+        if not 0 <= i < self.width:
+            raise ValueError(f"point {i} outside range(0, {self.width})")
+        target, completed = detach_right(self.blocks, self.width, i)
+        if completed:
+            return self, True
+        return TwoSliceState(self.width, target), False
 
     # ------------------------------------------------------------------
 

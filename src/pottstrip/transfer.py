@@ -17,10 +17,12 @@ of the full transfer matrix in the l-bridge sector, and the character
     K(l) = trace(T_l ** N)
 
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
-(width, marks, bond) into an index table, and one loop, ``_push``, pushes a
-start column through a program of E bonds; K(l) pushes start states
-through N copies of the column program and sums the diagonal entries they
-return to.  No matrix power is ever formed, no eigenvalues, no floats.
+(width, marks, bond) into an index table.  Compilation applies the bond
+moves of ``connectivity`` to raw state keys, builds no state object, and
+checks every target key against the enumerated basis of validated states,
+so a target outside it raises.  One loop, ``_push``, pushes a start column
+through a program of E bonds; K(l) pushes start states through N copies of
+the column program and sums the diagonal entries they return to.  No matrix power is ever formed, no eigenvalues, no floats.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -46,24 +48,32 @@ in one pass over their bytes.
 states and checks the claimed structure directly: bridge count never
 increases, states of fixed bridge count split by left profile into
 n(L, l) groups of size n(L, l) with no transitions between groups, and
-every group's sub-matrix equals T_l on the nose.
+every group's sub-matrix equals T_l on the nose.  Both sides are pushed
+at one slot width and compared as packed ints, which is exact because the
+packing is injective under the bound ``_compile`` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from .connectivity import (
+    Blocks,
     ConnectivityState,
     DetachTag,
-    TwoSliceState,
+    StateKey,
     count_states,
+    detach,
+    detach_right,
     enumerate_states,
     enumerate_two_slice,
+    join,
+    join_right,
+    reduced,
 )
 from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
 from .polynomial import ZERO, MultiPoly
@@ -74,6 +84,8 @@ Row = tuple[MultiPoly, ...]
 # coefficient 1, coded as a bit mask over the three; small ints are shared
 # objects, so a table holds no weight of its own.
 _ONE, _V, _Q = 1, 2, 4
+#: The number of monomials in each non-empty weight mask.
+_MONOMIALS = {mask: mask.bit_count() for mask in range(1, 8)}
 
 #: ``table[b]`` lists the (target index, weight mask) branches of one bond
 #: on basis state b.
@@ -120,46 +132,51 @@ def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
     return tuple(enumerate_states(width, marks))
 
 
-def _action(op: EdgeOp, state: ConnectivityState) -> list[tuple[ConnectivityState, int]]:
-    """Sparse action of one bond on one state (dropped transitions omitted)."""
+def _action(op: EdgeOp, key: StateKey) -> list[tuple[StateKey, int]]:
+    """Sparse action of one bond on one raw state key (dropped transitions
+    omitted), as (target key, weight mask) branches."""
     if op.kind == VERTICAL:
-        i = op.site
-        bi = state.block_index_of(i)
-        bj = state.block_index_of(i + 1)
-        if bi == bj:
-            return [(state, _ONE | _V)]
-        if state.is_marked(bi) and state.is_marked(bj):
-            return [(state, _ONE)]
-        return [(state, _ONE), (state.join(i, i + 1), _V)]
-    outcome = state.detach(op.site)
-    if outcome.tag is DetachTag.TERMINATED_MARKED:
-        return [(state, _V)]
-    if outcome.tag is DetachTag.COMPLETED_UNMARKED:
-        return [(state, _Q | _V)]
-    return [(state, _V), (outcome.state, _ONE)]
+        joined = join(key, op.site)
+        if joined is key:
+            return [(key, _ONE | _V)]
+        if len(joined[1]) < len(key[1]):
+            return [(key, _ONE)]  # the join would fuse two marked blocks
+        return [(key, _ONE), (joined, _V)]
+    tag, detached = detach(key, op.site)
+    if tag is DetachTag.TERMINATED_MARKED:
+        return [(key, _V)]
+    if tag is DetachTag.COMPLETED_UNMARKED:
+        return [(key, _Q | _V)]
+    return [(key, _V), (detached, _ONE)]
 
 
-def _compile(basis: Sequence, action: Callable, op: EdgeOp) -> BondTable:
-    """The bond ``op`` as an index table over ``basis``.
+def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
+    """The bond ``op`` as an index table over the basis with raw ``keys``.
 
     Raises AssertionError unless every branch weight is a non-empty mask
     over {1, v, Q} and every state's weights add up to at most 2 at
     Q = v = 1: the packing in ``_push`` is exact only under that bound.
+    Raises AssertionError too when a branch leaves the basis.  The keys are
+    those of an enumerated basis of validated states, so membership carries
+    every property the state constructors check.
     """
-    index = {s: k for k, s in enumerate(basis)}
+    index = {key: k for k, key in enumerate(keys)}
     table = []
-    for state in basis:
-        branches = action(op, state)
-        masks = [weight for _, weight in branches]
-        if not all(0 < m <= _ONE | _V | _Q for m in masks) or sum(m.bit_count() for m in masks) > 2:
-            raise AssertionError(f"{op} on {state} breaks the packing bound: {branches}")
-        table.append(tuple((index[target], weight) for target, weight in branches))
+    for key in keys:
+        branches = action(op, key)
+        # a mask outside {1, v, Q} counts 3, over the bound on its own
+        if sum([_MONOMIALS.get(weight, 3) for _, weight in branches]) > 2:
+            raise AssertionError(f"{op} on {key} breaks the packing bound: {branches}")
+        try:
+            table.append(tuple([(index[target], weight) for target, weight in branches]))
+        except KeyError as missing:
+            raise AssertionError(f"{op} on {key} leaves the basis: {missing.args[0]}") from None
     return tuple(table)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
-    return _compile(_basis(width, marks), _action, op)
+    return _compile([s.key for s in _basis(width, marks)], _action, op)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -168,7 +185,7 @@ def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
     i -> width-1-i, on ``_basis(width, marks)``: the lower index of the
     orbit, with weight 1 for a state P fixes and 2 otherwise."""
     basis = _basis(width, marks)
-    index = {(s.blocks, s.marked): k for k, s in enumerate(basis)}
+    index = {s.key: k for k, s in enumerate(basis)}
     orbits = []
     for k, state in enumerate(basis):
         raw = sorted(
@@ -208,12 +225,19 @@ def _slot_width(bonds: int, states: int) -> int:
     return -(-(bonds + states.bit_length() + 1) // 8) * 8
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
+    """The shifts of each weight mask's monomials, v -> 2**w and
+    Q -> 2**(w * (bonds + 1)), indexed by mask."""
+    slot = ((_ONE, 0), (_V, w), (_Q, w * (bonds + 1)))
+    return tuple(tuple(s for mask, s in slot if code & mask) for code in range(8))
+
+
 def _push(program: Sequence[BondTable], start: int, w: int) -> dict[int, int]:
     """Column ``start`` of the ordered product of ``program``'s bonds (first
     bond applied first), as a sparse {row: entry} map of packed entries,
     v -> 2**w and Q -> 2**(w * (len(program) + 1))."""
-    slot = ((_ONE, 0), (_V, w), (_Q, w * (len(program) + 1)))
-    shifts = [tuple(s for mask, s in slot if code & mask) for code in range(8)]
+    shifts = _shifts(w, len(program))
     col = {start: 1}
     for table in program:
         out: dict[int, int] = {}
@@ -240,20 +264,17 @@ def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def _columns(program: Sequence[BondTable], n: int) -> list[dict[int, MultiPoly]]:
-    """Every column of the product of ``program`` on an n-state basis, with
-    its (non-zero) entries unpacked; equal entries share one polynomial."""
+def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
+    """The product of ``program`` on the ``marks``-mark basis, with its
+    non-zero entries unpacked; equal entries share one polynomial."""
+    basis = _basis(width, marks)
+    n = len(basis)
     w = _slot_width(len(program), n)
     cols = [_push(program, b, w) for b in range(n)]
     polys = {c: _unpack(c, w, len(program)) for c in {c for col in cols for c in col.values()}}
-    return [{a: polys[c] for a, c in col.items()} for col in cols]
-
-
-def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
-    basis = _basis(width, marks)
-    n = len(basis)
-    cols = _columns(program, n)
-    rows = tuple(tuple(cols[b].get(a, ZERO) for b in range(n)) for a in range(n))
+    rows = tuple(
+        tuple(polys[cols[b][a]] if a in cols[b] else ZERO for b in range(n)) for a in range(n)
+    )
     return TransferBlock(width, marks, basis, rows)
 
 
@@ -352,18 +373,17 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
 # full-matrix verification
 
 
-def _two_slice_action(op: EdgeOp, state: TwoSliceState) -> list[tuple[TwoSliceState, int]]:
+def _two_slice_action(op: EdgeOp, blocks: Blocks, width: int) -> list[tuple[Blocks, int]]:
+    """Sparse action of one bond on the raw blocks of a two-slice state."""
     if op.kind == VERTICAL:
-        i = op.site
-        joined = state.join_right(i, i + 1)
-        if joined == state:
-            return [(state, _ONE | _V)]
-        return [(state, _ONE), (joined, _V)]
-    detached, completed = state.detach_right(op.site)
-    weight = _Q if completed else _ONE
-    if detached == state:
-        return [(state, _V | weight)]
-    return [(state, _V), (detached, weight)]
+        joined = join_right(blocks, width, op.site)
+        if joined is blocks:
+            return [(blocks, _ONE | _V)]
+        return [(blocks, _ONE), (joined, _V)]
+    detached, completed = detach_right(blocks, width, op.site)
+    if completed:
+        return [(blocks, _V | _Q)]
+    return [(blocks, _V), (detached, _ONE)]
 
 
 @dataclass(frozen=True)
@@ -409,16 +429,29 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
       count_states(L, l) groups of count_states(L, l) states each;
     * entries between different groups of the same bridge count vanish;
     * each group's sub-matrix, rows and columns ordered by the canonical
-      order of the reduced states, equals column_transfer(strip, l).
+      order of the reduced states, equals T_l, the column program's
+      product on the l-mark states.
+
+    The two-slice bond tables compile on raw keys checked against the
+    enumerated basis, like the reduced ones.  Every column, two-slice or
+    reference, is pushed at one slot width: both programs have the same
+    E bonds and ``_compile`` bounds both, so equal polynomials pack to
+    equal ints and the sub-matrices are compared as packed ints.  Only the
+    two entries of a mismatch are unpacked, for its message.
 
     Kept to widths <= 4; the basis has Catalan(2L) states.
     """
     if strip.width > 4:
         raise ValueError("block-structure verification is capped at width 4")
-    basis = enumerate_two_slice(strip.width)
+    width = strip.width
+    basis = enumerate_two_slice(width)
     n = len(basis)
-    program = [_compile(basis, _two_slice_action, op) for op in strip.column_program]
-    cols = _columns(program, n)
+    bonds = len(strip.column_program)
+    w = _slot_width(bonds, n)
+    keys = [s.blocks for s in basis]
+    action = partial(_two_slice_action, width=width)
+    program = [_compile(keys, action, op) for op in strip.column_program]
+    cols = [_push(program, b, w) for b in range(n)]
 
     bridges = [s.bridge_count() for s in basis]
     failures: list[str] = []
@@ -437,56 +470,51 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     groups: dict[tuple, list[int]] = {}
     for k, s in enumerate(basis):
         groups.setdefault((bridges[k], s.left_profile()), []).append(k)
+    group_of = [0] * n
+    for gid, members in enumerate(groups.values()):
+        for k in members:
+            group_of[k] = gid
 
     sector_reports = []
-    for l in range(strip.width + 1):
-        expected = count_states(strip.width, l)
+    for l in range(width + 1):
+        expected = count_states(width, l)
         sector_groups = sorted(
             (key, members) for key, members in groups.items() if key[0] == l
         )
         group_sizes = tuple(len(m) for _, m in sector_groups)
         cross_zero = True
         matches = True
-        reference = column_transfer(strip, l)
-        ref_index = {s: i for i, s in enumerate(reference.basis)}
-        members_by_group = [m for _, m in sector_groups]
-        member_set_by_group = [set(m) for m in members_by_group]
-        for gi, members in enumerate(members_by_group):
-            others = {
-                k
-                for gj, s in enumerate(member_set_by_group)
-                if gj != gi
-                for k in s
-            }
+        ref_program = _column_program(strip, l)
+        reference = [_push(ref_program, b, w) for b in range(expected)]
+        ref_index = {s.key: i for i, s in enumerate(_basis(width, l))}
+        for _, members in sector_groups:
             for b in members:
                 for a in cols[b]:
-                    if a in others:
+                    if bridges[a] == l and group_of[a] != group_of[b]:
                         cross_zero = False
                         failures.append(
                             f"leakage between sub-blocks at l={l}: "
                             f"{basis[b].render()} -> {basis[a].render()}"
                         )
             # order group members by their reduced state and compare
-            reduced = {k: basis[k].reduced() for k in members}
-            if sorted(ref_index[reduced[k]] for k in members) != list(
-                range(reference.dimension)
-            ):
+            order = [ref_index.get(reduced(basis[k].blocks, width)) for k in members]
+            if None in order or sorted(order) != list(range(expected)):
                 matches = False
                 failures.append(
                     f"group at l={l} does not reduce onto the reference basis"
                 )
                 continue
-            ordered = sorted(members, key=lambda k: ref_index[reduced[k]])
-            for bb, b in enumerate(ordered):
+            ordered = [k for _, k in sorted(zip(order, members))]
+            for ref_col, b in zip(reference, ordered):
+                col = cols[b]
                 for aa, a in enumerate(ordered):
-                    got = cols[b].get(a, ZERO)
-                    want = reference.rows[aa][bb]
+                    got, want = col.get(a, 0), ref_col.get(aa, 0)
                     if got != want:
                         matches = False
                         failures.append(
                             f"entry mismatch at l={l}, "
                             f"{basis[b].render()} -> {basis[a].render()}: "
-                            f"{got} != {want}"
+                            f"{_unpack(got, w, bonds)} != {_unpack(want, w, bonds)}"
                         )
         sector_reports.append(
             SectorReport(

@@ -324,6 +324,22 @@ def test_blockcheck(capsys):
     assert out.splitlines()[-1] == "passed"
 
 
+#: sha256 of ``blockcheck`` stdout per (lattice, format), recorded while the
+#: block check still compared unpacked polynomials.
+BLOCKCHECK_DIGESTS = {
+    ("square:3x1", "json"): "f5fa36e2388b6385f5a71fc0b7e23465e28d4fb5eac923437dfd418bff2903e6",
+    ("square:4x1", "json"): "8a34f0c1347e83b997a366200b1f66446c2f0f6986afdac338007d35a28f2ff0",
+    ("square:3x2", "text"): "36b4a9dfc8f2b3a39200009fea7e8d15ff64899e4edff863f87edc58027ed5f0",
+}
+
+
+@pytest.mark.parametrize("lattice,fmt", BLOCKCHECK_DIGESTS)
+def test_blockcheck_bytes_are_unchanged(capsys, lattice, fmt):
+    code, out, _ = run_cli(capsys, "blockcheck", "--lattice", lattice, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BLOCKCHECK_DIGESTS[lattice, fmt]
+
+
 def test_output_is_deterministic_across_workers(capsys):
     argv = ["oracle", "--lattice", "square:2x2", "--count-ntc",
             "--format", "csv"]

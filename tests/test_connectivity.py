@@ -15,6 +15,7 @@ from pottstrip.connectivity import (
     enumerate_states,
     enumerate_two_slice,
     noncrossing_partitions,
+    right_position,
 )
 
 
@@ -223,6 +224,23 @@ def test_two_slice_membership_width_six():
     reduced = state.reduced()
     assert reduced.width == 6
     assert reduced.mark_count == 2
+
+
+def test_two_slice_moves_stay_in_the_basis():
+    """Every right-slice join and detach of every two-slice state of width
+    <= 3 lands in the enumerated basis, and a detach completes exactly when
+    the vacated block was the detached point alone."""
+    for width in (1, 2, 3):
+        basis = set(enumerate_two_slice(width))
+        for s in basis:
+            for i in range(width - 1):
+                assert s.join_right(i, i + 1) in basis
+            for i in range(width):
+                detached, completed = s.detach_right(i)
+                assert detached in basis
+                pos = right_position(width, i)
+                assert completed == ((pos,) in s.blocks)
+                assert (pos,) in detached.blocks
 
 
 def test_two_slice_crossing_rejected():

@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 
 from pottstrip import transfer
-from pottstrip.connectivity import ConnectivityState, count_states, enumerate_states
+from pottstrip.connectivity import (
+    ConnectivityState,
+    count_states,
+    enumerate_states,
+    enumerate_two_slice,
+)
 from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
@@ -223,6 +228,21 @@ def test_compile_refuses_weights_beyond_the_packing_bound():
             _compile(("s",), lambda op, state: branches, vertical(0))
 
 
+def test_compile_refuses_targets_outside_the_basis():
+    """A branch to a key the enumerated basis does not hold, here a nested
+    marked block that no valid state has, is refused by op and state
+    rather than with a bare KeyError."""
+    keys = [s.key for s in transfer._basis(3, 1)]
+    nested = (((0, 2), (1,)), (1,))
+    assert nested not in keys
+
+    def leaving(op, key):
+        return [(key, 1), (nested, 2)]
+
+    with pytest.raises(AssertionError, match=r"vertical\(1\) on .* leaves the basis"):
+        _compile(keys, leaving, vertical(1))
+
+
 def test_character_budget():
     """Strips that run in two minutes or less are accepted; 7x4 would take
     several and is refused."""
@@ -254,6 +274,45 @@ def test_block_structure_reports():
     assert all(s.cross_group_zero for s in report.sectors)
     assert all(s.matches_reference for s in report.sectors)
     assert report.failures == ()
+
+
+def test_block_structure_reports_a_wrong_weight(monkeypatch):
+    """One branch of one two-slice state weighted Q instead of 1, still
+    within the packing bound, fails the check in that state's sector, and
+    the message shows the two entries unpacked as polynomials."""
+    strip = square_strip(3, 1)
+    basis = enumerate_two_slice(3)
+    bridges = {s.blocks: s.bridge_count() for s in basis}
+    action = transfer._two_slice_action
+    op = horizontal(1)
+    # a state whose detach branch stays among the states of its bridge count
+    wrong = next(
+        s.blocks
+        for s in basis
+        if len(branches := action(op, s.blocks, 3)) == 2
+        and bridges[branches[1][0]] == bridges[s.blocks]
+    )
+
+    def miscounted(bond, blocks, width):
+        branches = action(bond, blocks, width)
+        if bond == op and blocks == wrong:
+            return [branches[0], (branches[1][0], transfer._Q)]
+        return branches
+
+    monkeypatch.setattr(transfer, "_two_slice_action", miscounted)
+    report = verify_block_structure(strip)
+    assert not report.passed
+    sector = bridges[wrong]
+    assert [s.matches_reference for s in report.sectors] == [
+        l != sector for l in range(4)
+    ]
+    reference = {str(e) for row in column_transfer(strip, sector).rows for e in row}
+    mismatches = [f for f in report.failures if f.startswith("entry mismatch")]
+    assert mismatches and all(f.startswith(f"entry mismatch at l={sector}") for f in mismatches)
+    for failure in mismatches:
+        got, want = failure.rsplit(": ", 1)[1].split(" != ")
+        assert want in reference
+        assert "Q" in got and got not in reference
 
 
 def test_block_structure_width_cap():
