@@ -17,10 +17,11 @@ This module provides
   slices, the basis of the full (untruncated) transfer matrix, on which the
   block structure of the reduced matrices is verified;
 * the bond moves ``join`` and ``detach`` on the raw ``(blocks, marked)``
-  key of a state, and ``join_right`` and ``detach_right`` on the raw
-  blocks of a two-slice state: the one implementation of each move, which
-  the transfer engine compiles without building states and the classes'
-  methods wrap with validation;
+  key of a state: the one implementation of each move, which the transfer
+  engine compiles without building states and the class's methods wrap
+  with validation.  A two-slice state is moved by the same functions: its
+  ``(blocks, ())`` key is an unmarked state of 2L points, on which right
+  point k sits at point 2L-1-k (:func:`right_position`);
 * enumeration in a canonical order, plus the ballot-number count
 
       count_states(L, l) = C(2L, L-l) - C(2L, L-l-1)
@@ -441,44 +442,6 @@ def right_position(width: int, point: int) -> int:
     return 2 * width - 1 - point
 
 
-def join_right(blocks: Blocks, width: int, i: int) -> Blocks:
-    """Merge the blocks of right-slice points i and i+1 of the raw blocks
-    of a two-slice state; ``blocks`` itself when they already share one.
-    Arguments are not validated; see :meth:`TwoSliceState.join_right`.
-
-    >>> join_right(((0, 3), (1, 2)), 2, 0)
-    ((0, 1, 2, 3),)
-    """
-    pi = 2 * width - 1 - i
-    bi, bj = _block_of(blocks, pi), _block_of(blocks, pi - 1)
-    if bi == bj:
-        return blocks
-    rest = [b for k, b in enumerate(blocks) if k != bi and k != bj]
-    rest.append(tuple(sorted(blocks[bi] + blocks[bj])))
-    rest.sort()
-    return tuple(rest)
-
-
-def detach_right(blocks: Blocks, width: int, i: int) -> tuple[Blocks, bool]:
-    """Detach right point i of the raw blocks of a two-slice state into a
-    fresh singleton: (blocks, completed).  ``completed`` is True when the
-    old block was that singleton, and then ``blocks`` comes back unchanged.
-    Arguments are not validated.
-
-    >>> detach_right(((0, 3), (1, 2)), 2, 0)
-    (((0,), (1, 2), (3,)), False)
-    """
-    pos = 2 * width - 1 - i
-    bi = _block_of(blocks, pos)
-    if len(blocks[bi]) == 1:
-        return blocks, True
-    rest = [b for k, b in enumerate(blocks) if k != bi]
-    rest.append(tuple(p for p in blocks[bi] if p != pos))
-    rest.append((pos,))
-    rest.sort()
-    return tuple(rest), False
-
-
 def reduced(blocks: Blocks, width: int) -> StateKey:
     """The key of :meth:`TwoSliceState.reduced` on raw two-slice blocks:
     the partition induced on the right slice, bridge blocks marked."""
@@ -535,36 +498,6 @@ class TwoSliceState:
         """Forget the left slice: the partition induced on the right slice,
         with bridge blocks marked.  Blocks living only on the left vanish."""
         return ConnectivityState(self.width, *reduced(self.blocks, self.width))
-
-    # ------------------------------------------------------------------
-    # transfer moves on the right slice
-
-    def join_right(self, i: int, j: int) -> "TwoSliceState":
-        """Merge the blocks of adjacent right-slice points i and j."""
-        if j < i:
-            i, j = j, i
-        if j != i + 1:
-            raise ValueError(f"join requires adjacent points, got {i} and {j}")
-        if i < 0 or j >= self.width:
-            raise ValueError(f"points {i}, {j} outside range(0, {self.width})")
-        target = join_right(self.blocks, self.width, i)
-        if target is self.blocks:
-            return self
-        return TwoSliceState(self.width, target)
-
-    def detach_right(self, i: int) -> tuple["TwoSliceState", bool]:
-        """Detach right point i into a fresh singleton.
-
-        Returns (state, completed): completed is True when the old block
-        vacated entirely, i.e. a cluster with no remaining attachment closed
-        (worth a factor Q upstream).
-        """
-        if not 0 <= i < self.width:
-            raise ValueError(f"point {i} outside range(0, {self.width})")
-        target, completed = detach_right(self.blocks, self.width, i)
-        if completed:
-            return self, True
-        return TwoSliceState(self.width, target), False
 
     # ------------------------------------------------------------------
 

@@ -37,11 +37,17 @@ class CheckResult:
 
 
 def _diff(lhs: MultiPoly, rhs: MultiPoly) -> str:
+    """Both coefficients at the first monomial, in decreasing term order,
+    where the sides differ; then their difference, cut at 400 characters."""
     delta = lhs - rhs
+    mono, _ = next(delta.terms())
     text = str(delta)
     if len(text) > 400:
         text = text[:400] + " ..."
-    return f"difference {text}"
+    return (
+        f"first difference at {MultiPoly.monomial(1, mono)}: "
+        f"{lhs.coefficient(mono)} != {rhs.coefficient(mono)}; difference {text}"
+    )
 
 
 def _poly_check(check_id: str, lhs: MultiPoly, rhs: MultiPoly) -> CheckResult:
@@ -291,6 +297,9 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if l_max < 1 or n_max < 1:
         raise ValueError("Lmax and Nmax must be >= 1")
+    if n_max > bruteforce.MAX_EDGES:
+        # the width-1 strip of n_max columns has n_max edges
+        raise ValueError(f"Nmax must be <= {bruteforce.MAX_EDGES}, the oracle's edge cap")
     out: list[CheckResult] = []
     if name in ("all",):
         out.extend(dimension_checks(l_max))

@@ -48,7 +48,8 @@ in one pass over their bytes.
 states and checks the claimed structure directly: bridge count never
 increases, states of fixed bridge count split by left profile into
 n(L, l) groups of size n(L, l) with no transitions between groups, and
-every group's sub-matrix equals T_l on the nose.  Both sides are pushed
+every group's sub-matrix equals T_l on the nose.  The two-slice states
+move by ``_action`` too, as unmarked 2L-point keys.  Both sides are pushed
 at one slot width and compared as packed ints, which is exact because the
 packing is injective under the bound ``_compile`` checks.
 """
@@ -56,24 +57,22 @@ packing is injective under the bound ``_compile`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from .connectivity import (
-    Blocks,
     ConnectivityState,
     DetachTag,
     StateKey,
     count_states,
     detach,
-    detach_right,
     enumerate_states,
     enumerate_two_slice,
     join,
-    join_right,
     reduced,
+    right_position,
 )
 from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
 from .polynomial import ZERO, MultiPoly
@@ -158,7 +157,8 @@ def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
     Q = v = 1: the packing in ``_push`` is exact only under that bound.
     Raises AssertionError too when a branch leaves the basis.  The keys are
     those of an enumerated basis of validated states, so membership carries
-    every property the state constructors check.
+    every property the state constructors check.  A two-slice basis passes
+    its states as unmarked ``(blocks, ())`` keys.
     """
     index = {key: k for k, key in enumerate(keys)}
     table = []
@@ -373,17 +373,10 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
 # full-matrix verification
 
 
-def _two_slice_action(op: EdgeOp, blocks: Blocks, width: int) -> list[tuple[Blocks, int]]:
-    """Sparse action of one bond on the raw blocks of a two-slice state."""
-    if op.kind == VERTICAL:
-        joined = join_right(blocks, width, op.site)
-        if joined is blocks:
-            return [(blocks, _ONE | _V)]
-        return [(blocks, _ONE), (joined, _V)]
-    detached, completed = detach_right(blocks, width, op.site)
-    if completed:
-        return [(blocks, _V | _Q)]
-    return [(blocks, _V), (detached, _ONE)]
+def _on_right_slice(op: EdgeOp, width: int) -> EdgeOp:
+    """``op`` on the right slice of a two-slice key, right point k at point
+    2L-1-k: the join of right points i, i+1 is the join at point 2L-2-i."""
+    return EdgeOp(op.kind, right_position(width, op.site + (op.kind == VERTICAL)))
 
 
 @dataclass(frozen=True)
@@ -432,8 +425,9 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
       order of the reduced states, equals T_l, the column program's
       product on the l-mark states.
 
-    The two-slice bond tables compile on raw keys checked against the
-    enumerated basis, like the reduced ones.  Every column, two-slice or
+    The two-slice bond tables compile through ``_compile`` and the one-slice
+    ``_action`` on ``(blocks, ())`` keys, unmarked 2L-point states, each bond
+    moved by ``_on_right_slice``.  Every column, two-slice or
     reference, is pushed at one slot width: both programs have the same
     E bonds and ``_compile`` bounds both, so equal polynomials pack to
     equal ints and the sub-matrices are compared as packed ints.  Only the
@@ -448,9 +442,8 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     n = len(basis)
     bonds = len(strip.column_program)
     w = _slot_width(bonds, n)
-    keys = [s.blocks for s in basis]
-    action = partial(_two_slice_action, width=width)
-    program = [_compile(keys, action, op) for op in strip.column_program]
+    keys = [(s.blocks, ()) for s in basis]
+    program = [_compile(keys, _action, _on_right_slice(op, width)) for op in strip.column_program]
     cols = [_push(program, b, w) for b in range(n)]
 
     bridges = [s.bridge_count() for s in basis]

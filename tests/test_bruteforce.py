@@ -1,7 +1,10 @@
 """Exhaustive enumeration oracles: cluster sums, spin sums, duality."""
 
+import ast
 import concurrent.futures
 import dataclasses
+import inspect
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,6 +250,33 @@ def test_spin_z_budget_and_validation():
         spin_z(square_strip(3, 4), 10, 1)  # 10**12 configurations
     with pytest.raises(ValueError):
         spin_z(square_strip(1, 2), 0, 1)
+
+
+def test_spin_budget_refuses_a_huge_strip_without_the_power():
+    """q**V is never built: V = 10**12 sites are refused at once."""
+    for call in (
+        lambda: spin_z(square_strip(1, 10 ** 12), 2, 1),
+        lambda: fixed_boundary_spin_z(3, 10 ** 12, 2, 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget"):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_oracle_imports_only_lattice_and_polynomial():
+    """The oracle shares no code with the transfer engine: of the package
+    it imports only ``lattice`` and ``polynomial``."""
+    used = set()
+    for node in ast.walk(ast.parse(inspect.getsource(bruteforce))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # ``from .x import y`` names module x; ``from . import x`` names x
+            used.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pottstrip"):
+            used.add(node.module)
+        elif isinstance(node, ast.Import):
+            used.update(a.name for a in node.names if a.name.startswith("pottstrip"))
+    assert used <= {"lattice", "polynomial", "pottstrip.lattice", "pottstrip.polynomial"}
 
 
 def test_fixed_boundary_spin_z_hand_value():

@@ -31,6 +31,7 @@ from pottstrip.characters import (
     z_minimal,
     z_sector_from_characters,
 )
+from pottstrip.connectivity import count_states
 from pottstrip.lattice import square_strip
 from pottstrip.polynomial import ONE, ZERO, Q, Q0, MultiPoly, v
 from pottstrip.transfer import character_K
@@ -53,6 +54,16 @@ def test_amplitude_c_terms_sum_to_c():
         assert total == amplitude_c(l)
         assert amplitude_c_term(l, l) == Q ** l
         assert amplitude_c_term(0, l) == (-1) ** l * MultiPoly.one()
+
+
+def test_chang_shrock_sum_rule():
+    """sum_l n(L, l) * c(l) = Q^L: the amplitudes weigh the states of a
+    width-L slice up to the Q^L colourings of one column."""
+    for width in range(1, 9):
+        total = MultiPoly.zero()
+        for l in range(width + 1):
+            total = total + count_states(width, l) * amplitude_c(l)
+        assert total == Q ** width
 
 
 def test_amplitude_b_values():

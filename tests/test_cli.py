@@ -314,6 +314,19 @@ def test_verify_honours_workers(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("suite", ["all", "cyclic", "dual", "minimal"])
+def test_verify_refuses_a_huge_nmax_quickly(capsys, suite):
+    """Strips longer than the oracle's edge cap are refused up front, not
+    built and skipped one length at a time."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--Lmax", "1", "--Nmax", "1000000000000"
+    )
+    assert code == 2 and out == ""
+    assert "Nmax" in err
+    assert time.perf_counter() - start < 10
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 2
 

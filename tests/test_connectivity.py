@@ -12,8 +12,10 @@ from pottstrip.connectivity import (
     TwoSliceState,
     catalan,
     count_states,
+    detach,
     enumerate_states,
     enumerate_two_slice,
+    join,
     noncrossing_partitions,
     right_position,
 )
@@ -228,17 +230,27 @@ def test_two_slice_membership_width_six():
 
 def test_two_slice_moves_stay_in_the_basis():
     """Every right-slice join and detach of every two-slice state of width
-    <= 3 lands in the enumerated basis, and a detach completes exactly when
-    the vacated block was the detached point alone."""
+    <= 3, made by ``join`` and ``detach`` on its unmarked ``(blocks, ())``
+    key at the mirrored points, lands in the enumerated basis, and a detach
+    completes exactly when the vacated block was the detached point alone."""
     for width in (1, 2, 3):
         basis = set(enumerate_two_slice(width))
         for s in basis:
+            key = (s.blocks, ())
             for i in range(width - 1):
-                assert s.join_right(i, i + 1) in basis
+                # right points i, i+1 sit at points 2L-1-i and 2L-2-i
+                blocks, marked = join(key, right_position(width, i + 1))
+                assert marked == ()
+                assert TwoSliceState(width, blocks) in basis
             for i in range(width):
-                detached, completed = s.detach_right(i)
-                assert detached in basis
                 pos = right_position(width, i)
+                tag, target = detach(key, pos)
+                assert tag is not DetachTag.TERMINATED_MARKED
+                blocks, marked = target
+                assert marked == ()
+                detached = TwoSliceState(width, blocks)
+                assert detached in basis
+                completed = tag is DetachTag.COMPLETED_UNMARKED
                 assert completed == ((pos,) in s.blocks)
                 assert (pos,) in detached.blocks
 

@@ -282,25 +282,31 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
     the message shows the two entries unpacked as polynomials."""
     strip = square_strip(3, 1)
     basis = enumerate_two_slice(3)
-    bridges = {s.blocks: s.bridge_count() for s in basis}
-    action = transfer._two_slice_action
-    op = horizontal(1)
-    # a state whose detach branch stays among the states of its bridge count
+    bridges = {(s.blocks, ()): s.bridge_count() for s in basis}
+    action = transfer._action
+    # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
+    op = horizontal(4)
+    # a state whose detach branch stays among the states of its bridge count;
+    # its width-6 key cannot collide with the key of a width-3 reduced state
     wrong = next(
-        s.blocks
-        for s in basis
-        if len(branches := action(op, s.blocks, 3)) == 2
-        and bridges[branches[1][0]] == bridges[s.blocks]
+        key
+        for key in bridges
+        if len(branches := action(op, key)) == 2
+        and bridges[branches[1][0]] == bridges[key]
     )
 
-    def miscounted(bond, blocks, width):
-        branches = action(bond, blocks, width)
-        if bond == op and blocks == wrong:
+    def miscounted(bond, key):
+        branches = action(bond, key)
+        if bond == op and key == wrong:
             return [branches[0], (branches[1][0], transfer._Q)]
         return branches
 
-    monkeypatch.setattr(transfer, "_two_slice_action", miscounted)
+    monkeypatch.setattr(transfer, "_action", miscounted)
     report = verify_block_structure(strip)
+    # the reduced tables compile through ``_action`` too: drop those cached
+    # under the patch, though the fault cannot reach a width-3 key
+    monkeypatch.undo()
+    transfer._bond_table.cache_clear()
     assert not report.passed
     sector = bridges[wrong]
     assert [s.matches_reference for s in report.sectors] == [
