@@ -203,10 +203,11 @@ def _block_of(blocks: Blocks, point: int) -> int:
     raise ValueError(f"point {point} is in no block of {blocks}")
 
 
-def _key(raw: list[tuple[tuple[int, ...], bool]]) -> StateKey:
-    """The key of (block, marked) pairs, listed in canonical block order."""
-    raw.sort()
-    return tuple([b for b, _ in raw]), tuple([k for k, (_, m) in enumerate(raw) if m])
+def _key(blocks: list[tuple[int, ...]], marked: list[tuple[int, ...]]) -> StateKey:
+    """The key of ``blocks`` in canonical block order, the ones listed in
+    ``marked`` marked; with none marked it only sorts."""
+    blocks.sort()
+    return tuple(blocks), tuple(sorted(map(blocks.index, marked)))
 
 
 def join(key: StateKey, i: int) -> StateKey:
@@ -224,9 +225,13 @@ def join(key: StateKey, i: int) -> StateKey:
     bi, bj = _block_of(blocks, i), _block_of(blocks, i + 1)
     if bi == bj:
         return key
-    raw = [(b, k in marked) for k, b in enumerate(blocks) if k != bi and k != bj]
-    raw.append((tuple(sorted(blocks[bi] + blocks[bj])), bi in marked or bj in marked))
-    return _key(raw)
+    merged = tuple(sorted(blocks[bi] + blocks[bj]))
+    rest = [b for k, b in enumerate(blocks) if k != bi and k != bj]
+    rest.append(merged)
+    marks = [blocks[k] for k in marked if k != bi and k != bj]
+    if len(marks) < len(marked):
+        marks.append(merged)
+    return _key(rest, marks)
 
 
 def detach(key: StateKey, i: int) -> tuple[DetachTag, StateKey | None]:
@@ -245,10 +250,11 @@ def detach(key: StateKey, i: int) -> tuple[DetachTag, StateKey | None]:
         if bi in marked:
             return DetachTag.TERMINATED_MARKED, None
         return DetachTag.COMPLETED_UNMARKED, key
-    raw = [(b, k in marked) for k, b in enumerate(blocks) if k != bi]
-    raw.append((tuple(p for p in blocks[bi] if p != i), bi in marked))
-    raw.append(((i,), False))
-    return DetachTag.STILL_POPULATED, _key(raw)
+    left = tuple(p for p in blocks[bi] if p != i)
+    rest = [b for k, b in enumerate(blocks) if k != bi]
+    rest += left, (i,)
+    marks = [left if k == bi else blocks[k] for k in marked]
+    return DetachTag.STILL_POPULATED, _key(rest, marks)
 
 
 @dataclass(frozen=True)
@@ -445,13 +451,15 @@ def right_position(width: int, point: int) -> int:
 def reduced(blocks: Blocks, width: int) -> StateKey:
     """The key of :meth:`TwoSliceState.reduced` on raw two-slice blocks:
     the partition induced on the right slice, bridge blocks marked."""
-    raw = []
+    rights, bridges = [], []
     for b in blocks:
         # right point k sits at position 2L-1-k, so reversed order sorts them
         right = tuple(2 * width - 1 - p for p in reversed(b) if p >= width)
         if right:
-            raw.append((right, b[0] < width))
-    return _key(raw)
+            rights.append(right)
+            if b[0] < width:
+                bridges.append(right)
+    return _key(rights, bridges)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import inspect
+import random
 import time
 from fractions import Fraction
 
@@ -85,14 +86,15 @@ def test_histogram_cache_evicts_the_least_recently_used(monkeypatch):
     assert strips[0] in cache and strips[size] in cache
 
 
-def test_workers_are_capped_at_the_cpu_count(monkeypatch):
-    """A huge --workers value reaches the pool as the CPU count; a fake pool
-    runs the chunks in this process, so no process is started."""
-    seen = []
+def _record_pools(monkeypatch, real=False):
+    """Patch the pool class where the lazy import looks it up, and return
+    the list that each pool started appends its worker count to.  Unless
+    ``real``, the pool runs the chunks in this process and starts none."""
+    started = []
 
     class FakePool:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -103,14 +105,68 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    pool = RecordedPool if real else FakePool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return started
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    """A huge --workers value reaches the pool as the CPU count; a fake pool
+    runs the chunks in this process, so no process is started.  4x2 has
+    two columns, so its walk pools once the threshold is lowered to 2**14."""
+    seen = _record_pools(monkeypatch)
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    strip = square_strip(3, 3)
+    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 14)
+    strip = square_strip(4, 2)
     pooled = fk_histogram(strip, workers=10**6)
     assert seen == [2]
     bruteforce._HISTOGRAM_CACHE.clear()
     assert fk_histogram(strip, workers=1) == pooled
+    assert seen == [2]
+
+
+def test_pool_starts_only_for_large_unmemoised_walks(monkeypatch):
+    """With two workers, a strip of three or more columns runs its
+    memoised walk in this process whatever its size; one of one or two
+    columns pools only from 2**20 subsets.  The chunks are stubbed out, so
+    only the jobs are inspected."""
+    seen = _record_pools(monkeypatch)
+    jobs = []
+
+    def chunk(args):
+        jobs.append(args)
+        return {}
+
+    monkeypatch.setattr(bruteforce, "_histogram_chunk", chunk)
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    cases = [
+        # (width, length, pool started, period)
+        (2, 4, False, 3),  # 2**12
+        (3, 3, False, 5),  # 2**15
+        (3, 4, False, 5),  # 2**20
+        (2, 8, False, 3),  # 2**24
+        (1, 24, False, 1),  # 2**24
+        (4, 2, False, 0),  # 2**14
+        (5, 2, False, 0),  # 2**18
+        (6, 2, True, 0),  # 2**22
+        (11, 1, True, 0),  # 2**21
+        (12, 1, True, 0),  # 2**23
+        (2, 3, False, 0),  # 2**9, below the memo threshold
+    ]
+    for width, length, pools, period in cases:
+        seen.clear()
+        jobs.clear()
+        fk_histogram(square_strip(width, length), workers=2)
+        assert seen == ([2] if pools else []), (width, length)
+        assert len(jobs) == (8 if pools else 1), (width, length)
+        assert {job[-1] for job in jobs} == {period}, (width, length)
 
 
 def test_walk_matches_single_mask_classification():
@@ -152,12 +208,16 @@ def test_prefix_jobs_add_up_to_the_serial_walk():
 
 
 def test_two_worker_pool_matches_one_worker(monkeypatch):
-    """A real two-process pool on 3x3 (2**15 subsets, above the serial
-    threshold) returns the one-worker histogram."""
+    """A real two-process pool on 8x1 (one column, 2**15 subsets, with the
+    pool threshold lowered to 2**15) returns the one-worker histogram."""
+    started = _record_pools(monkeypatch, real=True)
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    strip = square_strip(3, 3)
+    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 15)
+    strip = square_strip(8, 1)
+    assert strip.edge_count == 15
     pooled = fk_histogram(strip, workers=2)
+    assert started == [2]
     bruteforce._HISTOGRAM_CACHE.clear()
     assert fk_histogram(strip, workers=1) == pooled
     assert sum(pooled.values()) == 2 ** strip.edge_count
@@ -191,12 +251,15 @@ def test_reduced_walk_matches_single_mask_classification(monkeypatch):
 
 def test_non_invariant_first_column_walks_every_pattern(monkeypatch):
     """A first column the reflection does not map onto itself (vertical(1)
-    missing) gets no mirror pairs, and the walk stays exact."""
+    missing) gets no mirror pairs, and the walk stays exact, with memo
+    points from the first column boundary on."""
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    strip = CyclicStrip(3, 3, (vertical(0), horizontal(0), horizontal(1), horizontal(2)))
-    assert strip.edge_count == 12
-    assert _mirror(strip) == ()
-    assert fk_histogram(strip) == _mask_histogram(strip)
+    program = (vertical(0), horizontal(0), horizontal(1), horizontal(2))
+    assert CyclicStrip(3, 3, program).edge_count == 12
+    for length in (3, 4):
+        strip = CyclicStrip(3, length, program)
+        assert _mirror(strip) == ()
+        assert fk_histogram(strip) == _mask_histogram(strip)
 
 
 def test_walk_visits_20_of_32_first_column_patterns():
@@ -220,13 +283,108 @@ def test_walk_visits_20_of_32_first_column_patterns():
 
 
 def test_two_worker_pool_with_mirrored_jobs(monkeypatch):
-    """A real two-process pool on 4x2, whose prefix jobs hold subtrees
-    counted twice, returns the per-mask count."""
+    """A real two-process pool on 4x2 (pool threshold lowered to 2**14),
+    whose prefix jobs hold subtrees counted twice, returns the per-mask
+    count."""
+    started = _record_pools(monkeypatch, real=True)
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 14)
     strip = square_strip(4, 2)
     assert _mirror(strip) == ((0, 2), (3, 6), (4, 5))
     assert fk_histogram(strip, workers=2) == _mask_histogram(strip)
+    assert started == [2]
+
+
+def _memoised(strip, depth=0, prefix=0, period=None):
+    """The walk with the reflection and column boundaries fk_histogram would
+    use, called directly so that the memo is on whatever the strip's size."""
+    return bruteforce._subset_histogram(
+        strip.edges(),
+        strip.vertex_count,
+        depth,
+        prefix,
+        _mirror(strip),
+        len(strip.column_program) if period is None else period,
+    )
+
+
+def test_memoised_walk_matches_single_mask_classification(monkeypatch):
+    """Walking each column-boundary frontier once still counts every
+    subset: on 2x4, 2x5, 3x3 and 1x12, and on the same strips with the
+    column program reversed, where two wrapped roots merge below a memo
+    point, the memoised walk equals the per-mask count, both called
+    directly and through fk_histogram."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    square = [square_strip(2, 4), square_strip(2, 5), square_strip(3, 3), square_strip(1, 12)]
+    reversed_program = [
+        dataclasses.replace(s, column_program=s.column_program[::-1]) for s in square
+    ]
+    for strip in square + reversed_program:
+        expected = _mask_histogram(strip)
+        assert _memoised(strip) == expected, strip
+        assert fk_histogram(strip) == expected, strip
+
+
+def test_memoised_walk_on_random_edge_lists():
+    """Edge lists of no strip, with self-loops and displacements from -1 to
+    2: roots wrap and displacements within a root vary above a memo point,
+    and live sets of one size recur at different boundaries, none of which
+    a cyclic strip shows there.  With periods 1-4 the memoised walk equals
+    the per-mask count."""
+    rng = random.Random(10)
+    for _ in range(40):
+        n_vertices = rng.randint(2, 6)
+        edges = tuple(
+            (rng.randrange(n_vertices), rng.randrange(n_vertices), rng.randint(-1, 2))
+            for _ in range(rng.randint(6, 11))
+        )
+        expected = {}
+        for mask in range(1 << len(edges)):
+            key = bruteforce._direct_stats(mask, edges, n_vertices)
+            expected[key] = expected.get(key, 0) + 1
+        for period in (1, 2, 3, 4):
+            walked = bruteforce._subset_histogram(edges, n_vertices, period=period)
+            assert walked == expected, (edges, period)
+
+
+def test_memoised_prefix_jobs_add_up_to_the_plain_walk():
+    """On 3x4, prefix jobs at depths 0-5 with memo points, with and without
+    the reflection, sum to the walk without memo points."""
+    strip = square_strip(3, 4)
+    edges = strip.edges()
+    plain = _memoised(strip, period=0)
+    assert sum(plain.values()) == 2 ** strip.edge_count
+    for mirror in ((), _mirror(strip)):
+        for depth in range(6):
+            merged = {}
+            for prefix in range(1 << depth):
+                part = bruteforce._subset_histogram(
+                    edges, strip.vertex_count, depth, prefix, mirror, 5
+                )
+                for key, c in part.items():
+                    merged[key] = merged.get(key, 0) + c
+            assert merged == plain, (mirror, depth)
+
+
+def test_memoised_histograms_equal_the_plain_walk(monkeypatch):
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    for strip in (square_strip(3, 4), square_strip(4, 3)):
+        assert fk_histogram(strip) == _memoised(strip, period=0), strip
+
+
+def test_oracle_at_the_edge_cap_is_fast_and_exact(monkeypatch):
+    """2x8 and 1x24 have E = MAX_EDGES; the memoised walk certifies the
+    character sum on both in under a second each."""
+    from pottstrip.characters import z_from_characters
+
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    for strip in (square_strip(2, 8), square_strip(1, 24)):
+        assert strip.edge_count == bruteforce.MAX_EDGES
+        start = time.perf_counter()
+        z = fk_z(strip)
+        assert time.perf_counter() - start < 1, strip
+        assert z == z_from_characters(strip).value, strip
 
 
 def test_edge_budget():
@@ -262,6 +420,14 @@ def test_spin_budget_refuses_a_huge_strip_without_the_power():
         with pytest.raises(ValueError, match="budget"):
             call()
         assert time.perf_counter() - start < 1
+
+
+def test_spin_sum_at_q_1_is_linear_in_the_bonds():
+    """At q = 1 every bond has equal ends, so Z = (1+v)**E; only the one
+    non-zero bond count is raised to its power."""
+    start = time.perf_counter()
+    assert spin_z(square_strip(1, 10 ** 5), 1, 1) == 2 ** (10 ** 5)
+    assert time.perf_counter() - start < 2
 
 
 def test_oracle_imports_only_lattice_and_polynomial():
