@@ -23,24 +23,23 @@ subset on its own takes one per bond.  Weights only depend on (n, b, j),
 so the walk accumulates an integer histogram and the polynomials are
 assembled at the end; all arithmetic is exact.
 
-When the width reflection, row -> L-1-row, maps the first column's bonds
-onto themselves, it is a symmetry of the whole strip, and a subset and its
-mirror image have the same (n, b, j).  The walk then prunes one of each
-pair of mirror-image first-column bond patterns and counts the subtree of
-the other twice.  The reflection is read off the edge list itself.
-
-On a strip of three or more columns every subset is still counted, but the
-subtree below a column boundary is walked once per frontier signature.  The
-edges from the boundary on touch only the live vertices, their endpoints,
-so every find below it starts at a live vertex, and a step changes the key
-through three things alone: whether two live vertices share a root, their
-relative displacement when the root is not wrapped, and the roots' wrapped
-flags.  A union below the boundary only sets a relative shift, so the same
-three things decide every later step too.  The signature records exactly
-these (roots by first appearance, displacements relative to the root's
-first live vertex), so two visits with one signature see the same key
-changes; the first walks the subtree and keeps its changes, and every
-later one adds them to its own key.
+The walk runs along the strip's longer side.  While the length N is at
+most the width L plus one, it takes the edges row by row (each row's N
+horizontal bonds, then its N vertical bonds to the next row), so only about
+N to 2N vertices are live at a time; otherwise it takes them column by
+column in program order, where about 2L are.  Every subset is counted, but
+the subtree below a memo point -- every N edges in row order, every column
+in column order -- is walked once per frontier signature.  The edges from
+the point on touch only the live vertices, their endpoints, so every find
+below it starts at a live vertex, and a step changes the key through three
+things alone: whether two live vertices share a root, their relative
+displacement when the root is not wrapped, and the roots' wrapped flags.
+A union below the point only sets a relative shift, so the same three
+things decide every later step too.  The signature records exactly these
+(roots by first appearance, displacements relative to the root's first
+live vertex), so two visits with one signature see the same key changes;
+the first walks the subtree and keeps its changes, and every later one
+adds them to its own key.  An edge's row is read off its vertex indices.
 
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges.
@@ -48,11 +47,10 @@ no connectivity states, no matrix products, just subsets of edges.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .lattice import VERTICAL, CyclicStrip, Edge, square_strip
 from .polynomial import MultiPoly
@@ -66,6 +64,9 @@ MAX_SPIN_CONFIGS = 10 ** 7
 
 Histogram = dict[tuple[int, int, int], int]
 
+#: an edge order of the walk: the edges and the memo period
+Order = Callable[[CyclicStrip], tuple[tuple[Edge, ...], int]]
+
 
 def _check_edge_budget(strip: CyclicStrip) -> None:
     if strip.edge_count > MAX_EDGES:
@@ -76,15 +77,9 @@ def _check_edge_budget(strip: CyclicStrip) -> None:
 
 
 def _subset_histogram(
-    edges: tuple[Edge, ...],
-    n_vertices: int,
-    depth: int = 0,
-    prefix: int = 0,
-    mirror: tuple[tuple[int, int], ...] = (),
-    period: int = 0,
+    edges: tuple[Edge, ...], n_vertices: int, period: int = 0
 ) -> Histogram:
-    """Classify the bond subsets that agree with ``prefix`` on the first
-    ``depth`` edges (bit k of ``prefix`` set: edge k is in the subset).
+    """Counts per (n, b, j) of all bond subsets of ``edges``.
 
     A depth-first walk decides the edges in order, excluded first, on one
     union-find that each include undoes on the way back.  The walk carries
@@ -93,24 +88,16 @@ def _subset_histogram(
     winding in an unwrapped root raises j by one.  A leaf adds 1 to the
     count of its key.
 
-    ``mirror`` lists the pairs (a, b), a < b, that a symmetry of the graph
-    swaps among the edges up to the last b; it fixes the other edges up to
-    there, may permute the later ones, and keeps every subset's (n, b, j).
-    Of each pattern on those first edges and its mirror image only one is
-    walked: at the first pair to be decided whose two edges differ, the
-    earlier edge must be in.  The leaves below that pair go to a second
-    block of counts, which is added twice at the end.
-
-    With ``period`` p > 0, every multiple k of p from the end of the head
-    edges to before the last edge is a column boundary.  There the walk
-    reads the frontier signature of the live vertices (the endpoints of the
-    edges from k on): each one's root in first-seen order, and its
-    displacement from the first live vertex of that root, or None when the
-    root is wrapped.  The key changes below k depend on nothing else (see
-    the module docstring), so the subtree is walked once per signature and
-    k, into a fresh list of counts sized to the changes it can make, and
-    kept as (key change, count) pairs; every visit with that signature adds
-    them to its own key.  The memo dies with the call.
+    With ``period`` p > 0, every multiple k of p before the last edge is a
+    memo point.  There the walk reads the frontier signature of the live
+    vertices (the endpoints of the edges from k on): each one's root in
+    first-seen order, and its displacement from the first live vertex of
+    that root, or None when the root is wrapped.  The key changes below k
+    depend on nothing else (see the module docstring), so the subtree is
+    walked once per signature and k, into a fresh list of counts sized to
+    the changes it can make, and kept as (key change, count) pairs; every
+    visit with that signature adds them to its own key.  The memo dies with
+    the call.
 
     >>> counts = _subset_histogram(((0, 0, 1),), 1)
     >>> sorted(counts.items())
@@ -120,34 +107,22 @@ def _subset_histogram(
     parent = list(range(n_vertices))
     shift = [0] * n_vertices
     wrapped = [False] * n_vertices
-    # key = n * n_step + b * b_step + j, with b <= E and j <= n <= V, plus
-    # size for a leaf that also stands for its mirror image
+    # key = n * n_step + b * b_step + j, with b <= E and j <= n <= V
     b_step = n_vertices + 1
     n_step = b_step * (n_edges + 1)
-    size = n_step * b_step
-    counts = [0] * (2 * size if mirror else size)
-    # the head edges are fixed by the prefix or closed by a mirror pair
-    closes = [-1] * n_edges
-    head = depth
-    for a, b in mirror:
-        closes[b] = a
-        head = max(head, b + 1)
-    taken = [False] * head
+    counts = [0] * (n_step * b_step)
     last = n_edges - 1
-    # one lookup per node picks out the head edges and the column boundaries
-    special = [k < head for k in range(n_edges)]
+    memo_point = [False] * n_edges
     live: dict[int, list[int]] = {}
     window: dict[int, tuple[int, int]] = {}
     for k in range(period, last, period) if period else ():
-        if k >= head:
-            special[k] = True
-            live[k] = sorted({x for u, w, _ in edges[k:] for x in (u, w)})
-            # below k, n drops by at most one per live vertex but the first
-            # and per edge left, b rises by at most the edges left, and j
-            # moves by at most V < b_step: every key change lies in
-            # (-base, span - base)
-            base = min(len(live[k]) - 1, n_edges - k) * n_step + b_step
-            window[k] = base, base + (n_edges - k + 1) * b_step
+        memo_point[k] = True
+        live[k] = sorted({x for u, w, _ in edges[k:] for x in (u, w)})
+        # below k, n drops by at most one per live vertex but the first and
+        # per edge left, b rises by at most the edges left, and j moves by
+        # at most V < b_step: every key change lies in (-base, span - base)
+        base = min(len(live[k]) - 1, n_edges - k) * n_step + b_step
+        window[k] = base, base + (n_edges - k + 1) * b_step
     memo: dict[tuple[int | None, ...], list[tuple[int, int]]] = {}
 
     def frontier(k: int) -> tuple[int | None, ...]:
@@ -176,9 +151,9 @@ def _subset_histogram(
             base, span = window[k]
             outer, counts = counts, [0] * span
             # walk node k itself once, without looking it up again
-            special[k] = False
+            memo_point[k] = False
             walk(k, base)
-            special[k] = True
+            memo_point[k] = True
             below = memo[signature] = [
                 (i - base, counts[i]) for i in compress(range(span), counts)
             ]
@@ -187,33 +162,10 @@ def _subset_histogram(
             counts[key + delta] += c
 
     def walk(k: int, key: int) -> None:
-        if special[k]:
-            if k >= head:
-                memoised(k, key)
-                return
-            taken[k] = False
-            skip_key = key
-            may_take = True
-            a = closes[k]
-            if a >= 0 and key < size:  # the pattern is its own mirror so far
-                if taken[a]:
-                    skip_key += size
-                else:
-                    may_take = False
-            if k < depth:
-                if prefix >> k & 1:
-                    skip_key = -1
-                else:
-                    may_take = False
-            if skip_key >= 0:
-                if k == last:
-                    counts[skip_key] += 1
-                else:
-                    walk(k + 1, skip_key)
-            if not may_take:
-                return
-            taken[k] = True
-        elif k == last:
+        if memo_point[k]:
+            memoised(k, key)
+            return
+        if k == last:
             counts[key] += 1
         else:
             walk(k + 1, key)
@@ -254,8 +206,6 @@ def _subset_histogram(
         walk(0, n_vertices * n_step)
     else:
         counts[n_vertices * n_step] = 1
-    if mirror:
-        counts = [c + 2 * twice for c, twice in zip(counts, counts[size:])]
     return {
         (key // n_step, key % n_step // b_step, key % b_step): c
         for key, c in enumerate(counts)
@@ -263,35 +213,30 @@ def _subset_histogram(
     }
 
 
-def _histogram_chunk(args) -> Histogram:
-    return _subset_histogram(*args)
-
-
-def _first_column_mirror(
-    width: int, first: tuple[Edge, ...]
-) -> tuple[tuple[int, int], ...]:
-    """The pairs (a, b), a < b, of first-column edges ``first`` that the
-    width reflection, row -> width-1-row in every column, swaps; () unless
-    it maps them onto themselves, displacement-0 edges as unordered pairs
-    and displacement-1 edges with their direction.
-
-    Every column repeats the first one's program, so the reflection is
-    then a symmetry of the whole strip that keeps each subset's (n, b, j).
+def _rows(strip: CyclicStrip) -> tuple[tuple[Edge, ...], int]:
+    """The edges row by row, each row's horizontal bonds before its
+    vertical ones (a vertical bond belongs to its lower row), in the order
+    of ``strip.edges()`` within each run; and the memo period, the length.
     """
-    slots: dict[Edge, list[int]] = {}
-    for k, (u, w, d) in enumerate(first):
-        slots.setdefault((u, w, d) if d or u < w else (w, u, d), []).append(k)
-    pairs = []
-    for k, (u, w, d) in enumerate(first):
-        u += width - 1 - 2 * (u % width)
-        w += width - 1 - 2 * (w % width)
-        free = slots.get((u, w, d) if d or u < w else (w, u, d))
-        if not free:
-            return ()
-        image = free.pop(0)
-        if k < image:
-            pairs.append((k, image))
-    return tuple(pairs)
+    width = strip.width
+
+    def run(edge: Edge) -> tuple[int, bool]:
+        a, b = edge[0] % width, edge[1] % width
+        return min(a, b), a != b
+
+    return tuple(sorted(strip.edges(), key=run)), strip.length
+
+
+def _columns(strip: CyclicStrip) -> tuple[tuple[Edge, ...], int]:
+    """The edges column by column in program order, and the memo period,
+    the length of the column program."""
+    return strip.edges(), len(strip.column_program)
+
+
+def _order(strip: CyclicStrip) -> Order:
+    """The edge order of the walk: along the strip's longer side, so that
+    the frontier stays the shorter one.  Rows while length <= width + 1."""
+    return _rows if strip.length <= strip.width + 1 else _columns
 
 
 #: histograms kept, in order of last use; the least recently used is
@@ -299,68 +244,22 @@ def _first_column_mirror(
 _HISTOGRAM_CACHE_SIZE = 16
 _HISTOGRAM_CACHE: dict[CyclicStrip, Histogram] = {}
 
-#: a walk over fewer subsets takes a few milliseconds; it runs whole, in
-#: this process: on 2x1 to 4x1 the reflection's bookkeeping cost more than
-#: it saved.
-_SMALL_WALK = 1 << 12
 
-#: a walk without column boundaries to memoise at (one or two columns)
-#: runs in a process pool only from this many subsets on.  On two cores,
-#: fresh process per run, medians of 8 alternating runs, serial -> two
-#: workers: 2^18 (5x2) 0.085 -> 0.101 s, 2^19 (10x1) 0.174 -> 0.177 s,
-#: 2^21 (11x1) 0.70 -> 0.47 s, 2^22 (6x2) 1.44 -> 0.85 s.
-_POOL_WALK = 1 << 20
-
-#: prefix jobs per pool worker, so that an uneven split of the subtrees
-#: leaves no worker idle for long.
-_JOBS_PER_WORKER = 4
-
-
-def fk_histogram(strip: CyclicStrip, workers: int = 1) -> Histogram:
+def fk_histogram(strip: CyclicStrip, _ignored: object = None, /) -> Histogram:
     """Counts of bond subsets per (clusters, bonds, winding clusters).
 
-    From 2**12 subsets on, when the width reflection maps the strip onto
-    itself, the walk covers one first-column bond pattern of each mirror
-    pair and counts it twice; and on a strip of three or more columns it
-    walks the subtree below each column boundary once per frontier
-    signature.  That memoised walk runs in this process for any
-    ``workers``.
-
-    A strip of one or two columns has no boundary worth memoising at.  From
-    2**20 subsets on, with workers > 1 (at most one per CPU), its walk is
-    split by fixing the choices on the first d edges: the 2**d prefix jobs,
-    a few per worker, run in separate processes and each walks the subsets
-    below its prefix.  The merge is a plain sum per key, so the result is
-    identical for every worker count.
+    One memoised walk in this process, in the order ``_order`` picks.  A
+    second positional argument is accepted and ignored: perfbench's traced
+    job still passes the worker count of the process pool this walk no
+    longer needs.
     """
     cached = _HISTOGRAM_CACHE.pop(strip, None)
     if cached is not None:
         _HISTOGRAM_CACHE[strip] = cached
         return cached
     _check_edge_budget(strip)
-    edges = strip.edges()
-    workers = min(workers, os.cpu_count() or 1)
-    mirror = ()
-    depth = 0
-    period = 0
-    if 1 << strip.edge_count >= _SMALL_WALK:
-        mirror = _first_column_mirror(strip.width, edges[: len(strip.column_program)])
-        if strip.length >= 3:
-            period = len(strip.column_program)
-        elif workers > 1 and 1 << strip.edge_count >= _POOL_WALK:
-            depth = min((_JOBS_PER_WORKER * workers - 1).bit_length(), strip.edge_count)
-    jobs = [(edges, strip.vertex_count, depth, p, mirror, period) for p in range(1 << depth)]
-    if depth:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_histogram_chunk, jobs))
-    else:
-        parts = list(map(_histogram_chunk, jobs))
-    counts = parts[0]
-    for part in parts[1:]:
-        for key, c in part.items():
-            counts[key] = counts.get(key, 0) + c
+    edges, period = _order(strip)(strip)
+    counts = _subset_histogram(edges, strip.vertex_count, period)
     _HISTOGRAM_CACHE[strip] = counts
     if len(_HISTOGRAM_CACHE) > _HISTOGRAM_CACHE_SIZE:
         del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]
@@ -393,7 +292,7 @@ class NtcSpectrum:
         return out
 
 
-def fk_spectrum(strip: CyclicStrip, workers: int = 1) -> NtcSpectrum:
+def fk_spectrum(strip: CyclicStrip) -> NtcSpectrum:
     """Partition function split by number of winding clusters.
 
     >>> sectors = fk_spectrum(square_strip(1, 2))
@@ -401,7 +300,7 @@ def fk_spectrum(strip: CyclicStrip, workers: int = 1) -> NtcSpectrum:
     Q^2 + 2*Q*v
     Q*v^2
     """
-    counts = fk_histogram(strip, workers=workers)
+    counts = fk_histogram(strip)
     sectors: list[dict] = [dict() for _ in range(strip.width + 1)]
     for (n, b, j), c in counts.items():
         key = (n, b, 0)
@@ -409,12 +308,12 @@ def fk_spectrum(strip: CyclicStrip, workers: int = 1) -> NtcSpectrum:
     return NtcSpectrum(strip.width, tuple(MultiPoly(s) for s in sectors))
 
 
-def fk_z(strip: CyclicStrip, workers: int = 1) -> MultiPoly:
+def fk_z(strip: CyclicStrip) -> MultiPoly:
     """The full cluster-expansion partition function."""
-    return fk_spectrum(strip, workers=workers).total()
+    return fk_spectrum(strip).total()
 
 
-def dual_boundary_z(strip: CyclicStrip, workers: int = 1) -> MultiPoly:
+def dual_boundary_z(strip: CyclicStrip) -> MultiPoly:
     """Cluster expansion where one winding cluster is weighted Q0 instead
     of Q: configurations with j >= 1 winding clusters get Q0 * Q**(n-1) *
     v**b, configurations with none keep Q**n * v**b.
@@ -422,7 +321,7 @@ def dual_boundary_z(strip: CyclicStrip, workers: int = 1) -> MultiPoly:
     >>> print(dual_boundary_z(square_strip(1, 2)))
     Q^2 + 2*Q*v + v^2*Q0
     """
-    counts = fk_histogram(strip, workers=workers)
+    counts = fk_histogram(strip)
     terms: dict = {}
     for (n, b, j), c in counts.items():
         if j >= 1:
@@ -623,11 +522,11 @@ def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
     return n, b, j
 
 
-def duality_witness_check(strip: CyclicStrip, workers: int = 1) -> bool:
+def duality_witness_check(strip: CyclicStrip) -> bool:
     """True iff every configuration's weight identity holds *and* the
     aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked
     with its denominators cleared, with Zdual the plain cluster expansion of
-    the dual graph.  ``workers`` goes to the ``fk_z`` enumeration.
+    the dual graph.
     """
     E = strip.edge_count
     F = strip.face_count
@@ -640,7 +539,7 @@ def duality_witness_check(strip: CyclicStrip, workers: int = 1) -> bool:
         key = (w.dual_ntc + w.dual_trivial + db, E - db, 0)
         aggregate[key] = aggregate.get(key, 0) + 1
     lhs = MultiPoly(aggregate)  # = Q**(F-1) * v**E * Zdual(Q/v)
-    rhs = fk_z(strip, workers=workers)
+    rhs = fk_z(strip)
     qpow = MultiPoly.monomial(1, (F - 1, 0, 0))
     return lhs == qpow * rhs
 

@@ -62,9 +62,10 @@ class CyclicStrip:
 
     Vertices are indexed ``row + width * column``.  The same column program
     is applied for every column, so the transfer matrix is a fixed product
-    of elementary operators and the bond list below enumerates exactly the
-    bonds that product encodes -- the cluster expansion and the transfer
-    route therefore weigh identical edge sets.
+    of elementary operators.  ``edges()`` places each bond where that
+    product acts: a ``vertical(i)`` between ``horizontal(i)`` and
+    ``horizontal(i+1)`` in the program joins site (i, t+1) to (i+1, t), so
+    the cluster expansion and the transfer route weigh identical edge sets.
     """
 
     width: int
@@ -99,14 +100,29 @@ class CyclicStrip:
         return row + self.width * (column % self.length)
 
     def edges(self) -> tuple[Edge, ...]:
-        """All bonds, column by column in program order."""
+        """All bonds, column by column in program order.
+
+        Row i stands at column c_i, which each ``horizontal(i)`` advances
+        by one; ``vertical(i)`` joins the current sites of rows i and i+1,
+        with displacement c_(i+1) - c_i.  For the square program every
+        vertical bond of pass t lies in column t.
+
+        >>> program = (vertical(0), horizontal(0), vertical(0), horizontal(1))
+        >>> CyclicStrip(2, 2, program).edges()[:4]
+        ((0, 1, 0), (0, 2, 1), (2, 1, -1), (1, 3, 1))
+        """
         out: list[Edge] = []
-        for t in range(self.length):
+        column = [0] * self.width
+        for _ in range(self.length):
             for op in self.column_program:
+                i = op.site
+                c = column[i]
                 if op.kind == VERTICAL:
-                    out.append((self.vertex(op.site, t), self.vertex(op.site + 1, t), 0))
+                    d = column[i + 1] - c
+                    out.append((self.vertex(i, c), self.vertex(i + 1, c + d), d))
                 else:
-                    out.append((self.vertex(op.site, t), self.vertex(op.site, t + 1), 1))
+                    out.append((self.vertex(i, c), self.vertex(i, c + 1), 1))
+                    column[i] += 1
         return tuple(out)
 
     def __str__(self) -> str:

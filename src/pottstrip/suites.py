@@ -89,11 +89,11 @@ def block_structure_checks(l_max: int) -> list[CheckResult]:
     return out
 
 
-def cyclic_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult]:
+def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = []
     for strip in _strips(l_max, n_max, l_cap=3):
         name = str(strip)
-        spectrum = bruteforce.fk_spectrum(strip, workers=workers)
+        spectrum = bruteforce.fk_spectrum(strip)
         out.append(
             _poly_check(
                 f"z-decomposition[{name}]",
@@ -201,14 +201,14 @@ def amplitude_checks(l_limit: int = 8) -> list[CheckResult]:
     return out
 
 
-def minimal_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult]:
+def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = amplitude_checks()
     for strip in _strips(l_max, n_max, l_cap=3, n_min=2):
         if strip.width < 2:
             continue
         name = str(strip)
-        z = bruteforce.fk_z(strip, workers=workers)
-        z1 = bruteforce.fk_spectrum(strip, workers=workers)[0]
+        z = bruteforce.fk_z(strip)
+        z1 = bruteforce.fk_spectrum(strip)[0]
         for p in (4, 6):
             q = characters.BerahaParam.from_p(p).q_value
             out.append(
@@ -229,11 +229,11 @@ def minimal_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult
     return out
 
 
-def dual_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult]:
+def dual_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = []
     for strip in _strips(l_max, n_max, l_cap=2, n_min=2):
         name = str(strip)
-        ok = bruteforce.duality_witness_check(strip, workers=workers)
+        ok = bruteforce.duality_witness_check(strip)
         out.append(CheckResult(f"duality-witness[{name}]", ok,
                                "" if ok else "a configuration's dual weight disagrees"))
         decomposition = characters.dual_boundary_decomposition(strip).value
@@ -241,21 +241,21 @@ def dual_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult]:
             _poly_check(
                 f"dual-decomposition[{name}]",
                 decomposition,
-                bruteforce.dual_boundary_z(strip, workers=workers),
+                bruteforce.dual_boundary_z(strip),
             )
         )
         out.append(
             _poly_check(
                 f"dual-limit-Q0=Q[{name}]",
                 decomposition.subs_poly("Q0", MultiPoly.variable("Q")),
-                bruteforce.fk_z(strip, workers=workers),
+                bruteforce.fk_z(strip),
             )
         )
         out.append(
             _poly_check(
                 f"dual-limit-Q0=0[{name}]",
                 decomposition.subs_poly("Q0", 0),
-                bruteforce.fk_spectrum(strip, workers=workers)[0],
+                bruteforce.fk_spectrum(strip)[0],
             )
         )
     # fixed-boundary strips of width 3 (inner strip width 2)
@@ -288,11 +288,8 @@ def dual_checks(l_max: int, n_max: int, workers: int = 1) -> list[CheckResult]:
     return out
 
 
-def run_suite(
-    name: str, l_max: int = 3, n_max: int = 3, workers: int = 1
-) -> list[CheckResult]:
-    """The checks of suite ``name``; ``workers`` is passed to every oracle
-    enumeration and does not change any result."""
+def run_suite(name: str, l_max: int = 3, n_max: int = 3) -> list[CheckResult]:
+    """The checks of suite ``name``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if l_max < 1 or n_max < 1:
@@ -305,9 +302,9 @@ def run_suite(
         out.extend(dimension_checks(l_max))
         out.extend(block_structure_checks(l_max))
     if name in ("all", "cyclic"):
-        out.extend(cyclic_checks(l_max, n_max, workers))
+        out.extend(cyclic_checks(l_max, n_max))
     if name in ("all", "minimal"):
-        out.extend(minimal_checks(l_max, n_max, workers))
+        out.extend(minimal_checks(l_max, n_max))
     if name in ("all", "dual"):
-        out.extend(dual_checks(l_max, n_max, workers))
+        out.extend(dual_checks(l_max, n_max))
     return out

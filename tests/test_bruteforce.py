@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import dataclasses
+import hashlib
 import inspect
 import random
 import time
@@ -62,10 +63,11 @@ def test_top_sector_is_all_horizontal():
 
 
 def test_histogram_is_cached_and_worker_independent():
+    """One walk per strip; a second positional argument, the worker count
+    perfbench's traced job still passes, is ignored."""
     strip = square_strip(2, 3)
     assert fk_histogram(strip) is fk_histogram(strip)
-    assert fk_histogram(strip, workers=1) == fk_histogram(strip, workers=2)
-    assert fk_z(strip, workers=2) == fk_z(strip, workers=1)
+    assert fk_histogram(strip, 2) is fk_histogram(strip)
 
 
 def test_histogram_cache_evicts_the_least_recently_used(monkeypatch):
@@ -77,7 +79,7 @@ def test_histogram_cache_evicts_the_least_recently_used(monkeypatch):
     )[: size + 1]
     for strip in strips[:size]:
         fk_histogram(strip)
-    first = fk_histogram(strips[0], workers=2)  # a hit, whatever the workers
+    first = fk_histogram(strips[0])  # a hit
     assert first is bruteforce._HISTOGRAM_CACHE[strips[0]]
     fk_histogram(strips[size])
     cache = bruteforce._HISTOGRAM_CACHE
@@ -86,87 +88,14 @@ def test_histogram_cache_evicts_the_least_recently_used(monkeypatch):
     assert strips[0] in cache and strips[size] in cache
 
 
-def _record_pools(monkeypatch, real=False):
-    """Patch the pool class where the lazy import looks it up, and return
-    the list that each pool started appends its worker count to.  Unless
-    ``real``, the pool runs the chunks in this process and starts none."""
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    pool = RecordedPool if real else FakePool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    return started
-
-
-def test_workers_are_capped_at_the_cpu_count(monkeypatch):
-    """A huge --workers value reaches the pool as the CPU count; a fake pool
-    runs the chunks in this process, so no process is started.  4x2 has
-    two columns, so its walk pools once the threshold is lowered to 2**14."""
-    seen = _record_pools(monkeypatch)
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 14)
-    strip = square_strip(4, 2)
-    pooled = fk_histogram(strip, workers=10**6)
-    assert seen == [2]
-    bruteforce._HISTOGRAM_CACHE.clear()
-    assert fk_histogram(strip, workers=1) == pooled
-    assert seen == [2]
-
-
-def test_pool_starts_only_for_large_unmemoised_walks(monkeypatch):
-    """With two workers, a strip of three or more columns runs its
-    memoised walk in this process whatever its size; one of one or two
-    columns pools only from 2**20 subsets.  The chunks are stubbed out, so
-    only the jobs are inspected."""
-    seen = _record_pools(monkeypatch)
-    jobs = []
-
-    def chunk(args):
-        jobs.append(args)
-        return {}
-
-    monkeypatch.setattr(bruteforce, "_histogram_chunk", chunk)
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    cases = [
-        # (width, length, pool started, period)
-        (2, 4, False, 3),  # 2**12
-        (3, 3, False, 5),  # 2**15
-        (3, 4, False, 5),  # 2**20
-        (2, 8, False, 3),  # 2**24
-        (1, 24, False, 1),  # 2**24
-        (4, 2, False, 0),  # 2**14
-        (5, 2, False, 0),  # 2**18
-        (6, 2, True, 0),  # 2**22
-        (11, 1, True, 0),  # 2**21
-        (12, 1, True, 0),  # 2**23
-        (2, 3, False, 0),  # 2**9, below the memo threshold
-    ]
-    for width, length, pools, period in cases:
-        seen.clear()
-        jobs.clear()
-        fk_histogram(square_strip(width, length), workers=2)
-        assert seen == ([2] if pools else []), (width, length)
-        assert len(jobs) == (8 if pools else 1), (width, length)
-        assert {job[-1] for job in jobs} == {period}, (width, length)
+def _mask_histogram(strip):
+    """Counts per (n, b, j) from the plain union-find run on each mask alone."""
+    edges = strip.edges()
+    expected = {}
+    for mask in range(1 << strip.edge_count):
+        key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
+        expected[key] = expected.get(key, 0) + 1
+    return expected
 
 
 def test_walk_matches_single_mask_classification():
@@ -185,145 +114,184 @@ def test_walk_matches_single_mask_classification():
         for s in square
     ]
     for strip in square + reversed_program:
-        edges = strip.edges()
-        expected = {}
-        for mask in range(1 << strip.edge_count):
-            key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
-            expected[key] = expected.get(key, 0) + 1
-        assert fk_histogram(strip) == expected, strip
-
-
-def test_prefix_jobs_add_up_to_the_serial_walk():
-    strip = square_strip(3, 3)
-    edges = strip.edges()
-    serial = bruteforce._subset_histogram(edges, strip.vertex_count)
-    assert sum(serial.values()) == 2 ** strip.edge_count
-    for depth in range(5):
-        merged = {}
-        for prefix in range(1 << depth):
-            part = bruteforce._subset_histogram(edges, strip.vertex_count, depth, prefix)
-            for key, c in part.items():
-                merged[key] = merged.get(key, 0) + c
-        assert merged == serial, depth
-
-
-def test_two_worker_pool_matches_one_worker(monkeypatch):
-    """A real two-process pool on 8x1 (one column, 2**15 subsets, with the
-    pool threshold lowered to 2**15) returns the one-worker histogram."""
-    started = _record_pools(monkeypatch, real=True)
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 15)
-    strip = square_strip(8, 1)
-    assert strip.edge_count == 15
-    pooled = fk_histogram(strip, workers=2)
-    assert started == [2]
-    bruteforce._HISTOGRAM_CACHE.clear()
-    assert fk_histogram(strip, workers=1) == pooled
-    assert sum(pooled.values()) == 2 ** strip.edge_count
-
-
-def _mask_histogram(strip):
-    """Counts per (n, b, j) from the plain union-find run on each mask alone."""
-    edges = strip.edges()
-    expected = {}
-    for mask in range(1 << strip.edge_count):
-        key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
-        expected[key] = expected.get(key, 0) + 1
-    return expected
-
-
-def _mirror(strip):
-    return bruteforce._first_column_mirror(
-        strip.width, strip.edges()[: len(strip.column_program)]
-    )
-
-
-def test_reduced_walk_matches_single_mask_classification(monkeypatch):
-    """On 3x3 and 2x5 (E = 15) the walk covers one first-column pattern of
-    each mirror pair, and still equals the per-mask count."""
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    assert _mirror(square_strip(3, 3)) == ((0, 1), (2, 4))
-    assert _mirror(square_strip(2, 5)) == ((1, 2),)
-    for strip in (square_strip(3, 3), square_strip(2, 5)):
         assert fk_histogram(strip) == _mask_histogram(strip), strip
 
 
+def _walk(strip, order):
+    """The memoised walk of ``strip`` in ``order`` (``bruteforce._rows`` or
+    ``bruteforce._columns``), whichever order fk_histogram would pick."""
+    edges, period = order(strip)
+    return bruteforce._subset_histogram(edges, strip.vertex_count, period)
+
+
+def _digest(histogram):
+    return hashlib.sha256(repr(sorted(histogram.items())).encode()).hexdigest()
+
+
+#: sha256 of the sorted histogram items of the square strips with
+#: 20 < E <= 24, each recorded from the walk in the order the rule leaves
+#: out there, which takes 1-10 s per strip.
+OTHER_ORDER_DIGESTS = {
+    (1, 21): "eb57335ce7ff70bc51df11fc498fb1d3d887bc1f16c1b32002d4983ab5f3fd90",
+    (1, 22): "5f174fadf1825fc82c772dd8a6ffb1178e0f764861376383a7f74db7c264c3f4",
+    (1, 23): "001f636c6f4b2e20b10511f271b631c553b17f8eac2c5609a83a61c09842e1f4",
+    (1, 24): "afe6d9a0eed3ba2ff18e0bd2acda5f1a032ed1897bb40fb5253ec8bff306e9fc",
+    (2, 7): "b952de4c2f4de612edaaf129ec6d26868230a4875aca74e4fa7a4383369eea5c",
+    (2, 8): "5bdebcf3429704447dcaff700cdaa37ad9b1d16cc0c500a12b0284795f366561",
+    (4, 3): "02639fd40a3f1300b71daf8ea3ac2e22e0901450173c189644914bdd8d51fb23",
+    (6, 2): "19aeaf4ceaab148d6bb2c7be977171eea04f1bc88374734bbdbb1e117358f2d0",
+    (11, 1): "3fd0de6123422d78f93f3d37e2e2d7b724f0d9ff64928f6ae76343369de88b2b",
+    (12, 1): "0f89fe6cbeea24c9e104e8084ac52983cd6dfcff5b3e09351e13898b34143407",
+}
+
+
+def test_both_walk_orders_agree(monkeypatch):
+    """On every square strip with E <= 24, with its column program as is
+    and reversed, the row-major and the column-major memoised walk give the
+    histogram of fk_histogram, which test_walk_matches_single_mask_classification
+    holds to the per-mask count where E <= 12.  Above E = 20 the order that
+    fk_histogram does not pick is a digest recorded from it."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strips = [
+        strip
+        for strip in (square_strip(w, n) for w in range(1, 13) for n in range(1, 25))
+        if strip.edge_count <= bruteforce.MAX_EDGES
+    ]
+    assert len(strips) == 49
+    assert set(OTHER_ORDER_DIGESTS) == {
+        (s.width, s.length) for s in strips if s.edge_count > 20
+    }
+    for square in strips:
+        reversed_program = square.column_program[::-1]
+        for strip in (square, dataclasses.replace(square, column_program=reversed_program)):
+            walked = fk_histogram(strip)
+            if strip.edge_count > 20:
+                assert _digest(walked) == OTHER_ORDER_DIGESTS[strip.width, strip.length]
+            else:
+                for order in (bruteforce._rows, bruteforce._columns):
+                    assert _walk(strip, order) == walked, (strip, order)
+
+
+def test_walk_order_follows_the_strip_shape():
+    """Rows while the length is at most the width plus one, with a memo
+    point every N edges; columns otherwise, with one every column."""
+    for width, length in ((3, 4), (4, 3), (6, 2), (12, 1)):
+        assert bruteforce._order(square_strip(width, length)) is bruteforce._rows
+    for width, length in ((2, 4), (2, 8), (1, 24)):
+        assert bruteforce._order(square_strip(width, length)) is bruteforce._columns
+    strip = square_strip(3, 2)
+    assert bruteforce._rows(strip) == (
+        (
+            (0, 3, 1), (3, 0, 1), (0, 1, 0), (3, 4, 0),  # row 0
+            (1, 4, 1), (4, 1, 1), (1, 2, 0), (4, 5, 0),  # row 1
+            (2, 5, 1), (5, 2, 1),  # row 2
+        ),
+        2,
+    )
+    assert bruteforce._columns(strip) == (strip.edges(), 5)
+
+
 def test_non_invariant_first_column_walks_every_pattern(monkeypatch):
-    """A first column the reflection does not map onto itself (vertical(1)
-    missing) gets no mirror pairs, and the walk stays exact, with memo
-    points from the first column boundary on."""
+    """A column program the reflection does not map onto itself
+    (vertical(1) missing): both orders stay exact, with memo points from
+    the first boundary on."""
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
     program = (vertical(0), horizontal(0), horizontal(1), horizontal(2))
     assert CyclicStrip(3, 3, program).edge_count == 12
     for length in (3, 4):
         strip = CyclicStrip(3, length, program)
-        assert _mirror(strip) == ()
-        assert fk_histogram(strip) == _mask_histogram(strip)
-
-
-def test_walk_visits_20_of_32_first_column_patterns():
-    """On 3x4 the reflection swaps v0 with v1 and h0 with h2: 8 of the 32
-    first-column patterns are their own mirror image and 12 pairs are
-    walked once, so 12 prefix jobs are pruned to nothing."""
-    strip = square_strip(3, 4)
-    edges = strip.edges()
-    mirror = _mirror(strip)
-    parts = [
-        bruteforce._subset_histogram(edges, strip.vertex_count, 5, p, mirror)
-        for p in range(32)
-    ]
-    assert sum(1 for part in parts if part) == 20
-    merged = {}
-    for part in parts:
-        for key, c in part.items():
-            merged[key] = merged.get(key, 0) + c
-    assert sum(merged.values()) == 2 ** strip.edge_count
-    assert merged == fk_histogram(strip)
-
-
-def test_two_worker_pool_with_mirrored_jobs(monkeypatch):
-    """A real two-process pool on 4x2 (pool threshold lowered to 2**14),
-    whose prefix jobs hold subtrees counted twice, returns the per-mask
-    count."""
-    started = _record_pools(monkeypatch, real=True)
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    monkeypatch.setattr(bruteforce, "_POOL_WALK", 1 << 14)
-    strip = square_strip(4, 2)
-    assert _mirror(strip) == ((0, 2), (3, 6), (4, 5))
-    assert fk_histogram(strip, workers=2) == _mask_histogram(strip)
-    assert started == [2]
-
-
-def _memoised(strip, depth=0, prefix=0, period=None):
-    """The walk with the reflection and column boundaries fk_histogram would
-    use, called directly so that the memo is on whatever the strip's size."""
-    return bruteforce._subset_histogram(
-        strip.edges(),
-        strip.vertex_count,
-        depth,
-        prefix,
-        _mirror(strip),
-        len(strip.column_program) if period is None else period,
-    )
+        expected = _mask_histogram(strip)
+        assert fk_histogram(strip) == expected
+        for order in (bruteforce._rows, bruteforce._columns):
+            assert _walk(strip, order) == expected, order
 
 
 def test_memoised_walk_matches_single_mask_classification(monkeypatch):
-    """Walking each column-boundary frontier once still counts every
-    subset: on 2x4, 2x5, 3x3 and 1x12, and on the same strips with the
-    column program reversed, where two wrapped roots merge below a memo
-    point, the memoised walk equals the per-mask count, both called
-    directly and through fk_histogram."""
+    """Above E = 12: on 3x3, 2x5, 4x2 and 8x1 (E = 14-15) with the column
+    program reversed, where two wrapped roots merge below a memo point,
+    both memoised orders equal the per-mask count."""
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    square = [square_strip(2, 4), square_strip(2, 5), square_strip(3, 3), square_strip(1, 12)]
-    reversed_program = [
-        dataclasses.replace(s, column_program=s.column_program[::-1]) for s in square
-    ]
-    for strip in square + reversed_program:
+    for square in (square_strip(3, 3), square_strip(2, 5), square_strip(4, 2), square_strip(8, 1)):
+        strip = dataclasses.replace(square, column_program=square.column_program[::-1])
         expected = _mask_histogram(strip)
-        assert _memoised(strip) == expected, strip
+        for order in (bruteforce._rows, bruteforce._columns):
+            assert _walk(strip, order) == expected, (strip, order)
+
+
+def test_reduced_walk_matches_single_mask_classification(monkeypatch):
+    """3x3 and 2x5 (E = 15), whose first column the reflection
+    i -> L-1-i maps onto itself, are walked in full, with no pattern left
+    out for its mirror image: fk_histogram and both orders equal the
+    per-mask count."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    for strip in (square_strip(3, 3), square_strip(2, 5)):
+        expected = _mask_histogram(strip)
         assert fk_histogram(strip) == expected, strip
+        for order in (bruteforce._rows, bruteforce._columns):
+            assert _walk(strip, order) == expected, (strip, order)
+
+
+def _no_pool(monkeypatch):
+    """Make starting a process pool fail."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_two_worker_pool_matches_one_worker(monkeypatch):
+    """8x1 (one column, 2**15 subsets) asked for with two workers starts no
+    process pool and returns the one-worker histogram, the per-mask count."""
+    _no_pool(monkeypatch)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(8, 1)
+    assert strip.edge_count == 15
+    two = fk_histogram(strip, 2)
+    bruteforce._HISTOGRAM_CACHE.clear()
+    assert fk_histogram(strip) == two
+    assert sum(two.values()) == 2 ** strip.edge_count
+    assert two == _mask_histogram(strip)
+
+
+def test_two_worker_pool_with_mirrored_jobs(monkeypatch):
+    """4x2 (2**14 subsets), whose first column the reflection maps onto
+    itself, asked for with two workers starts no process pool and returns
+    the per-mask count."""
+    _no_pool(monkeypatch)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(4, 2)
+    assert fk_histogram(strip, 2) == _mask_histogram(strip)
+
+
+def test_walk_visits_20_of_32_first_column_patterns(monkeypatch):
+    """On 3x4 the reflection i -> L-1-i swaps v0 with v1 and h0 with h2: 8
+    of the 32 first-column patterns are their own mirror image and 12 pairs
+    are not, so 20 of the 32 would do.  The walk visits all 32, and walking
+    the reflected edge list gives the same histogram."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strip = square_strip(3, 4)
+    width, period = strip.width, len(strip.column_program)
+    assert period == 5
+
+    def reflect(vertex):
+        column, row = divmod(vertex, width)
+        return column * width + width - 1 - row
+
+    edges = strip.edges()
+    reflected = tuple((reflect(a), reflect(b), d) for a, b, d in edges)
+    first = [frozenset(e[:2]) for e in edges[:period]]
+    image = [first.index(frozenset(e[:2])) for e in reflected[:period]]
+    assert sorted(image) == list(range(period))
+    images = {
+        p: sum(1 << image[k] for k in range(period) if p >> k & 1)
+        for p in range(1 << period)
+    }
+    assert sum(1 for p, q in images.items() if p == q) == 8
+    assert len({min(p, q) for p, q in images.items()}) == 20
+    walked = bruteforce._subset_histogram(reflected, strip.vertex_count, period)
+    assert sum(walked.values()) == 2 ** strip.edge_count
+    assert walked == fk_histogram(strip)
 
 
 def test_memoised_walk_on_random_edge_lists():
@@ -348,43 +316,62 @@ def test_memoised_walk_on_random_edge_lists():
             assert walked == expected, (edges, period)
 
 
+def test_prefix_jobs_add_up_to_the_serial_walk():
+    """On 3x3, the serial walk without memo points counts all 2**E subsets,
+    and the walk with a memo point every 1-5 edges, in either order,
+    equals it."""
+    strip = square_strip(3, 3)
+    serial = bruteforce._subset_histogram(strip.edges(), strip.vertex_count)
+    assert sum(serial.values()) == 2 ** strip.edge_count
+    for order in (bruteforce._rows, bruteforce._columns):
+        edges, _ = order(strip)
+        for period in range(1, 6):
+            walked = bruteforce._subset_histogram(edges, strip.vertex_count, period)
+            assert walked == serial, (order, period)
+
+
 def test_memoised_prefix_jobs_add_up_to_the_plain_walk():
-    """On 3x4, prefix jobs at depths 0-5 with memo points, with and without
-    the reflection, sum to the walk without memo points."""
+    """On 3x4, the column-major walk with a memo point every 1-5 edges, and
+    the row-major one with one every N edges, equal the walk without memo
+    points, which counts all 2**E subsets."""
     strip = square_strip(3, 4)
     edges = strip.edges()
-    plain = _memoised(strip, period=0)
+    plain = bruteforce._subset_histogram(edges, strip.vertex_count)
     assert sum(plain.values()) == 2 ** strip.edge_count
-    for mirror in ((), _mirror(strip)):
-        for depth in range(6):
-            merged = {}
-            for prefix in range(1 << depth):
-                part = bruteforce._subset_histogram(
-                    edges, strip.vertex_count, depth, prefix, mirror, 5
-                )
-                for key, c in part.items():
-                    merged[key] = merged.get(key, 0) + c
-            assert merged == plain, (mirror, depth)
+    for period in range(1, 6):
+        memoised = bruteforce._subset_histogram(edges, strip.vertex_count, period)
+        assert memoised == plain, period
+    assert _walk(strip, bruteforce._rows) == plain
 
 
 def test_memoised_histograms_equal_the_plain_walk(monkeypatch):
+    """On 4x3, fk_histogram equals the walk without memo points, which
+    counts all 2**E subsets."""
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    for strip in (square_strip(3, 4), square_strip(4, 3)):
-        assert fk_histogram(strip) == _memoised(strip, period=0), strip
+    strip = square_strip(4, 3)
+    plain = bruteforce._subset_histogram(strip.edges(), strip.vertex_count)
+    assert sum(plain.values()) == 2 ** strip.edge_count
+    assert fk_histogram(strip) == plain
 
 
 def test_oracle_at_the_edge_cap_is_fast_and_exact(monkeypatch):
-    """2x8 and 1x24 have E = MAX_EDGES; the memoised walk certifies the
-    character sum on both in under a second each."""
+    """2x8 and 1x24 have E = MAX_EDGES, 12x1 and 6x2 E = 23 and 22; the
+    memoised walk takes under a second on each.  Its partition function
+    equals the character sum, or on 12x1, whose 208012 states the engine
+    refuses, the spin sums at Q = 2."""
     from pottstrip.characters import z_from_characters
 
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    for strip in (square_strip(2, 8), square_strip(1, 24)):
-        assert strip.edge_count == bruteforce.MAX_EDGES
+    for strip in (square_strip(2, 8), square_strip(1, 24), square_strip(12, 1), square_strip(6, 2)):
+        assert strip.edge_count >= bruteforce.MAX_EDGES - 2
         start = time.perf_counter()
         z = fk_z(strip)
         assert time.perf_counter() - start < 1, strip
-        assert z == z_from_characters(strip).value, strip
+        if strip.width < 12:
+            assert z == z_from_characters(strip).value, strip
+        else:
+            for vv in (Fraction(1), Fraction(-1, 3)):
+                assert spin_z(strip, 2, vv) == z.evaluate({"Q": 2, "v": vv, "Q0": 0})
 
 
 def test_edge_budget():

@@ -32,7 +32,7 @@ from pottstrip.characters import (
     z_sector_from_characters,
 )
 from pottstrip.connectivity import count_states
-from pottstrip.lattice import square_strip
+from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import ONE, ZERO, Q, Q0, MultiPoly, v
 from pottstrip.transfer import character_K
 
@@ -127,6 +127,27 @@ def test_sector_decomposition_matches_oracle():
             assert got == spectrum[j]
     with pytest.raises(ValueError):
         z_sector_from_characters(STRIPS[0], 5)
+
+
+#: column programs with a vertical(i) between horizontal(i) and
+#: horizontal(i+1), which the engine reads as a bond from row i's next site
+#: to row i+1's current one.
+INTERLEAVED = [
+    (2, (vertical(0), horizontal(0), vertical(0), horizontal(1))),
+    (3, (vertical(0), vertical(1), horizontal(0), vertical(0), horizontal(1), vertical(1),
+         horizontal(2))),
+    (3, (horizontal(0), vertical(0), horizontal(1), vertical(1), horizontal(2), vertical(0))),
+]
+
+
+@pytest.mark.parametrize("width, program", INTERLEAVED)
+def test_interleaved_programs_match_the_oracle_in_every_sector(width, program):
+    for length in (1, 2, 3):
+        strip = CyclicStrip(width, length, program)
+        spectrum = fk_spectrum(strip)
+        for j in range(width + 1):
+            got = z_sector_from_characters(strip, j).value
+            assert got == spectrum[j], (length, j)
 
 
 def test_character_inversion_round_trip():

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -288,32 +289,6 @@ def test_verify_json(capsys):
     assert all(check["ok"] for check in payload["checks"])
 
 
-def test_verify_honours_workers(capsys, monkeypatch):
-    """--workers reaches every oracle enumeration of verify, through a real
-    pool, and the bytes are those of one worker."""
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 2)
-    seen = set()
-    histogram = bruteforce.fk_histogram
-
-    def spy(strip, workers=1):
-        seen.add(workers)
-        return histogram(strip, workers)
-
-    monkeypatch.setattr(bruteforce, "fk_histogram", spy)
-    argv = ["verify", "--suite", "all", "--Lmax", "3", "--Nmax", "4", "--format", "json"]
-    outputs = {}
-    for workers in ("2", "1"):
-        monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-        code, outputs[workers], _ = run_cli(capsys, *argv, "--workers", workers)
-        assert code == 0
-        assert seen == {int(workers)}
-        seen.clear()
-    assert outputs["2"] == outputs["1"]
-    assert hashlib.sha256(outputs["1"].encode()).hexdigest() == (
-        "a856873281246a3f755efc327a9aac795e995528e7e2259cc5538b321f1c6e7d"
-    )
-
-
 @pytest.mark.parametrize("suite", ["all", "cyclic", "dual", "minimal"])
 def test_verify_refuses_a_huge_nmax_quickly(capsys, suite):
     """Strips longer than the oracle's edge cap are refused up front, not
@@ -353,6 +328,36 @@ def test_blockcheck_bytes_are_unchanged(capsys, lattice, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BLOCKCHECK_DIGESTS[lattice, fmt]
 
 
+def test_verify_honours_workers(capsys, monkeypatch):
+    """--workers is accepted by verify and reaches no oracle enumeration:
+    fk_histogram gets the strip alone, no process pool is started, and the
+    bytes are those of one worker."""
+    seen = set()
+    histogram = bruteforce.fk_histogram
+
+    def spy(*args):
+        seen.add(len(args))
+        return histogram(*args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(bruteforce, "fk_histogram", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    argv = ["verify", "--suite", "all", "--Lmax", "3", "--Nmax", "4", "--format", "json"]
+    outputs = {}
+    for workers in ("2", "1"):
+        monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+        code, outputs[workers], _ = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 0
+        assert seen == {1}
+        seen.clear()
+    assert outputs["2"] == outputs["1"]
+    assert hashlib.sha256(outputs["1"].encode()).hexdigest() == (
+        "a856873281246a3f755efc327a9aac795e995528e7e2259cc5538b321f1c6e7d"
+    )
+
+
 def test_output_is_deterministic_across_workers(capsys):
     argv = ["oracle", "--lattice", "square:2x2", "--count-ntc",
             "--format", "csv"]
@@ -360,6 +365,29 @@ def test_output_is_deterministic_across_workers(capsys):
     second = run_cli(capsys, *argv, "--workers", "2")
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+
+
+def test_oracle_starts_no_process_for_any_workers(capsys, monkeypatch):
+    """A million workers start no process: with the process pool made to
+    fail, 12x1 (2**23 subsets) still gives the one-worker bytes, recorded
+    while the walk of one column still ran column by column."""
+    argv = ["oracle", "--lattice", "square:12x1", "--count-ntc", "--dual",
+            "--format", "json"]
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    code, one, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    code, many, _ = run_cli(capsys, *argv, "--workers", "1000000")
+    assert code == 0
+    assert many == one
+    assert hashlib.sha256(one.encode()).hexdigest() == (
+        "c255873675e35f4ab57cea3d6f3a8342f5a1363e4035893ebb7c37733c615457"
+    )
 
 
 def test_module_entry_point():

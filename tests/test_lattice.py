@@ -50,6 +50,23 @@ def test_edges_wrap_the_periodic_direction():
     assert (0, 1, 0) in verticals
 
 
+def test_square_vertical_bonds_stay_in_their_column():
+    """In the square program every vertical bond comes before the
+    horizontal ones, so pass t of the program lies in column t."""
+    for width in range(1, 7):
+        for length in range(1, 6):
+            strip = square_strip(width, length)
+            expected = []
+            for t in range(length):
+                expected += [
+                    (strip.vertex(i, t), strip.vertex(i + 1, t), 0) for i in range(width - 1)
+                ]
+                expected += [
+                    (strip.vertex(i, t), strip.vertex(i, t + 1), 1) for i in range(width)
+                ]
+            assert strip.edges() == tuple(expected), strip
+
+
 def test_length_one_strip_has_self_loops():
     strip = square_strip(2, 1)
     loops = [(u, w, d) for (u, w, d) in strip.edges() if u == w]
