@@ -1,6 +1,7 @@
 """Exact cluster transfer matrices for the Q-state Potts model on cyclic strips.
 
-The package computes, in exact rational arithmetic throughout:
+The package computes, in exact integer arithmetic (rationals only where a
+value is one, such as a spin sum at rational v):
 
 * connectivity states (non-crossing partitions with marked blocks) and the
   transfer matrices the strip's bonds induce on them;

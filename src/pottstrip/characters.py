@@ -39,7 +39,6 @@ library and CLI callers alike; the K(m) themselves are cached in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb
 
 from .bruteforce import NtcSpectrum, fk_spectrum
@@ -93,13 +92,13 @@ class BerahaParam:
     """A supported Beraha point: integer p with Q = (2 cos(pi/p))**2 rational.
 
     >>> BerahaParam.from_p(4).q_value
-    Fraction(2, 1)
+    2
     """
 
     p: int
-    q_value: Fraction
+    q_value: int
 
-    _SUPPORTED = {2: Fraction(0), 3: Fraction(1), 4: Fraction(2), 6: Fraction(3)}
+    _SUPPORTED = {2: 0, 3: 1, 4: 2, 6: 3}
 
     @classmethod
     def from_p(cls, p: int) -> "BerahaParam":
@@ -290,8 +289,8 @@ def _fixed_boundary(
     width: int, length: int, beraha: BerahaParam | None
 ) -> DecompositionResult:
     """Z_ff from the b(l)|_{Q0=1} character sum of the width-(L-1) strip:
-    the sum at the dual weight, divided exactly by Q**(E+2-F) or, at a
-    Beraha point, times that Q's power F-2-E, and times (1+v)**(2N)."""
+    the sum at the dual weight, divided exactly by Q**(E+2-F) (at a Beraha
+    point, by that integer power of Q's value), times (1+v)**(2N)."""
     inner = square_strip(width - 1, length)
     target = f"zff[{width}x{length}]"
     if beraha is None:
@@ -306,8 +305,13 @@ def _fixed_boundary(
     if beraha is None:
         dual_sum = dual_sum.quotient_by_monomial((edges + 2 - inner.face_count, 0, 0))
     else:
-        q = beraha.q_value
-        dual_sum = dual_sum.subs_poly("Q", q) * q ** (inner.face_count - 2 - edges)
+        # Z_ff at an integer Q has integer coefficients and (1+v)**(2N) is
+        # primitive, so by Gauss's lemma a remainder here is an upstream bug.
+        d = beraha.q_value ** (edges + 2 - inner.face_count)
+        dual_sum = dual_sum.subs_poly("Q", beraha.q_value)
+        if any(c % d for _, c in dual_sum.terms()):
+            raise ValueError(f"{dual_sum} is not divisible by {d}")
+        dual_sum = MultiPoly({m: c // d for m, c in dual_sum.terms()})
     value = (ONE + v) ** (2 * length) * dual_sum
     return replace(result, strip=square_strip(width, length), value=value)
 

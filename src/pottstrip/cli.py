@@ -5,7 +5,8 @@ All numeric output is exact (integer/rational strings, never floats), and
 for fixed flags the output is byte identical across runs and worker counts.
 
 Exit codes: 0 success, 1 identity-check failure (the first failing
-polynomial difference is printed), 2 usage error.
+polynomial difference is printed), 2 usage error, 141 stdout closed early
+(a broken pipe, as in ``pottstrip verify | head -1``; 128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -381,7 +383,14 @@ def main(argv=None) -> int:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

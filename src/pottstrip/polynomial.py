@@ -3,8 +3,9 @@
 Everything this package computes -- transfer-matrix entries, partition
 functions, amplitudes, duality prefactors -- is a sparse polynomial in the
 cluster weight Q, the bond weight v and the boundary cluster weight Q0, with
-arbitrary-precision rational coefficients.  No floats appear anywhere, so
-every identity can be asserted with zero tolerance.
+arbitrary-precision ``int`` coefficients; a ``Fraction`` enters only with a
+rational value a caller passes in.  No floats appear anywhere, so every
+identity can be asserted with zero tolerance.
 
 A monomial is an exponent triple ``(deg_Q, deg_v, deg_Q0)``; monomials are
 ordered lexicographically on that triple, and a polynomial's terms are
@@ -21,8 +22,6 @@ VARIABLES = ("Q", "v", "Q0")
 Monomial = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-
 
 def _var_index(name: str) -> int:
     try:
@@ -32,7 +31,7 @@ def _var_index(name: str) -> int:
 
 
 class MultiPoly:
-    """A sparse polynomial in (Q, v, Q0) over the rationals.
+    """A sparse polynomial in (Q, v, Q0) with integer (or rational) coefficients.
 
     Instances are immutable; arithmetic returns new objects and never keeps a
     zero coefficient, so two polynomials are equal iff their term dicts are.
@@ -47,10 +46,10 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is int else Fraction(coeff)
                 if not c:
                     continue
                 dq, dv, dq0 = mono
@@ -72,7 +71,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -82,7 +81,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, coeff: Scalar, mono: Monomial) -> "MultiPoly":
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     # ------------------------------------------------------------------
     # inspection
@@ -91,18 +90,18 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Yield (monomial, coefficient) pairs in decreasing monomial order."""
         for mono in sorted(self._terms, reverse=True):
             yield mono, self._terms[mono]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), _ZERO)
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self._terms.get(tuple(mono), 0)
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _scaled(self, c: Fraction) -> "MultiPoly":
+    def _scaled(self, c: Scalar) -> "MultiPoly":
         if not c:
             return MultiPoly()
         return MultiPoly({m: k * c for m, k in self._terms.items()})
@@ -121,7 +120,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for m, c in q._terms.items():
-            s = out.get(m, _ZERO) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
@@ -133,7 +132,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return self._scaled(Fraction(-1))
+        return self._scaled(-1)
 
     def __sub__(self, other) -> "MultiPoly":
         q = self._coerce(other)
@@ -151,11 +150,11 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in q._terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = out.get(m, _ZERO) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -203,31 +202,25 @@ class MultiPoly:
             else:
                 if any(m[i] > 0 for m in self._terms):
                     raise ValueError(f"no value assigned to variable {name!r}")
-                vals.append(_ZERO)
+                vals.append(0)
         total = Fraction(0)
         for m, c in self._terms.items():
             total += c * vals[0] ** m[0] * vals[1] ** m[1] * vals[2] ** m[2]
         return total
 
     def subs_poly(self, name: str, value: "MultiPoly | Scalar") -> "MultiPoly":
-        """Substitute a polynomial (or constant) for a variable."""
+        """Substitute a polynomial (or constant) for a variable, by Horner's
+        rule over its exponents e: out = out * value + (the terms with e)."""
         val = self._coerce(value)
         if val is None:
             raise TypeError("subs_poly needs a MultiPoly or rational constant")
         i = _var_index(name)
-        out = MultiPoly.zero()
-        powers: dict[int, MultiPoly] = {0: MultiPoly.one()}
-
-        def power(e: int) -> MultiPoly:
-            if e not in powers:
-                powers[e] = power(e - 1) * val
-            return powers[e]
-
+        groups: dict[int, dict[Monomial, Scalar]] = {}
         for m, c in self._terms.items():
-            rest = list(m)
-            e = rest[i]
-            rest[i] = 0
-            out = out + MultiPoly.monomial(c, tuple(rest)) * power(e)
+            groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+        out = MultiPoly.zero()
+        for e in range(max(groups, default=0), -1, -1):
+            out = out * val + MultiPoly(groups.get(e))
         return out
 
     def quotient_by_monomial(self, mono: Monomial) -> "MultiPoly":
@@ -238,7 +231,7 @@ class MultiPoly:
         not, i.e. an upstream bug -- so it raises rather than truncating.
         """
         dq, dv, dq0 = mono
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m, c in self._terms.items():
             if m[0] < dq or m[1] < dv or m[2] < dq0:
                 raise ValueError(
@@ -274,7 +267,7 @@ class MultiPoly:
     def from_json_obj(cls, data) -> "MultiPoly":
         if not isinstance(data, list):
             raise ValueError("polynomial encoding must be a list of term objects")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for item in data:
             if not isinstance(item, dict):
                 raise ValueError("each term must be an object")
@@ -285,7 +278,7 @@ class MultiPoly:
                 raise ValueError(f"malformed polynomial term {item!r}") from exc
             if mono in terms:
                 raise ValueError(f"duplicate monomial {mono}")
-            terms[mono] = coeff
+            terms[mono] = coeff if coeff.denominator > 1 else coeff.numerator
         return cls(terms)
 
     # ------------------------------------------------------------------

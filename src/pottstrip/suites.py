@@ -159,8 +159,8 @@ def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
 
 
 _C_SIGNS = {
-    Fraction(2): [1, 1, -1, -1],
-    Fraction(3): [1, 2, 1, -1, -2, -1],
+    2: [1, 1, -1, -1],
+    3: [1, 2, 1, -1, -2, -1],
 }
 
 

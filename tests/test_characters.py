@@ -261,6 +261,46 @@ def test_fixed_boundary_rejects_a_negative_power_of_q(monkeypatch):
         characters._at_dual_weight(v ** 7, 6)
 
 
+def test_fixed_boundary_minimal_rejects_a_remainder(monkeypatch):
+    # The same sum of 1 maps to v^6 at the dual weight; at p = 4 it must be
+    # divided by 2^4 = Q^(E+2-F) at Q = 2, which leaves a remainder.
+    monkeypatch.setattr(
+        characters, "character_K", lambda strip, l: ONE if l == 0 else ZERO
+    )
+    with pytest.raises(ValueError, match="not divisible"):
+        z_fixed_boundary_minimal(3, 2, 4)
+
+
+@pytest.mark.parametrize("width,length", [(3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize("p", [4, 6])
+def test_fixed_boundary_minimal_is_z_ff_at_the_beraha_point(width, length, p):
+    q = BerahaParam.from_p(p).q_value
+    value = z_fixed_boundary_minimal(width, length, p).value
+    assert value == z_fixed_boundary(width, length).value.subs_poly("Q", q)
+    for vv in (2, Fraction(1, 2)):
+        assert value.evaluate({"v": vv}) == fixed_boundary_spin_z(width, length, q, vv)
+
+
+def test_every_computed_coefficient_is_an_int():
+    strip = square_strip(2, 3)
+    values = [character_K(strip, l) for l in range(strip.width + 1)]
+    values += [*fk_spectrum(strip).sectors, dual_boundary_z(strip)]
+    results = [
+        z_from_characters(strip),
+        dual_boundary_decomposition(strip),
+        z_fixed_boundary(3, 2),
+        *(z_minimal(strip, p) for p in (3, 4, 6)),
+        *(z_fixed_boundary_minimal(3, 2, p) for p in (4, 6)),
+    ]
+    values += [r.value for r in results]
+    for poly in values:
+        assert {type(c) for _, c in poly.terms()} == {int}, poly
+    for r in results:
+        for _, amplitude, character in r.terms:
+            for _, c in [*amplitude.terms(), *character.terms()]:
+                assert type(c) is int, r.target
+
+
 def test_fixed_boundary_minimal_terms():
     result4 = z_fixed_boundary_minimal(3, 2, 4)
     value4, terms4 = result4.value, result4.terms

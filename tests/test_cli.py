@@ -410,3 +410,18 @@ def test_module_entry_point_usage_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # `pottstrip verify | head -1`: the reader is gone before the first
+    # write, which must not read as an identity-check failure (exit 1)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pottstrip", "verify", "--suite", "cyclic"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Exception ignored" not in err

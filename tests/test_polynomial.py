@@ -108,6 +108,36 @@ def test_substitution():
     assert p.subs_poly("Q", Q + 1) == (Q + 1) ** 2 * v + Q0
 
 
+variables = st.sampled_from(["Q", "v", "Q0"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), variables, st.integers(min_value=-5, max_value=5), points)
+def test_substituting_a_constant_agrees_with_evaluation(p, name, c, point):
+    assert p.subs_poly(name, c).evaluate(point) == p.evaluate({**point, name: c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), variables, polys(), points)
+def test_substituting_a_polynomial_agrees_with_evaluation(p, name, value, point):
+    at = {**point, name: value.evaluate(point)}
+    assert p.subs_poly(name, value).evaluate(point) == p.evaluate(at)
+
+
+def test_integer_coefficients_stay_int():
+    p = (2 * Q - v) ** 3 - 1
+    data = [
+        {"Q": 0, "v": 0, "Q0": 0, "coeff": "4"},
+        {"Q": 1, "v": 0, "Q0": 0, "coeff": "1/2"},
+    ]
+    for poly in (p, -p, p.subs_poly("Q", 3), MultiPoly.from_json_obj(p.to_json_obj())):
+        assert {type(c) for _, c in poly.terms()} == {int}
+    assert type(ZERO.coefficient((0, 0, 0))) is int
+    parsed = MultiPoly.from_json_obj(data)
+    assert type(parsed.coefficient((0, 0, 0))) is int
+    assert parsed.coefficient((1, 0, 0)) == Fraction(1, 2)
+
+
 def test_quotient_by_monomial():
     p = Q ** 2 * v + Q * v ** 2
     assert p.quotient_by_monomial((1, 1, 0)) == Q + v
