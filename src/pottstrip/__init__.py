@@ -25,9 +25,7 @@ from .polynomial import (
 )
 from .connectivity import (
     ConnectivityState,
-    DetachOutcome,
     DetachTag,
-    TwoSliceState,
     catalan,
     count_states,
     enumerate_states,
@@ -91,8 +89,6 @@ __all__ = [
     "ONE",
     "VARIABLES",
     "ConnectivityState",
-    "TwoSliceState",
-    "DetachOutcome",
     "DetachTag",
     "catalan",
     "count_states",

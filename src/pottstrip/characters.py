@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
+from typing import Callable, Iterable
 
 from .bruteforce import NtcSpectrum, fk_spectrum
 from .connectivity import count_states
@@ -145,24 +146,26 @@ def _minimal_marks(width: int, l: int, p: int) -> list[tuple[int, int]]:
 def _character_sum(
     target: str,
     strip: CyclicStrip,
-    amplitudes: list[tuple[int, MultiPoly]],
+    ls: Iterable[int],
+    amplitude: Callable[[int], MultiPoly],
     beraha: BerahaParam | None = None,
 ) -> DecompositionResult:
-    """sum amplitude * K(l) over the (l, amplitude) pairs; with ``beraha``,
-    sum amplitude * chi(l) with Q at its Beraha value in both factors.
+    """sum amplitude(l) * K(l) over ``ls``; with ``beraha``, sum
+    amplitude(l) * chi(l) with Q at its Beraha value in both factors.
 
     Every K(m) the sum reads passes ``check_character_budget`` first, so a
-    strip over the caps is refused before any state is built.
+    strip over the caps is refused before any state or amplitude is built.
     """
     reads = [
-        [(l, 1)] if beraha is None else _minimal_marks(strip.width, l, beraha.p)
-        for l, _ in amplitudes
+        (l, [(l, 1)] if beraha is None else _minimal_marks(strip.width, l, beraha.p))
+        for l in ls
     ]
-    for m in sorted({m for marks in reads for m, _ in marks}):
+    for m in sorted({m for _, marks in reads for m, _ in marks}):
         check_character_budget(strip, m)
     terms = []
     total = MultiPoly.zero()
-    for (l, amp), marks in zip(amplitudes, reads):
+    for l, marks in reads:
+        amp = amplitude(l)
         character = MultiPoly.zero()
         for m, sign in marks:
             k = character_K(strip, m)
@@ -186,16 +189,16 @@ def _minimal_range(beraha: BerahaParam) -> range:
 
 def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
     """Z as the amplitude-weighted character sum over l = 0..L."""
-    amplitudes = [(l, amplitude_c(l)) for l in range(strip.width + 1)]
-    return _character_sum("z", strip, amplitudes)
+    return _character_sum("z", strip, range(strip.width + 1), amplitude_c)
 
 
 def z_sector_from_characters(strip: CyclicStrip, j: int) -> DecompositionResult:
     """The j-winding sector Z_(2j+1) as a character sum over l = j..L."""
     if not 0 <= j <= strip.width:
         raise ValueError(f"sector {j} outside range(0, {strip.width + 1})")
-    amplitudes = [(l, amplitude_c_term(j, l)) for l in range(j, strip.width + 1)]
-    return _character_sum(f"z2j[{j}]", strip, amplitudes)
+    return _character_sum(
+        f"z2j[{j}]", strip, range(j, strip.width + 1), lambda l: amplitude_c_term(j, l)
+    )
 
 
 def _sector_sum(strip: CyclicStrip, l: int, coeff, spectrum: NtcSpectrum | None) -> MultiPoly:
@@ -246,15 +249,14 @@ def minimal_character(strip: CyclicStrip, l: int, p: int | BerahaParam) -> Multi
     beraha = _beraha(p)
     if not 0 <= l <= beraha.p - 2:
         raise ValueError(f"minimal characters need 0 <= l <= p-2, got l={l}, p={beraha.p}")
-    return _character_sum(f"chi[{l}]@p={beraha.p}", strip, [(l, ONE)], beraha).value
+    return _character_sum(f"chi[{l}]@p={beraha.p}", strip, [l], lambda _: ONE, beraha).value
 
 
 def z_minimal(strip: CyclicStrip, p: int | BerahaParam) -> DecompositionResult:
     """Z at a Beraha point as a finite sum of minimal characters:
     Z = sum_{l=0}^{floor((p-2)/2)} c(l)|_Q  chi(l)."""
     beraha = _beraha(p)
-    amplitudes = [(l, amplitude_c(l)) for l in _minimal_range(beraha)]
-    return _character_sum(f"z@p={beraha.p}", strip, amplitudes, beraha)
+    return _character_sum(f"z@p={beraha.p}", strip, _minimal_range(beraha), amplitude_c, beraha)
 
 
 def z1_minimal_alternating(strip: CyclicStrip, p: int | BerahaParam) -> MultiPoly:
@@ -263,8 +265,13 @@ def z1_minimal_alternating(strip: CyclicStrip, p: int | BerahaParam) -> MultiPol
     beraha = _beraha(p)
     if beraha.p % 2:
         raise ValueError("the alternating minimal-character form needs even p")
-    amplitudes = [(l, MultiPoly.constant((-1) ** l)) for l in _minimal_range(beraha)]
-    return _character_sum(f"z1@p={beraha.p}", strip, amplitudes, beraha).value
+    return _character_sum(
+        f"z1@p={beraha.p}",
+        strip,
+        _minimal_range(beraha),
+        lambda l: MultiPoly.constant((-1) ** l),
+        beraha,
+    ).value
 
 
 def dual_boundary_decomposition(strip: CyclicStrip) -> DecompositionResult:
@@ -274,8 +281,7 @@ def dual_boundary_decomposition(strip: CyclicStrip) -> DecompositionResult:
     Specializations: Q0 = Q gives back Z; Q0 = 0 leaves the zero-winding
     sector Z_1.
     """
-    amplitudes = [(l, amplitude_b(l)) for l in range(strip.width + 1)]
-    return _character_sum("dual", strip, amplitudes)
+    return _character_sum("dual", strip, range(strip.width + 1), amplitude_b)
 
 
 def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
@@ -298,8 +304,9 @@ def _fixed_boundary(
     else:
         marks = _minimal_range(beraha)
         target += f"@p={beraha.p}"
-    amplitudes = [(l, amplitude_b(l).subs_poly("Q0", 1)) for l in marks]
-    result = _character_sum(target, inner, amplitudes, beraha)
+    result = _character_sum(
+        target, inner, marks, lambda l: amplitude_b(l).subs_poly("Q0", 1), beraha
+    )
     edges = inner.edge_count
     dual_sum = _at_dual_weight(result.value, edges)
     if beraha is None:

@@ -12,16 +12,17 @@ span may carry a mark.
 This module provides
 
 * :class:`ConnectivityState` -- a non-crossing partition with marked blocks,
-  the basis element of the reduced transfer matrices;
-* :class:`TwoSliceState` -- a non-crossing partition of the 2L points of two
-  slices, the basis of the full (untruncated) transfer matrix, on which the
-  block structure of the reduced matrices is verified;
+  the basis element of the reduced transfer matrices, validated on
+  construction;
 * the bond moves ``join`` and ``detach`` on the raw ``(blocks, marked)``
   key of a state: the one implementation of each move, which the transfer
-  engine compiles without building states and the class's methods wrap
-  with validation.  A two-slice state is moved by the same functions: its
-  ``(blocks, ())`` key is an unmarked state of 2L points, on which right
-  point k sits at point 2L-1-k (:func:`right_position`);
+  engine compiles without building states;
+* two-slice states, the basis of the full (untruncated) transfer matrix on
+  which the block structure of the reduced matrices is verified.  A
+  non-crossing partition of the 2L points of two slices is an unmarked
+  state of 2L points, on which right point k sits at point 2L-1-k
+  (:func:`right_position`); plain functions read its bridges, its left
+  profile and its reduction to the right slice;
 * enumeration in a canonical order, plus the ballot-number count
 
       count_states(L, l) = C(2L, L-l) - C(2L, L-l-1)
@@ -180,18 +181,6 @@ class DetachTag(Enum):
     TERMINATED_MARKED = "terminated-marked"
 
 
-@dataclass(frozen=True)
-class DetachOutcome:
-    """Result of detaching a point: a tag, and the state when one remains.
-
-    ``state`` is None exactly for TERMINATED_MARKED, where the transition is
-    dropped from the fixed-mark transfer block because the mark count fell.
-    """
-
-    tag: DetachTag
-    state: "ConnectivityState | None"
-
-
 #: The raw key of a connectivity state: its ``(blocks, marked)`` pair.
 StateKey = tuple[Blocks, tuple[int, ...]]
 
@@ -215,8 +204,8 @@ def join(key: StateKey, i: int) -> StateKey:
 
     The merged block is marked if either constituent was, so merging two
     marked blocks lowers the mark count by one.  Returns ``key`` itself when
-    both points already share a block.  Arguments are not validated; see
-    :meth:`ConnectivityState.join`.
+    both points already share a block.  Arguments are not validated: pass a
+    valid key and 0 <= i < width - 1, and the result is again a valid key.
 
     >>> join((((0,), (1,), (2,)), (0, 1)), 0)
     (((0, 1), (2,)), (0,))
@@ -236,10 +225,14 @@ def join(key: StateKey, i: int) -> StateKey:
 
 def detach(key: StateKey, i: int) -> tuple[DetachTag, StateKey | None]:
     """Remove point i of a raw state key from its block and re-insert it as
-    a fresh singleton: (tag, key), with the tags of
-    :meth:`ConnectivityState.detach`.  The key is ``key`` itself for
-    COMPLETED_UNMARKED and None for TERMINATED_MARKED.  Arguments are not
-    validated.
+    a fresh singleton: (tag, key).
+
+    The tag records the fate of the old block: STILL_POPULATED if points
+    remain in it (it keeps its mark), COMPLETED_UNMARKED if an unmarked
+    block was vacated (the finished cluster earns a weight Q upstream; the
+    key is ``key`` itself), TERMINATED_MARKED if a marked block was vacated
+    (the key is None; fixed-mark transfer blocks drop the transition).
+    Arguments are not validated.
 
     >>> detach((((0, 1),), (0,)), 0)
     (<DetachTag.STILL_POPULATED: 'still-populated'>, (((0,), (1,)), (1,)))
@@ -263,13 +256,15 @@ class ConnectivityState:
 
     ``blocks`` lists each block as a sorted tuple, blocks ordered by their
     smallest point; ``marked`` holds the indices (into ``blocks``) of the
-    marked blocks, in increasing order.
+    marked blocks, in increasing order.  The bond moves act on its
+    :attr:`key`; the constructor validates what they return.
 
     >>> s = ConnectivityState(3, ((0, 1), (2,)), (0,))
     >>> s.render()
     '(12•)(3)'
-    >>> s.detach(0).tag.value
-    'still-populated'
+    >>> tag, key = detach(s.key, 0)
+    >>> tag.value, ConnectivityState(3, *key).render()
+    ('still-populated', '(1)(2•)(3)')
     """
 
     width: int
@@ -280,6 +275,8 @@ class ConnectivityState:
         if self.width < 1:
             raise ValueError("width must be >= 1")
         _validate_partition(self.blocks, self.width)
+        if not self.marked:
+            return
         if tuple(sorted(set(self.marked))) != self.marked:
             raise ValueError("marked indices must be strictly increasing")
         unnested = set(_unnested(self.blocks))
@@ -291,8 +288,6 @@ class ConnectivityState:
                     f"block {self.blocks[i]} is nested and cannot be marked"
                 )
 
-    # ------------------------------------------------------------------
-
     @property
     def key(self) -> StateKey:
         """The raw ``(blocks, marked)`` key the bond moves act on."""
@@ -302,104 +297,22 @@ class ConnectivityState:
     def mark_count(self) -> int:
         return len(self.marked)
 
-    def block_index_of(self, point: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if point in b:
-                return i
-        raise ValueError(f"point {point} outside range(0, {self.width})")
-
-    # ------------------------------------------------------------------
-    # transfer moves
-
-    def join(self, i: int, j: int) -> "ConnectivityState":
-        """Merge the blocks of two *adjacent* points (|i - j| must be 1).
-
-        The merged block is marked if either constituent was; merging two
-        marked blocks therefore lowers the mark count by one.  Non-adjacent
-        joins are rejected: they are never produced by a strip bond and can
-        break planarity.
-
-        >>> a = ConnectivityState(2, ((0,), (1,)))
-        >>> a.join(0, 1).render()
-        '(12)'
-        """
-        if j < i:
-            i, j = j, i
-        if j != i + 1:
-            raise ValueError(f"join requires adjacent points, got {i} and {j}")
-        if i < 0 or j >= self.width:
-            raise ValueError(f"points {i}, {j} outside range(0, {self.width})")
-        key = self.key
-        target = join(key, i)
-        if target is key:
-            return self
-        return ConnectivityState(self.width, *target)
-
-    def detach(self, i: int) -> DetachOutcome:
-        """Remove point i from its block and re-insert it as a fresh singleton.
-
-        The tag records the fate of the old block: STILL_POPULATED if points
-        remain in it (it keeps its mark), COMPLETED_UNMARKED if an unmarked
-        block was vacated (the finished cluster earns a weight Q upstream),
-        TERMINATED_MARKED if a marked block was vacated (no resulting state;
-        fixed-mark transfer blocks drop the transition).
-        """
-        if not 0 <= i < self.width:
-            raise ValueError(f"point {i} outside range(0, {self.width})")
-        tag, target = detach(self.key, i)
-        if tag is DetachTag.STILL_POPULATED:
-            return DetachOutcome(tag, ConnectivityState(self.width, *target))
-        return DetachOutcome(tag, None if target is None else self)
-
-    # ------------------------------------------------------------------
-    # canonical encoding
-
     def code(self) -> bytes:
         """Injective byte encoding; lexicographic order on codes is the
-        canonical state order used by all enumerations."""
+        canonical state order used by all enumerations.
+
+        The width, then each point's block index, then one mark flag per
+        block.  Blocks are ordered by their smallest point, so the block
+        indices form a restricted growth string.
+        """
         if self.width > 0xFF:
             raise ValueError("width too large to encode")
-        rgs = bytearray()
-        index_by_first: dict[int, int] = {}
-        order: list[int] = []
-        for p in range(self.width):
-            b = self.block_index_of(p)
-            if b not in index_by_first:
-                index_by_first[b] = len(order)
-                order.append(b)
-            rgs.append(index_by_first[b])
-        flags = bytes(1 if b in self.marked else 0 for b in order)
-        return bytes([self.width]) + bytes(rgs) + flags
-
-    @classmethod
-    def from_code(cls, code: bytes) -> "ConnectivityState":
-        """Inverse of :meth:`code`; raises ValueError on malformed input."""
-        if len(code) < 2:
-            raise ValueError("code too short")
-        width = code[0]
-        if width < 1:
-            raise ValueError("width must be >= 1")
-        rgs = code[1 : 1 + width]
-        if len(rgs) != width:
-            raise ValueError("truncated code")
-        blocks_raw: list[list[int]] = []
-        for p, b in enumerate(rgs):
-            if b > len(blocks_raw):
-                raise ValueError("malformed growth string")
-            if b == len(blocks_raw):
-                blocks_raw.append([])
-            blocks_raw[b].append(p)
-        flags = code[1 + width :]
-        if len(flags) != len(blocks_raw):
-            raise ValueError("mark flags do not match block count")
-        if any(f not in (0, 1) for f in flags):
-            raise ValueError("mark flags must be 0 or 1")
-        raw = sorted(
-            (tuple(b), bool(f)) for b, f in zip(blocks_raw, flags)
-        )
-        blocks = tuple(b for b, _ in raw)
-        marked = tuple(i for i, (_, m) in enumerate(raw) if m)
-        return cls(width, blocks, marked)
+        owner = bytearray(self.width)
+        for k, b in enumerate(self.blocks):
+            for p in b:
+                owner[p] = k
+        flags = bytes(k in self.marked for k in range(len(self.blocks)))
+        return bytes([self.width]) + owner + flags
 
     def render(self) -> str:
         """Human-readable form with 1-based labels, e.g. ``(12•)(3)``."""
@@ -427,7 +340,7 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
         raise ValueError("marks must be >= 0")
     out = []
     for blocks in noncrossing_partitions(width):
-        free = _unnested(blocks)
+        free = _unnested(blocks) if marks else ()
         if len(free) < marks:
             continue
         for chosen in itertools.combinations(free, marks):
@@ -438,6 +351,14 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
 
 # ----------------------------------------------------------------------
 # two-slice states
+#
+# A two-slice state is a planar pairing of two slices: a non-crossing
+# partition of the 2L boundary points read in the order 1', 2', ..., L',
+# L, ..., 2, 1 (left slice downward, then right slice back up).  That is an
+# unmarked connectivity state of 2L points, so it needs no class of its
+# own: the functions below read its blocks.  Blocks meeting both slices are
+# *bridges*; their count can only decrease under transfer moves, which is
+# the origin of the triangular block structure of the full transfer matrix.
 
 
 def right_position(width: int, point: int) -> int:
@@ -449,8 +370,13 @@ def right_position(width: int, point: int) -> int:
 
 
 def reduced(blocks: Blocks, width: int) -> StateKey:
-    """The key of :meth:`TwoSliceState.reduced` on raw two-slice blocks:
-    the partition induced on the right slice, bridge blocks marked."""
+    """Forget the left slice of a two-slice state: the key of the partition
+    induced on the right slice, bridge blocks marked.  Blocks living only on
+    the left vanish.
+
+    >>> reduced(((0, 3), (1,), (2,)), 2)
+    (((0,), (1,)), (0,))
+    """
     rights, bridges = [], []
     for b in blocks:
         # right point k sits at position 2L-1-k, so reversed order sorts them
@@ -462,122 +388,45 @@ def reduced(blocks: Blocks, width: int) -> StateKey:
     return _key(rights, bridges)
 
 
-@dataclass(frozen=True)
-class TwoSliceState:
-    """A planar pairing of two slices: a non-crossing partition of the 2L
-    boundary points read in the order 1', 2', ..., L', L, ..., 2, 1 (left
-    slice downward, then right slice back up).
+def bridge_count(blocks: Blocks, width: int) -> int:
+    """Number of blocks of a two-slice state meeting both slices."""
+    return sum(1 for b in blocks if b[0] < width <= b[-1])
 
-    Blocks meeting both slices are *bridges*; their count can only decrease
-    under transfer moves, which is the origin of the triangular block
-    structure of the full transfer matrix.
+
+def left_profile(blocks: Blocks, width: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """The partition a two-slice state induces on the left slice, each
+    induced block tagged True when its parent block reaches the right slice
+    (a bridge).  Blocks are ordered by their smallest point, which is a left
+    point whenever the block has one, so the profile comes out sorted.
+
+    Transfer moves act on the right slice only, so within a fixed bridge
+    count the left profile is conserved; states sharing a profile form one
+    diagonal sub-block of the full transfer matrix.
     """
-
-    width: int
-    blocks: Blocks
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        _validate_partition(self.blocks, 2 * self.width)
-
-    # ------------------------------------------------------------------
-
-    def bridge_count(self) -> int:
-        """Number of blocks containing points of both slices."""
-        return sum(1 for b in self.blocks if b[0] < self.width <= b[-1])
-
-    def left_profile(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
-        """The partition induced on the left slice, each induced block tagged
-        True when its parent block reaches the right slice (a bridge).
-
-        Transfer moves act on the right slice only, so within a fixed bridge
-        count the left profile is conserved; states sharing a profile form
-        one diagonal sub-block of the full transfer matrix.
-        """
-        w = self.width
-        return tuple(
-            sorted(
-                (tuple(p for p in b if p < w), b[-1] >= w) for b in self.blocks if b[0] < w
-            )
-        )
-
-    def reduced(self) -> ConnectivityState:
-        """Forget the left slice: the partition induced on the right slice,
-        with bridge blocks marked.  Blocks living only on the left vanish."""
-        return ConnectivityState(self.width, *reduced(self.blocks, self.width))
-
-    # ------------------------------------------------------------------
-
-    def code(self) -> bytes:
-        if self.width > 0x7F:
-            raise ValueError("width too large to encode")
-        owner: dict[int, int] = {}
-        for k, b in enumerate(self.blocks):
-            for p in b:
-                owner[p] = k
-        rgs = bytearray()
-        seen: dict[int, int] = {}
-        for p in range(2 * self.width):
-            b = owner[p]
-            if b not in seen:
-                seen[b] = len(seen)
-            rgs.append(seen[b])
-        return bytes([self.width]) + bytes(rgs)
-
-    def render(self) -> str:
-        """Blocks with primed labels for the left slice, e.g. ``(1'12)(2')``."""
-        w = self.width
-        parts = []
-        for b in self.blocks:
-            labels = []
-            for p in b:
-                if p < w:
-                    labels.append(f"{p + 1}'")
-                else:
-                    labels.append(str(2 * w - p))
-            body = ",".join(labels) if w > 9 else "".join(labels)
-            parts.append(f"({body})")
-        return "".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    @classmethod
-    def from_components(
-        cls, width: int, components: list[tuple[str, ...]]
-    ) -> "TwoSliceState":
-        """Build from human-style labels: "3'" is left point 3, "2" right
-        point 2 (both 1-based), matching :meth:`render`.
-
-        >>> TwoSliceState.from_components(2, [("1'", "1"), ("2'", "2")]).bridge_count()
-        2
-        """
-        blocks = []
-        for comp in components:
-            block = []
-            for label in comp:
-                if label.endswith("'"):
-                    k = int(label[:-1])
-                    if not 1 <= k <= width:
-                        raise ValueError(f"left point {label} outside 1'..{width}'")
-                    block.append(k - 1)
-                else:
-                    k = int(label)
-                    block.append(right_position(width, k - 1))
-            blocks.append(tuple(sorted(block)))
-        return cls(width, tuple(sorted(blocks)))
+    return tuple(
+        (tuple(p for p in b if p < width), b[-1] >= width) for b in blocks if b[0] < width
+    )
 
 
-def enumerate_two_slice(width: int) -> list[TwoSliceState]:
-    """All two-slice states of a width-L strip, canonically ordered; there
-    are Catalan(2L) of them.
+def render_two_slice(blocks: Blocks, width: int) -> str:
+    """A two-slice state with primed labels for the left slice.
+
+    >>> render_two_slice(((0, 3), (1, 2)), 2)
+    "(1'1)(2'2)"
+    """
+    parts = []
+    for b in blocks:
+        labels = [f"{p + 1}'" if p < width else str(2 * width - p) for p in b]
+        body = ",".join(labels) if width > 9 else "".join(labels)
+        parts.append(f"({body})")
+    return "".join(parts)
+
+
+def enumerate_two_slice(width: int) -> list[ConnectivityState]:
+    """All two-slice states of a width-L strip, canonically ordered: the
+    unmarked states of 2L points.  There are Catalan(2L) of them.
 
     >>> len(enumerate_two_slice(2)) == catalan(4)
     True
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    out = [TwoSliceState(width, blocks) for blocks in noncrossing_partitions(2 * width)]
-    out.sort(key=TwoSliceState.code)
-    return out
+    return enumerate_states(2 * width, 0)

@@ -145,8 +145,9 @@ def square_strip(width: int, length: int) -> CyclicStrip:
 _BUILDERS = {"square": square_strip}
 
 
-def parse_lattice(text: str) -> CyclicStrip:
-    """Parse a lattice description like ``square:3x4``.
+def parse_lattice(text: str, max_width: int | None = None) -> CyclicStrip:
+    """Parse a lattice description like ``square:3x4``.  A width above
+    ``max_width`` is refused before the column program is built.
 
     >>> parse_lattice("square:2x3").edge_count
     9
@@ -163,4 +164,6 @@ def parse_lattice(text: str) -> CyclicStrip:
         width, length = int(w), int(n)
     except ValueError:
         raise ValueError(f"lattice size must be integers, got {size!r}") from None
+    if max_width is not None and width > max_width:
+        raise ValueError(f"width {width} is above {max_width}, the widest strip served")
     return _BUILDERS[kind](width, length)

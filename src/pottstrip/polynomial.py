@@ -189,11 +189,17 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # substitution and evaluation
 
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point.
+    def evaluate(self, assignment: Mapping[str, Scalar]) -> Scalar:
+        """Exact value at a rational point: an int when the value is
+        integral, a Fraction otherwise.
 
         Raises ValueError if a variable occurring in the polynomial has no
         assigned value.  Extra assignments are ignored.
+
+        >>> (Q * v + 1).evaluate({"Q": 2, "v": 3})
+        7
+        >>> (Q * v).evaluate({"Q": 1, "v": Fraction(1, 2)})
+        Fraction(1, 2)
         """
         vals = []
         for i, name in enumerate(VARIABLES):
@@ -206,7 +212,7 @@ class MultiPoly:
         total = Fraction(0)
         for m, c in self._terms.items():
             total += c * vals[0] ** m[0] * vals[1] ** m[1] * vals[2] ** m[2]
-        return total
+        return total.numerator if total.denominator == 1 else total
 
     def subs_poly(self, name: str, value: "MultiPoly | Scalar") -> "MultiPoly":
         """Substitute a polynomial (or constant) for a variable, by Horner's

@@ -17,7 +17,8 @@ of the full transfer matrix in the l-bridge sector, and the character
     K(l) = trace(T_l ** N)
 
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
-(width, marks, bond) into an index table.  Compilation applies the bond
+(width, marks, bond) into an index table, in one cache that characters,
+``column_transfer`` and the block check share.  Compilation applies the bond
 moves of ``connectivity`` to raw state keys, builds no state object, and
 checks every target key against the enumerated basis of validated states,
 so a target outside it raises.  One loop, ``_push``, pushes a start column
@@ -48,10 +49,12 @@ in one pass over their bytes.
 states and checks the claimed structure directly: bridge count never
 increases, states of fixed bridge count split by left profile into
 n(L, l) groups of size n(L, l) with no transitions between groups, and
-every group's sub-matrix equals T_l on the nose.  The two-slice states
-move by ``_action`` too, as unmarked 2L-point keys.  Both sides are pushed
-at one slot width and compared as packed ints, which is exact because the
-packing is injective under the bound ``_compile`` checks.
+every group's sub-matrix equals T_l on the nose.  A two-slice state is an
+unmarked state of 2L points, so the full matrix is the column program moved
+onto the right slice and compiled through the same cached ``_bond_table``
+of width 2L and no marks.  Both sides are pushed at one slot width and
+compared as packed ints, which is exact because the packing is injective
+under the bound ``_compile`` checks.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import isqrt
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -66,12 +70,14 @@ from .connectivity import (
     ConnectivityState,
     DetachTag,
     StateKey,
+    bridge_count,
     count_states,
     detach,
     enumerate_states,
-    enumerate_two_slice,
     join,
+    left_profile,
     reduced,
+    render_two_slice,
     right_position,
 )
 from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
@@ -104,6 +110,17 @@ MAX_COLUMN_BITS = 1 << 28
 #: of CPU at 4e10 bits/s (a 2-core VM, Python 3.11); 6x6 and 3x40 fit,
 #: 7x4 and width 9 do not.
 MAX_PUSH_BITS = 1 << 42
+#: Every sector's packed column holds at least 8 * (E + 1)**2 bits (one
+#: state, one byte per slot), and a square strip of width L has at least
+#: 2L - 1 bonds, so no square strip wider than isqrt(MAX_COLUMN_BITS // 32)
+#: = 2896 has a character within the cap.  The fixed-boundary strip reads
+#: the characters of width L - 1, so no command serves a width above
+#: MAX_WIDTH = 2897.
+MAX_WIDTH = isqrt(MAX_COLUMN_BITS // 32) + 1
+_CAPS = (
+    f"the caps are {MAX_COLUMN_BITS} bits per column and {MAX_PUSH_BITS} bits "
+    "pushed (use a smaller strip)"
+)
 
 
 @dataclass(frozen=True)
@@ -157,8 +174,9 @@ def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
     Q = v = 1: the packing in ``_push`` is exact only under that bound.
     Raises AssertionError too when a branch leaves the basis.  The keys are
     those of an enumerated basis of validated states, so membership carries
-    every property the state constructors check.  A two-slice basis passes
-    its states as unmarked ``(blocks, ())`` keys.
+    every property the state constructor checks.  ``_bond_table`` is the
+    one caller: characters, ``column_transfer`` and the two-slice block
+    check all read its cached tables.
     """
     index = {key: k for k, key in enumerate(keys)}
     table = []
@@ -309,7 +327,8 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     """The cost of K(marks) on ``strip``, predicted without building a
     state: (states n, bonds E, slot width w).  Raises ValueError when the
     packed column or the bits pushed are above ``MAX_COLUMN_BITS`` or
-    ``MAX_PUSH_BITS``.
+    ``MAX_PUSH_BITS``; a strip whose bond count alone puts every sector
+    over the column cap is refused before its states are counted.
 
     The bits pushed are counted for all n starts, although ``character_K``
     pushes only one per orbit of the width reflection: counting the
@@ -321,17 +340,32 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     >>> check_character_budget(square_strip(3, 10), 1)
     (9, 50, 56)
     """
-    n = count_states(strip.width, marks)
     bonds = len(strip.column_program) * strip.length
+    # one state at one byte per slot, the floor of every sector, is tested
+    # before the state count, a binomial in the width; E is shown as its
+    # two factors, so no product past the int-to-string limit is formatted
+    if 8 * (bonds + 1) ** 2 > MAX_COLUMN_BITS:
+        raise ValueError(
+            f"K({marks}) of {strip} needs at least 8 * (E + 1)**2 bits per packed "
+            f"column for its E = {len(strip.column_program)} x {strip.length} bonds; "
+            + _CAPS
+        )
+    n = count_states(strip.width, marks)
     w = _slot_width(bonds, n)
     column_bits = n * w * (bonds + 1) ** 2
     if column_bits > MAX_COLUMN_BITS or n * bonds * column_bits > MAX_PUSH_BITS:
         raise ValueError(
-            f"K({marks}) of {strip} needs {n} states x {bonds} bonds of packed "
-            f"columns of {column_bits} bits; the caps are {MAX_COLUMN_BITS} bits "
-            f"per column and {MAX_PUSH_BITS} bits pushed (use a smaller strip)"
+            f"K({marks}) of {strip} needs {_shown(n)} states x {bonds} bonds of "
+            f"packed columns of {_shown(column_bits)} bits; " + _CAPS
         )
     return n, bonds, w
+
+
+def _shown(count: int) -> str:
+    """``count`` in digits, or past 64 bits as the power of two it exceeds:
+    a state count grows as 4**width, past any readable (or, beyond 4300
+    digits, printable) length."""
+    return str(count) if count.bit_length() <= 64 else f"over 2**{count.bit_length() - 1}"
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -425,28 +459,30 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
       order of the reduced states, equals T_l, the column program's
       product on the l-mark states.
 
-    The two-slice bond tables compile through ``_compile`` and the one-slice
-    ``_action`` on ``(blocks, ())`` keys, unmarked 2L-point states, each bond
-    moved by ``_on_right_slice``.  Every column, two-slice or
-    reference, is pushed at one slot width: both programs have the same
-    E bonds and ``_compile`` bounds both, so equal polynomials pack to
-    equal ints and the sub-matrices are compared as packed ints.  Only the
-    two entries of a mismatch are unpacked, for its message.
+    The two-slice basis is ``_basis(2L, 0)``, the unmarked states of 2L
+    points, and each bond, moved by ``_on_right_slice``, is the cached
+    ``_bond_table`` of that basis.  Every column, two-slice or reference,
+    is pushed at one slot width: both programs have the same E bonds and
+    ``_compile`` bounds both, so equal polynomials pack to equal ints and
+    the sub-matrices are compared as packed ints.  Only the two entries of
+    a mismatch are unpacked, for its message.
 
     Kept to widths <= 4; the basis has Catalan(2L) states.
     """
     if strip.width > 4:
         raise ValueError("block-structure verification is capped at width 4")
     width = strip.width
-    basis = enumerate_two_slice(width)
+    basis = [s.blocks for s in _basis(2 * width, 0)]
     n = len(basis)
     bonds = len(strip.column_program)
     w = _slot_width(bonds, n)
-    keys = [(s.blocks, ()) for s in basis]
-    program = [_compile(keys, _action, _on_right_slice(op, width)) for op in strip.column_program]
+    program = [_bond_table(2 * width, 0, _on_right_slice(op, width)) for op in strip.column_program]
     cols = [_push(program, b, w) for b in range(n)]
 
-    bridges = [s.bridge_count() for s in basis]
+    def move(b: int, a: int) -> str:
+        return f"{render_two_slice(basis[b], width)} -> {render_two_slice(basis[a], width)}"
+
+    bridges = [bridge_count(blocks, width) for blocks in basis]
     failures: list[str] = []
 
     triangular_ok = True
@@ -455,14 +491,13 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
             if bridges[a] > bridges[b]:
                 triangular_ok = False
                 failures.append(
-                    f"bridge count grows {bridges[b]} -> {bridges[a]} on "
-                    f"{basis[b].render()} -> {basis[a].render()}"
+                    f"bridge count grows {bridges[b]} -> {bridges[a]} on {move(b, a)}"
                 )
 
     # group the l-bridge states by left profile
     groups: dict[tuple, list[int]] = {}
-    for k, s in enumerate(basis):
-        groups.setdefault((bridges[k], s.left_profile()), []).append(k)
+    for k, blocks in enumerate(basis):
+        groups.setdefault((bridges[k], left_profile(blocks, width)), []).append(k)
     group_of = [0] * n
     for gid, members in enumerate(groups.values()):
         for k in members:
@@ -486,11 +521,10 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
                     if bridges[a] == l and group_of[a] != group_of[b]:
                         cross_zero = False
                         failures.append(
-                            f"leakage between sub-blocks at l={l}: "
-                            f"{basis[b].render()} -> {basis[a].render()}"
+                            f"leakage between sub-blocks at l={l}: {move(b, a)}"
                         )
             # order group members by their reduced state and compare
-            order = [ref_index.get(reduced(basis[k].blocks, width)) for k in members]
+            order = [ref_index.get(reduced(basis[k], width)) for k in members]
             if None in order or sorted(order) != list(range(expected)):
                 matches = False
                 failures.append(
@@ -505,8 +539,7 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
                     if got != want:
                         matches = False
                         failures.append(
-                            f"entry mismatch at l={l}, "
-                            f"{basis[b].render()} -> {basis[a].render()}: "
+                            f"entry mismatch at l={l}, {move(b, a)}: "
                             f"{_unpack(got, w, bonds)} != {_unpack(want, w, bonds)}"
                         )
         sector_reports.append(

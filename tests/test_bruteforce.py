@@ -62,7 +62,7 @@ def test_top_sector_is_all_horizontal():
         assert fk_spectrum(strip)[width] == Q ** width * v ** (width * length)
 
 
-def test_histogram_is_cached_and_worker_independent():
+def test_histogram_is_cached_and_ignores_a_second_argument():
     """One walk per strip; a second positional argument, the worker count
     perfbench's traced job still passes, is ignored."""
     strip = square_strip(2, 3)
@@ -240,7 +240,7 @@ def _no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
-def test_two_worker_pool_matches_one_worker(monkeypatch):
+def test_worker_count_is_ignored_on_one_column(monkeypatch):
     """8x1 (one column, 2**15 subsets) asked for with two workers starts no
     process pool and returns the one-worker histogram, the per-mask count."""
     _no_pool(monkeypatch)
@@ -254,7 +254,7 @@ def test_two_worker_pool_matches_one_worker(monkeypatch):
     assert two == _mask_histogram(strip)
 
 
-def test_two_worker_pool_with_mirrored_jobs(monkeypatch):
+def test_worker_count_is_ignored_on_a_mirror_symmetric_column(monkeypatch):
     """4x2 (2**14 subsets), whose first column the reflection maps onto
     itself, asked for with two workers starts no process pool and returns
     the per-mask count."""
@@ -316,7 +316,7 @@ def test_memoised_walk_on_random_edge_lists():
             assert walked == expected, (edges, period)
 
 
-def test_prefix_jobs_add_up_to_the_serial_walk():
+def test_every_memo_period_equals_the_plain_walk_in_both_orders():
     """On 3x3, the serial walk without memo points counts all 2**E subsets,
     and the walk with a memo point every 1-5 edges, in either order,
     equals it."""
@@ -330,7 +330,7 @@ def test_prefix_jobs_add_up_to_the_serial_walk():
             assert walked == serial, (order, period)
 
 
-def test_memoised_prefix_jobs_add_up_to_the_plain_walk():
+def test_column_and_row_memo_periods_equal_the_plain_walk():
     """On 3x4, the column-major walk with a memo point every 1-5 edges, and
     the row-major one with one every N edges, equal the walk without memo
     points, which counts all 2**E subsets."""

@@ -317,6 +317,22 @@ def test_fixed_boundary_minimal_terms():
     )
 
 
+def test_a_wide_strip_is_refused_before_its_amplitudes(monkeypatch):
+    """Every K(l) of 2000x1 is over the caps; the decompositions refuse it
+    before they build one of its 2001 amplitudes."""
+    def no_amplitude(*args):
+        raise AssertionError("an amplitude was built")
+
+    for name in ("amplitude_b", "amplitude_c", "amplitude_c_term"):
+        monkeypatch.setattr(characters, name, no_amplitude)
+    strip = square_strip(2000, 1)
+    for call in (z_from_characters, dual_boundary_decomposition):
+        with pytest.raises(ValueError, match="caps are"):
+            call(strip)
+    with pytest.raises(ValueError, match="caps are"):
+        z_fixed_boundary(2000, 1)
+
+
 def test_decompositions_check_the_budget_before_any_state(monkeypatch):
     """On 7x4 K(0) fits the caps and K(1) does not: every decomposition
     (of the inner 7x4 strip for Z_ff) checks each K(m) it reads before it

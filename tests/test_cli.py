@@ -130,6 +130,17 @@ def test_decompose_over_budget_exits_quickly(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize(
+    "command", [("characters",), ("decompose", "--target", "z"), ("oracle",), ("blockcheck",)]
+)
+def test_a_width_no_command_serves_is_refused_before_the_strip_is_built(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--lattice", "square:1000000x1")
+    assert code == 2 and out == ""
+    assert f"above {transfer.MAX_WIDTH}" in err
+    assert time.perf_counter() - start < 2
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

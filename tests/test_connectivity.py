@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from pottstrip.connectivity import (
     ConnectivityState,
     DetachTag,
-    TwoSliceState,
+    bridge_count,
     catalan,
     count_states,
     detach,
     enumerate_states,
     enumerate_two_slice,
     join,
+    left_profile,
     noncrossing_partitions,
+    reduced,
+    render_two_slice,
     right_position,
 )
 
@@ -87,36 +90,34 @@ def test_state_validation():
 
 def test_join_marks():
     s = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0, 1))
-    merged = s.join(0, 1)
+    merged = ConnectivityState(3, *join(s.key, 0))
     assert merged.mark_count == 1
     assert merged.blocks == ((0, 1), (2,))
-    assert s.join(1, 2).mark_count == 2
-    with pytest.raises(ValueError):
-        s.join(0, 2)
-    assert s.join(2, 1) == s.join(1, 2)
+    assert ConnectivityState(3, *join(s.key, 1)).mark_count == 2
 
 
 def test_join_same_block_is_identity():
-    s = ConnectivityState(2, ((0, 1),), marked=(0,))
-    assert s.join(0, 1) is s
+    key = ConnectivityState(2, ((0, 1),), marked=(0,)).key
+    assert join(key, 0) is key
 
 
 def test_detach_outcomes():
     populated = ConnectivityState(2, ((0, 1),), marked=(0,))
-    out = populated.detach(0)
-    assert out.tag is DetachTag.STILL_POPULATED
-    assert out.state.mark_count == 1  # the survivor keeps the mark
-    assert out.state.blocks == ((0,), (1,))
+    tag, key = detach(populated.key, 0)
+    assert tag is DetachTag.STILL_POPULATED
+    state = ConnectivityState(2, *key)
+    assert state.mark_count == 1  # the survivor keeps the mark
+    assert state.blocks == ((0,), (1,))
 
     unmarked_singleton = ConnectivityState(2, ((0,), (1,)))
-    out = unmarked_singleton.detach(1)
-    assert out.tag is DetachTag.COMPLETED_UNMARKED
-    assert out.state == unmarked_singleton
+    tag, key = detach(unmarked_singleton.key, 1)
+    assert tag is DetachTag.COMPLETED_UNMARKED
+    assert ConnectivityState(2, *key) == unmarked_singleton
 
     marked_singleton = ConnectivityState(2, ((0,), (1,)), marked=(0,))
-    out = marked_singleton.detach(0)
-    assert out.tag is DetachTag.TERMINATED_MARKED
-    assert out.state is None
+    tag, key = detach(marked_singleton.key, 0)
+    assert tag is DetachTag.TERMINATED_MARKED
+    assert key is None
 
 
 def test_join_detach_preserve_validity_exhaustively():
@@ -129,30 +130,36 @@ def test_join_detach_preserve_validity_exhaustively():
         for marks in range(width + 1):
             for s in enumerate_states(width, marks):
                 for i in range(width - 1):
-                    joined = s.join(i, i + 1)
-                    assert joined.width == width
+                    joined = ConnectivityState(width, *join(s.key, i))
                     assert joined.mark_count in (marks, marks - 1)
                 for i in range(width):
-                    out = s.detach(i)
-                    if out.tag is DetachTag.TERMINATED_MARKED:
-                        assert out.state is None
+                    tag, key = detach(s.key, i)
+                    if tag is DetachTag.TERMINATED_MARKED:
+                        assert key is None
                     else:
-                        assert out.state.mark_count == marks
+                        assert ConnectivityState(width, *key).mark_count == marks
+
+
+def _decode(code: bytes) -> ConnectivityState:
+    """The state behind ``ConnectivityState.code``: width, each point's block
+    index, one mark flag per block."""
+    width = code[0]
+    blocks: list[list[int]] = []
+    for p, b in enumerate(code[1 : 1 + width]):
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(p)
+    flags = code[1 + width :]
+    assert len(flags) == len(blocks)
+    marked = tuple(k for k, flag in enumerate(flags) if flag)
+    return ConnectivityState(width, tuple(map(tuple, blocks)), marked)
 
 
 def test_code_round_trip():
     for width in range(1, 5):
         for marks in range(width + 1):
             for s in enumerate_states(width, marks):
-                assert ConnectivityState.from_code(s.code()) == s
-
-
-def test_from_code_rejects_garbage():
-    with pytest.raises(ValueError):
-        ConnectivityState.from_code(b"")
-    good = ConnectivityState(2, ((0, 1),)).code()
-    with pytest.raises(ValueError):
-        ConnectivityState.from_code(good + b"\x00")
+                assert _decode(s.code()) == s
 
 
 def test_render():
@@ -173,18 +180,38 @@ def test_random_walks_stay_valid(width, data):
         move = data.draw(st.sampled_from(["join", "detach"]))
         if move == "join" and width > 1:
             i = data.draw(st.integers(min_value=0, max_value=width - 2))
-            state = state.join(i, i + 1)
+            key = join(state.key, i)
         else:
             i = data.draw(st.integers(min_value=0, max_value=width - 1))
-            out = state.detach(i)
-            if out.state is None:
+            _, key = detach(state.key, i)
+            if key is None:
                 break
-            state = out.state
-        assert ConnectivityState.from_code(state.code()) == state
+        state = ConnectivityState(width, *key)
+        assert _decode(state.code()) == state
 
 
 # ----------------------------------------------------------------------
-# two-slice states
+# two-slice states: unmarked states of 2L points
+
+
+def _two_slice(width: int, components: list[tuple[str, ...]]) -> ConnectivityState:
+    """A two-slice state from human-style labels: "3'" is left point 3, "2"
+    right point 2 (both 1-based), as ``render_two_slice`` writes them."""
+    blocks = []
+    for comp in components:
+        block = []
+        for label in comp:
+            if label.endswith("'"):
+                block.append(int(label[:-1]) - 1)
+            else:
+                block.append(right_position(width, int(label) - 1))
+        blocks.append(tuple(sorted(block)))
+    return ConnectivityState(2 * width, tuple(sorted(blocks)))
+
+
+def test_enumerate_two_slice_is_the_unmarked_enumeration():
+    for width in range(1, 5):
+        assert enumerate_two_slice(width) == enumerate_states(2 * width, 0)
 
 
 def test_two_slice_counts():
@@ -196,7 +223,7 @@ def test_two_slice_counts():
 
 def test_two_slice_one_column():
     states = enumerate_two_slice(1)
-    renders = sorted(s.render() for s in states)
+    renders = sorted(render_two_slice(s.blocks, 1) for s in states)
     assert renders == ["(1')(1)", "(1'1)"]
 
 
@@ -204,13 +231,13 @@ def test_two_slice_bridge_distribution():
     for width in (1, 2, 3):
         for l in range(width + 1):
             matching = [
-                s for s in enumerate_two_slice(width) if s.bridge_count() == l
+                s for s in enumerate_two_slice(width) if bridge_count(s.blocks, width) == l
             ]
             assert len(matching) == count_states(width, l) ** 2
 
 
 def test_two_slice_membership_width_six():
-    state = TwoSliceState.from_components(
+    state = _two_slice(
         6,
         [
             ("1'", "1", "2"),
@@ -222,33 +249,32 @@ def test_two_slice_membership_width_six():
         ],
     )
     assert state in enumerate_two_slice(6)
-    assert state.bridge_count() == 2
-    reduced = state.reduced()
-    assert reduced.width == 6
-    assert reduced.mark_count == 2
+    assert bridge_count(state.blocks, 6) == 2
+    right = ConnectivityState(6, *reduced(state.blocks, 6))
+    assert right.mark_count == 2
 
 
 def test_two_slice_moves_stay_in_the_basis():
     """Every right-slice join and detach of every two-slice state of width
-    <= 3, made by ``join`` and ``detach`` on its unmarked ``(blocks, ())``
-    key at the mirrored points, lands in the enumerated basis, and a detach
-    completes exactly when the vacated block was the detached point alone."""
+    <= 3, made by ``join`` and ``detach`` on its unmarked key at the
+    mirrored points, lands in the enumerated basis, and a detach completes
+    exactly when the vacated block was the detached point alone."""
     for width in (1, 2, 3):
         basis = set(enumerate_two_slice(width))
         for s in basis:
-            key = (s.blocks, ())
+            key = s.key
             for i in range(width - 1):
                 # right points i, i+1 sit at points 2L-1-i and 2L-2-i
                 blocks, marked = join(key, right_position(width, i + 1))
                 assert marked == ()
-                assert TwoSliceState(width, blocks) in basis
+                assert ConnectivityState(2 * width, blocks) in basis
             for i in range(width):
                 pos = right_position(width, i)
                 tag, target = detach(key, pos)
                 assert tag is not DetachTag.TERMINATED_MARKED
                 blocks, marked = target
                 assert marked == ()
-                detached = TwoSliceState(width, blocks)
+                detached = ConnectivityState(2 * width, blocks)
                 assert detached in basis
                 completed = tag is DetachTag.COMPLETED_UNMARKED
                 assert completed == ((pos,) in s.blocks)
@@ -258,16 +284,13 @@ def test_two_slice_moves_stay_in_the_basis():
 def test_two_slice_crossing_rejected():
     # chords 1'-2 and 2'-1 cross in the boundary order 1', 2', 2, 1
     with pytest.raises(ValueError):
-        TwoSliceState.from_components(2, [("1'", "2"), ("2'", "1")])
-    # 3' would land on right point 2's position: a valid-looking partition
-    with pytest.raises(ValueError):
-        TwoSliceState.from_components(2, [("3'", "1"), ("1'",), ("2'",)])
+        _two_slice(2, [("1'", "2"), ("2'", "1")])
 
 
 def test_reduced_state_profiles():
     for width in (1, 2):
         for s in enumerate_two_slice(width):
-            reduced = s.reduced()
-            assert reduced.mark_count == s.bridge_count()
-            profile = s.left_profile()
-            assert sum(1 for _, bridge in profile if bridge) == s.bridge_count()
+            bridges = bridge_count(s.blocks, width)
+            assert ConnectivityState(width, *reduced(s.blocks, width)).mark_count == bridges
+            profile = left_profile(s.blocks, width)
+            assert sum(1 for _, bridge in profile if bridge) == bridges

@@ -1,8 +1,9 @@
-"""Run the usage examples embedded in the library docstrings, and the
-demos, which assert their own identities."""
+"""Run the usage examples embedded in the library docstrings, the demos,
+which assert their own identities, and the README's Python examples."""
 
 import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,19 +33,43 @@ def test_module_doctests(module):
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0[1-5]_*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run_demo(demo: Path) -> subprocess.CompletedProcess:
     package_root = str(Path(pottstrip.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run_demo(demo)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_every_demo_is_run():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+def test_minimal_characters_demo_prints_integers():
+    """Integral values print as ints, not as ``Fraction(1, 1)``."""
+    proc = _run_demo(DEMOS[3])
+    assert proc.returncode == 0, proc.stderr
+    assert "c(l) at Q=2, l=0..8: [1, 1, -1, -1, 1, 1, -1, -1, 1]" in proc.stdout
+    assert "Fraction(" not in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of the README runs, so an example that uses a
+    removed public name fails here rather than for a reader."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

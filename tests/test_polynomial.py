@@ -81,6 +81,14 @@ def test_evaluation_is_a_homomorphism(a, b, point):
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
+def test_evaluate_returns_an_int_when_the_value_is_integral():
+    value = (Q * Q - 3 * Q * v + 1).evaluate({"Q": 2, "v": 3})
+    assert value == -13 and type(value) is int
+    assert type((2 * v).evaluate({"v": Fraction(1, 2)})) is int
+    half = (Q * v).evaluate({"Q": 1, "v": Fraction(1, 2)})
+    assert half == Fraction(1, 2) and type(half) is Fraction
+
+
 def test_evaluate_requires_all_variables():
     with pytest.raises(ValueError):
         (Q * v).evaluate({"Q": 1})

@@ -7,6 +7,7 @@ import pytest
 from pottstrip import transfer
 from pottstrip.connectivity import (
     ConnectivityState,
+    bridge_count,
     count_states,
     enumerate_states,
     enumerate_two_slice,
@@ -257,6 +258,29 @@ def test_character_budget():
         character_K(square_strip(2, 10**5), 0)
 
 
+def test_budget_floor_comes_before_the_state_count(monkeypatch):
+    """8 * (E + 1)**2 bits is the floor of every sector, so a strip whose
+    bonds alone break the column cap is refused before its states are
+    counted; MAX_WIDTH - 1 is the widest square strip that passes it."""
+    def no_count(*args):
+        raise AssertionError("states were counted")
+
+    monkeypatch.setattr(transfer, "count_states", no_count)
+    for strip in (square_strip(2, 10**5), square_strip(transfer.MAX_WIDTH, 1)):
+        with pytest.raises(ValueError, match=r"at least 8 \* \(E \+ 1\)\*\*2 bits"):
+            check_character_budget(strip, 0)
+    with pytest.raises(AssertionError, match="states were counted"):
+        check_character_budget(square_strip(transfer.MAX_WIDTH - 1, 1), 0)
+
+
+def test_budget_message_shows_a_huge_state_count_by_its_size():
+    """A one-bond program passes the floor at any width; Catalan(10000) has
+    6015 digits, past the int-to-string limit, and shows as a power of two."""
+    strip = CyclicStrip(10000, 1, (vertical(0),))
+    with pytest.raises(ValueError, match=r"needs over 2\*\*19979 states .* caps are"):
+        check_character_budget(strip, 0)
+
+
 def test_block_structure_reports():
     report = verify_block_structure(square_strip(1, 1))
     assert report.passed
@@ -276,13 +300,22 @@ def test_block_structure_reports():
     assert report.failures == ()
 
 
+def test_second_block_check_compiles_nothing():
+    """The two-slice tables are the cached ``_bond_table``s of 2L unmarked
+    points, so a second check of the same width finds every table cached."""
+    verify_block_structure(square_strip(3, 1))
+    misses = transfer._bond_table.cache_info().misses
+    report = verify_block_structure(square_strip(3, 1))
+    assert report.passed
+    assert transfer._bond_table.cache_info().misses == misses
+
+
 def test_block_structure_reports_a_wrong_weight(monkeypatch):
     """One branch of one two-slice state weighted Q instead of 1, still
     within the packing bound, fails the check in that state's sector, and
     the message shows the two entries unpacked as polynomials."""
     strip = square_strip(3, 1)
-    basis = enumerate_two_slice(3)
-    bridges = {(s.blocks, ()): s.bridge_count() for s in basis}
+    bridges = {s.key: bridge_count(s.blocks, 3) for s in enumerate_two_slice(3)}
     action = transfer._action
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
@@ -301,10 +334,11 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
             return [branches[0], (branches[1][0], transfer._Q)]
         return branches
 
+    # the two-slice tables are cached ``_bond_table``s: drop them, so that
+    # they compile under the patch, and drop those compiled under it after
+    transfer._bond_table.cache_clear()
     monkeypatch.setattr(transfer, "_action", miscounted)
     report = verify_block_structure(strip)
-    # the reduced tables compile through ``_action`` too: drop those cached
-    # under the patch, though the fault cannot reach a width-3 key
     monkeypatch.undo()
     transfer._bond_table.cache_clear()
     assert not report.passed
