@@ -32,7 +32,7 @@ from .characters import (
 )
 from .lattice import parse_lattice
 from .polynomial import MultiPoly
-from .transfer import MAX_WIDTH, character_K, check_character_budget, verify_block_structure
+from .transfer import character_K, check_character_budget, verify_block_structure
 
 FORMATS = ("json", "csv", "text")
 
@@ -86,7 +86,7 @@ def _emit_values(
 
 
 def _cmd_characters(args) -> int:
-    strip = parse_lattice(args.lattice, MAX_WIDTH)
+    strip = parse_lattice(args.lattice)
     if args.l == "all":
         marks = list(range(strip.width + 1))
     else:
@@ -111,7 +111,7 @@ def _decomposition_values(result) -> list[tuple[str, object]]:
 
 
 def _cmd_decompose(args) -> int:
-    strip = parse_lattice(args.lattice, MAX_WIDTH)
+    strip = parse_lattice(args.lattice)
     meta: dict = {"lattice": str(strip), "target": args.target}
     if args.target == "z":
         if args.p is not None:
@@ -158,7 +158,7 @@ def _parse_spin(text: str) -> tuple[int, Fraction]:
 
 
 def _cmd_oracle(args) -> int:
-    strip = parse_lattice(args.lattice, MAX_WIDTH)
+    strip = parse_lattice(args.lattice)
     values: list[tuple[str, object]] = [("z", fk_z(strip))]
     if args.count_ntc:
         spectrum = fk_spectrum(strip)
@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_blockcheck(args) -> int:
-    strip = parse_lattice(args.lattice, MAX_WIDTH)
+    strip = parse_lattice(args.lattice)
     report = verify_block_structure(strip)
     if args.format == "json":
         payload = {

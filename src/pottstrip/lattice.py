@@ -144,10 +144,18 @@ def square_strip(width: int, length: int) -> CyclicStrip:
 
 _BUILDERS = {"square": square_strip}
 
+#: The widest strip any command serves.  Every sector's packed column holds
+#: at least 8 * (E + 1)**2 bits (one state, one byte per slot), and a square
+#: strip of width L has at least 2L - 1 bonds, so no square strip wider than
+#: isqrt(transfer.MAX_COLUMN_BITS // 32) = 2896 has a character within that
+#: cap.  The fixed-boundary strip reads the characters of width L - 1, hence
+#: 2897.
+MAX_WIDTH = 2897
 
-def parse_lattice(text: str, max_width: int | None = None) -> CyclicStrip:
+
+def parse_lattice(text: str) -> CyclicStrip:
     """Parse a lattice description like ``square:3x4``.  A width above
-    ``max_width`` is refused before the column program is built.
+    ``MAX_WIDTH`` is refused before the column program is built.
 
     >>> parse_lattice("square:2x3").edge_count
     9
@@ -164,6 +172,6 @@ def parse_lattice(text: str, max_width: int | None = None) -> CyclicStrip:
         width, length = int(w), int(n)
     except ValueError:
         raise ValueError(f"lattice size must be integers, got {size!r}") from None
-    if max_width is not None and width > max_width:
-        raise ValueError(f"width {width} is above {max_width}, the widest strip served")
+    if width > MAX_WIDTH:
+        raise ValueError(f"width {width} is above {MAX_WIDTH}, the widest strip served")
     return _BUILDERS[kind](width, length)

@@ -62,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import isqrt
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -110,13 +109,6 @@ MAX_COLUMN_BITS = 1 << 28
 #: of CPU at 4e10 bits/s (a 2-core VM, Python 3.11); 6x6 and 3x40 fit,
 #: 7x4 and width 9 do not.
 MAX_PUSH_BITS = 1 << 42
-#: Every sector's packed column holds at least 8 * (E + 1)**2 bits (one
-#: state, one byte per slot), and a square strip of width L has at least
-#: 2L - 1 bonds, so no square strip wider than isqrt(MAX_COLUMN_BITS // 32)
-#: = 2896 has a character within the cap.  The fixed-boundary strip reads
-#: the characters of width L - 1, so no command serves a width above
-#: MAX_WIDTH = 2897.
-MAX_WIDTH = isqrt(MAX_COLUMN_BITS // 32) + 1
 _CAPS = (
     f"the caps are {MAX_COLUMN_BITS} bits per column and {MAX_PUSH_BITS} bits "
     "pushed (use a smaller strip)"
@@ -327,8 +319,8 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     """The cost of K(marks) on ``strip``, predicted without building a
     state: (states n, bonds E, slot width w).  Raises ValueError when the
     packed column or the bits pushed are above ``MAX_COLUMN_BITS`` or
-    ``MAX_PUSH_BITS``; a strip whose bond count alone puts every sector
-    over the column cap is refused before its states are counted.
+    ``MAX_PUSH_BITS``; a strip whose bond count alone puts every non-empty
+    sector over the column cap is refused before its states are counted.
 
     The bits pushed are counted for all n starts, although ``character_K``
     pushes only one per orbit of the width reflection: counting the
@@ -341,10 +333,11 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     (9, 50, 56)
     """
     bonds = len(strip.column_program) * strip.length
-    # one state at one byte per slot, the floor of every sector, is tested
-    # before the state count, a binomial in the width; E is shown as its
-    # two factors, so no product past the int-to-string limit is formatted
-    if 8 * (bonds + 1) ** 2 > MAX_COLUMN_BITS:
+    # one state at one byte per slot, the floor of every non-empty sector,
+    # is tested before the state count, a binomial in the width; E is shown
+    # as its two factors, so no product past the int-to-string limit is
+    # formatted.  A sector with more marks than sites is empty and free.
+    if marks <= strip.width and 8 * (bonds + 1) ** 2 > MAX_COLUMN_BITS:
         raise ValueError(
             f"K({marks}) of {strip} needs at least 8 * (E + 1)**2 bits per packed "
             f"column for its E = {len(strip.column_program)} x {strip.length} bonds; "

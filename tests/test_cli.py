@@ -10,6 +10,7 @@ import time
 import pytest
 
 from pottstrip import bruteforce, transfer
+from pottstrip.lattice import MAX_WIDTH
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
 
@@ -137,8 +138,16 @@ def test_a_width_no_command_serves_is_refused_before_the_strip_is_built(capsys, 
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *command, "--lattice", "square:1000000x1")
     assert code == 2 and out == ""
-    assert f"above {transfer.MAX_WIDTH}" in err
+    assert f"above {MAX_WIDTH}" in err
     assert time.perf_counter() - start < 2
+
+
+def test_an_empty_sector_of_a_long_strip_is_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "characters", "--lattice", "square:2x3000", "--l", "5"
+    )
+    assert code == 0 and err == ""
+    assert out == "# lattice: square:2x3000\nK_1,11 = 0\n"
 
 
 def test_help_exits_zero(capsys):

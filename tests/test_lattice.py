@@ -4,6 +4,7 @@ import pytest
 
 from pottstrip.lattice import (
     HORIZONTAL,
+    MAX_WIDTH,
     VERTICAL,
     CyclicStrip,
     horizontal,
@@ -103,6 +104,9 @@ def test_parse_lattice():
                 "square:ax3", "square:2x-1"):
         with pytest.raises(ValueError):
             parse_lattice(bad)
+    assert parse_lattice(f"square:{MAX_WIDTH}x1").width == MAX_WIDTH
+    with pytest.raises(ValueError, match=f"above {MAX_WIDTH}"):
+        parse_lattice(f"square:{MAX_WIDTH + 1}x1")
 
 
 def test_strip_is_hashable_and_frozen():

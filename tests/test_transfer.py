@@ -12,7 +12,7 @@ from pottstrip.connectivity import (
     enumerate_states,
     enumerate_two_slice,
 )
-from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
+from pottstrip.lattice import MAX_WIDTH, CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
     _CACHE_SIZE,
@@ -259,18 +259,27 @@ def test_character_budget():
 
 
 def test_budget_floor_comes_before_the_state_count(monkeypatch):
-    """8 * (E + 1)**2 bits is the floor of every sector, so a strip whose
-    bonds alone break the column cap is refused before its states are
-    counted; MAX_WIDTH - 1 is the widest square strip that passes it."""
+    """8 * (E + 1)**2 bits is the floor of every non-empty sector, so a
+    strip whose bonds alone break the column cap is refused before its
+    states are counted; lattice.MAX_WIDTH - 1 is the widest square strip
+    that passes it."""
     def no_count(*args):
         raise AssertionError("states were counted")
 
     monkeypatch.setattr(transfer, "count_states", no_count)
-    for strip in (square_strip(2, 10**5), square_strip(transfer.MAX_WIDTH, 1)):
+    for strip in (square_strip(2, 10**5), square_strip(MAX_WIDTH, 1)):
         with pytest.raises(ValueError, match=r"at least 8 \* \(E \+ 1\)\*\*2 bits"):
             check_character_budget(strip, 0)
     with pytest.raises(AssertionError, match="states were counted"):
-        check_character_budget(square_strip(transfer.MAX_WIDTH - 1, 1), 0)
+        check_character_budget(square_strip(MAX_WIDTH - 1, 1), 0)
+
+
+def test_budget_floor_spares_an_empty_sector():
+    """A sector with more marks than sites has no states, whatever the
+    bond count: its budget is n = 0 and its character is zero."""
+    strip = square_strip(2, 3000)
+    assert check_character_budget(strip, 5) == (0, 9000, _slot_width(9000, 0))
+    assert character_K(strip, 5) == MultiPoly.zero()
 
 
 def test_budget_message_shows_a_huge_state_count_by_its_size():
