@@ -30,7 +30,6 @@ from .connectivity import (
     count_states,
     enumerate_states,
     enumerate_two_slice,
-    noncrossing_partitions,
 )
 from .lattice import (
     CyclicStrip,
@@ -94,7 +93,6 @@ __all__ = [
     "count_states",
     "enumerate_states",
     "enumerate_two_slice",
-    "noncrossing_partitions",
     "CyclicStrip",
     "EdgeOp",
     "horizontal",

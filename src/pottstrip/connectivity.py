@@ -23,7 +23,9 @@ This module provides
   state of 2L points, on which right point k sits at point 2L-1-k
   (:func:`right_position`); plain functions read its bridges, its left
   profile and its reduction to the right slice;
-* enumeration in a canonical order, plus the ballot-number count
+* enumeration of one sector in canonical order by a single walk over the
+  points that never enters a partition with too few unnested blocks,
+  plus the ballot-number count
 
       count_states(L, l) = C(2L, L-l) - C(2L, L-l-1)
 
@@ -39,7 +41,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Iterator
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -72,60 +73,6 @@ def count_states(width: int, marks: int) -> int:
     low = comb(2 * width, width - marks)
     high = comb(2 * width, width - marks - 1) if width - marks - 1 >= 0 else 0
     return low - high
-
-
-def noncrossing_partitions(n: int) -> Iterator[Blocks]:
-    """Yield every non-crossing partition of {0, ..., n-1}.
-
-    Blocks are sorted tuples, listed in order of their smallest element.
-    Generation walks the points once, keeping a stack of open blocks: each
-    point either opens a new block or closes some suffix of the stack and
-    joins the block below, which is exactly the nesting discipline that
-    characterizes non-crossing partitions.
-
-    >>> for p in noncrossing_partitions(3):
-    ...     print(p)
-    ((0,), (1,), (2,))
-    ((0,), (1, 2))
-    ((0, 2), (1,))
-    ((0, 1), (2,))
-    ((0, 1, 2),)
-    >>> sum(1 for _ in noncrossing_partitions(6)) == catalan(6)
-    True
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
-        return
-
-    done: list[list[int]] = []
-    stack: list[list[int]] = []
-
-    def walk(p: int) -> Iterator[Blocks]:
-        if p == n:
-            blocks = [tuple(b) for b in done] + [tuple(b) for b in stack]
-            blocks.sort()
-            yield tuple(blocks)
-            return
-        # open a fresh block with p
-        stack.append([p])
-        yield from walk(p + 1)
-        stack.pop()
-        # or close zero or more open blocks and append p to the one below
-        closed: list[list[int]] = []
-        while stack:
-            stack[-1].append(p)
-            yield from walk(p + 1)
-            stack[-1].pop()
-            block = stack.pop()
-            closed.append(block)
-            done.append(block)
-        for block in reversed(closed):
-            done.pop()
-            stack.append(block)
-
-    yield from walk(0)
 
 
 def _is_noncrossing(blocks: Blocks) -> bool:
@@ -331,6 +278,13 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
     """All connectivity states of ``width`` points with exactly ``marks``
     marked blocks, in canonical (code-lexicographic) order.
 
+    One depth-first walk over the points builds the partitions in
+    restricted-growth-string order, which is code order, so nothing is
+    sorted.  A branch is entered only if it can still end with ``marks``
+    unnested blocks, so every branch yields a state and the cost follows
+    the sector's size, not the Catalan(width) partitions.  The walk
+    recurses once per point.
+
     >>> [s.render() for s in enumerate_states(2, 1)]
     ['(12•)', '(1)(2•)', '(1•)(2)']
     """
@@ -338,14 +292,37 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
         raise ValueError("width must be >= 1")
     if marks < 0:
         raise ValueError("marks must be >= 0")
-    out = []
-    for blocks in noncrossing_partitions(width):
-        free = _unnested(blocks) if marks else ()
-        if len(free) < marks:
-            continue
-        for chosen in itertools.combinations(free, marks):
-            out.append(ConnectivityState(width, blocks, chosen))
-    out.sort(key=ConnectivityState.code)
+    out: list[ConnectivityState] = []
+    blocks: list[list[int]] = []  # in order of smallest point
+    stack: list[int] = []  # indices of the open blocks, lowest first
+
+    def walk(p: int) -> None:
+        if p == width:
+            # the blocks still open are exactly the unnested ones; reversed
+            # combinations come in increasing order of the mark flags
+            frozen = tuple(map(tuple, blocks))
+            for chosen in reversed(list(itertools.combinations(stack, marks))):
+                out.append(ConnectivityState(width, frozen, chosen))
+            return
+        # p joins the open block at depth d, which closes (nests) the ones
+        # above it, or opens a new block, in increasing block index.  Open
+        # blocks plus points left bound the unnested blocks; the first
+        # depth keeps that bound >= marks.
+        for d in range(max(0, marks - width + p), len(stack)):
+            closed = stack[d + 1 :]
+            del stack[d + 1 :]
+            blocks[stack[d]].append(p)
+            walk(p + 1)
+            blocks[stack[d]].pop()
+            stack.extend(closed)
+        stack.append(len(blocks))
+        blocks.append([p])
+        walk(p + 1)
+        blocks.pop()
+        stack.pop()
+
+    if marks <= width:
+        walk(0)
     return out
 
 

@@ -1,7 +1,6 @@
 """Exhaustive enumeration oracles: cluster sums, spin sums, duality."""
 
 import ast
-import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
@@ -206,65 +205,36 @@ def test_non_invariant_first_column_walks_every_pattern(monkeypatch):
             assert _walk(strip, order) == expected, order
 
 
-def test_memoised_walk_matches_single_mask_classification(monkeypatch):
-    """Above E = 12: on 3x3, 2x5, 4x2 and 8x1 (E = 14-15) with the column
-    program reversed, where two wrapped roots merge below a memo point,
-    both memoised orders equal the per-mask count."""
+#: (width, length, column program reversed): E = 14-15, above the E <= 12
+#: of test_walk_matches_single_mask_classification.  8x1 is one column of
+#: 2**15 subsets; the reflection i -> L-1-i maps the first column of 4x2,
+#: 3x3 and 2x5 onto itself, and no pattern is left out for its mirror
+#: image; reversed, two wrapped roots merge below a memo point.
+PER_MASK_CASES = [
+    (width, length, reverse)
+    for width, length in ((8, 1), (4, 2), (3, 3), (2, 5))
+    for reverse in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "width, length, reverse",
+    PER_MASK_CASES,
+    ids=[f"{w}x{n}{'-reversed' if r else ''}" for w, n, r in PER_MASK_CASES],
+)
+def test_every_walk_equals_the_per_mask_count(monkeypatch, width, length, reverse):
+    """fk_histogram and both memoised orders equal the per-mask count."""
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    for square in (square_strip(3, 3), square_strip(2, 5), square_strip(4, 2), square_strip(8, 1)):
-        strip = dataclasses.replace(square, column_program=square.column_program[::-1])
-        expected = _mask_histogram(strip)
-        for order in (bruteforce._rows, bruteforce._columns):
-            assert _walk(strip, order) == expected, (strip, order)
+    strip = square_strip(width, length)
+    if reverse:
+        strip = dataclasses.replace(strip, column_program=strip.column_program[::-1])
+    expected = _mask_histogram(strip)
+    assert fk_histogram(strip) == expected
+    for order in (bruteforce._rows, bruteforce._columns):
+        assert _walk(strip, order) == expected, order
 
 
-def test_reduced_walk_matches_single_mask_classification(monkeypatch):
-    """3x3 and 2x5 (E = 15), whose first column the reflection
-    i -> L-1-i maps onto itself, are walked in full, with no pattern left
-    out for its mirror image: fk_histogram and both orders equal the
-    per-mask count."""
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    for strip in (square_strip(3, 3), square_strip(2, 5)):
-        expected = _mask_histogram(strip)
-        assert fk_histogram(strip) == expected, strip
-        for order in (bruteforce._rows, bruteforce._columns):
-            assert _walk(strip, order) == expected, (strip, order)
-
-
-def _no_pool(monkeypatch):
-    """Make starting a process pool fail."""
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-
-
-def test_worker_count_is_ignored_on_one_column(monkeypatch):
-    """8x1 (one column, 2**15 subsets) asked for with two workers starts no
-    process pool and returns the one-worker histogram, the per-mask count."""
-    _no_pool(monkeypatch)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    strip = square_strip(8, 1)
-    assert strip.edge_count == 15
-    two = fk_histogram(strip, 2)
-    bruteforce._HISTOGRAM_CACHE.clear()
-    assert fk_histogram(strip) == two
-    assert sum(two.values()) == 2 ** strip.edge_count
-    assert two == _mask_histogram(strip)
-
-
-def test_worker_count_is_ignored_on_a_mirror_symmetric_column(monkeypatch):
-    """4x2 (2**14 subsets), whose first column the reflection maps onto
-    itself, asked for with two workers starts no process pool and returns
-    the per-mask count."""
-    _no_pool(monkeypatch)
-    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
-    strip = square_strip(4, 2)
-    assert fk_histogram(strip, 2) == _mask_histogram(strip)
-
-
-def test_walk_visits_20_of_32_first_column_patterns(monkeypatch):
+def test_the_reflected_edge_list_gives_the_same_histogram(monkeypatch):
     """On 3x4 the reflection i -> L-1-i swaps v0 with v1 and h0 with h2: 8
     of the 32 first-column patterns are their own mirror image and 12 pairs
     are not, so 20 of the 32 would do.  The walk visits all 32, and walking
@@ -419,17 +389,20 @@ def test_spin_sum_at_q_1_is_linear_in_the_bonds():
 
 def test_oracle_imports_only_lattice_and_polynomial():
     """The oracle shares no code with the transfer engine: of the package
-    it imports only ``lattice`` and ``polynomial``."""
-    used = set()
+    it imports only ``lattice`` and ``polynomial``.  It starts no process:
+    it imports neither ``concurrent`` nor ``multiprocessing``."""
+    used, outside = set(), set()
     for node in ast.walk(ast.parse(inspect.getsource(bruteforce))):
         if isinstance(node, ast.ImportFrom) and node.level:
             # ``from .x import y`` names module x; ``from . import x`` names x
             used.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pottstrip"):
-            used.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            outside.add(node.module)
         elif isinstance(node, ast.Import):
-            used.update(a.name for a in node.names if a.name.startswith("pottstrip"))
+            outside.update(a.name for a in node.names)
+    used |= {name for name in outside if name.startswith("pottstrip")}
     assert used <= {"lattice", "polynomial", "pottstrip.lattice", "pottstrip.polynomial"}
+    assert not {name.split(".")[0] for name in outside} & {"concurrent", "multiprocessing"}
 
 
 def test_fixed_boundary_spin_z_hand_value():

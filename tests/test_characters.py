@@ -34,7 +34,7 @@ from pottstrip.characters import (
 from pottstrip.connectivity import count_states
 from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import ONE, ZERO, Q, Q0, MultiPoly, v
-from pottstrip.transfer import character_K
+from pottstrip.transfer import character_K, check_character_budget
 
 STRIPS = [square_strip(1, 2), square_strip(2, 2), square_strip(2, 3)]
 
@@ -156,6 +156,24 @@ def test_character_inversion_round_trip():
         for l in range(strip.width + 1):
             rebuilt = character_from_sectors(strip, l, spectrum)
             assert rebuilt == character_K(strip, l)
+
+
+def test_the_widest_admitted_sector_is_one_state():
+    """K(321) of 321x1, the widest sector the caps admit and the deepest
+    recursion of the state walk, is v^321; K(322) of 322x1 is refused."""
+    assert character_K(square_strip(321, 1), 321) == v ** 321
+    with pytest.raises(ValueError, match="caps are"):
+        check_character_budget(square_strip(322, 1), 322)
+
+
+def test_top_sectors_of_a_wide_column_match_the_oracle():
+    """12x1 at l = 9..12, the sectors the caps admit there (l = 8 is
+    refused), against the sectors of the 2**E oracle."""
+    strip = square_strip(12, 1)
+    for l in range(9, 13):
+        assert character_K(strip, l) == character_from_sectors(strip, l), l
+    with pytest.raises(ValueError, match="caps are"):
+        check_character_budget(strip, 8)
 
 
 def test_character_inversion_rejects_bad_divisibility():

@@ -3,16 +3,28 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pottstrip
 from pottstrip import bruteforce, transfer
 from pottstrip.lattice import MAX_WIDTH
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
+
+
+#: The environment of a ``python -m pottstrip`` child: it imports the
+#: package these tests import, whether or not PYTHONPATH names it.
+_PACKAGE_ROOT = str(Path(pottstrip.__file__).resolve().parent.parent)
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +160,16 @@ def test_an_empty_sector_of_a_long_strip_is_zero(capsys):
     )
     assert code == 0 and err == ""
     assert out == "# lattice: square:2x3000\nK_1,11 = 0\n"
+
+
+def test_the_top_sector_of_a_wide_column_is_one_state(capsys):
+    """K(30) of 30x1 has one state among Catalan(30) ~ 4e15 non-crossing
+    partitions; the state walk skips those with fewer blocks than marks."""
+    code, out, err = run_cli(
+        capsys, "characters", "--lattice", "square:30x1", "--l", "30"
+    )
+    assert code == 0 and err == ""
+    assert out == "# lattice: square:30x1\nK_1,61 = v^30\n"
 
 
 def test_help_exits_zero(capsys):
@@ -415,6 +437,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "pottstrip", "characters",
          "--lattice", "square:1x1", "--format", "json"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert proc.returncode == 0
@@ -427,6 +450,7 @@ def test_module_entry_point_usage_error():
         [sys.executable, "-m", "pottstrip", "characters",
          "--lattice", "square:0x1"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert proc.returncode == 2
@@ -439,6 +463,7 @@ def test_closed_stdout_exits_141_without_a_traceback():
         [sys.executable, "-m", "pottstrip", "verify", "--suite", "cyclic"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()

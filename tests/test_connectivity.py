@@ -17,7 +17,6 @@ from pottstrip.connectivity import (
     enumerate_two_slice,
     join,
     left_profile,
-    noncrossing_partitions,
     reduced,
     render_two_slice,
     right_position,
@@ -54,7 +53,7 @@ def test_enumeration_is_code_sorted():
 
 def test_noncrossing_partition_count():
     for n in range(1, 8):
-        parts = list(noncrossing_partitions(n))
+        parts = [s.blocks for s in enumerate_states(n, 0)]
         assert len(parts) == catalan(n)
         assert len(set(parts)) == len(parts)
 
@@ -69,8 +68,56 @@ def _crossing_free(blocks) -> bool:
 
 
 def test_noncrossing_partitions_are_noncrossing():
-    for part in noncrossing_partitions(6):
-        assert _crossing_free(part)
+    for state in enumerate_states(6, 0):
+        assert _crossing_free(state.blocks)
+
+
+def _restricted_growth_strings(n):
+    """Every restricted growth string of length n >= 1, in lexicographic
+    order: point p's block index is at most one above the largest before."""
+    def grow(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for k in range(max(prefix) + 2):
+            yield from grow(prefix + (k,))
+
+    yield from grow((0,))
+
+
+def _reference_states(width, marks):
+    """The crossing-free restricted growth strings in lexicographic order,
+    each with every choice of ``marks`` blocks no other block encloses, in
+    increasing order of the mark flags: the canonical order, built without
+    the enumeration's walk."""
+    out = []
+    for rgs in _restricted_growth_strings(width):
+        blocks = tuple(
+            tuple(p for p in range(width) if rgs[p] == k) for k in range(max(rgs) + 1)
+        )
+        if not _crossing_free(blocks):
+            continue
+        free = [
+            k for k, b in enumerate(blocks)
+            if not any(c[0] < b[0] and c[-1] > b[-1] for c in blocks)
+        ]
+        choices = sorted(
+            itertools.combinations(free, marks),
+            key=lambda chosen: [k in chosen for k in range(len(blocks))],
+        )
+        out += [ConnectivityState(width, blocks, chosen) for chosen in choices]
+    return out
+
+
+def test_enumeration_equals_the_restricted_growth_string_reference():
+    """Contents and order of every sector up to width 8, which also covers
+    the two-slice states of widths up to 4 (Bell(8) = 4140 strings)."""
+    assert sum(1 for _ in _restricted_growth_strings(8)) == 4140
+    for width in range(1, 9):
+        for marks in range(width + 2):
+            assert enumerate_states(width, marks) == _reference_states(width, marks), (
+                width, marks,
+            )
 
 
 def test_state_validation():
