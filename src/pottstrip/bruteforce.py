@@ -41,12 +41,20 @@ live vertex), so two visits with one signature see the same key changes;
 the first walks the subtree and keeps its changes, and every later one
 adds them to its own key.  An edge's row is read off its vertex indices.
 
+Planar duality is checked by a second, paired walk over the bonds of a
+square strip.  Dual edge k crosses bond k, so excluding the bond includes
+the dual edge and the reverse: each step does one union, on the strip or on
+its dual graph, and a leaf counts the configuration under the joint key of
+both sides' (n, b, j).  The per-configuration identity is checked once per
+key, which covers every configuration in it.
+
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
@@ -62,7 +70,9 @@ MAX_EDGES = 24
 #: spin sums beyond 10**7 terms are refused.
 MAX_SPIN_CONFIGS = 10 ** 7
 
-Histogram = dict[tuple[int, int, int], int]
+#: (clusters, bonds, winding clusters) of one configuration
+Stats = tuple[int, int, int]
+Histogram = dict[Stats, int]
 
 #: an edge order of the walk: the edges and the memo period
 Order = Callable[[CyclicStrip], tuple[tuple[Edge, ...], int]]
@@ -211,6 +221,86 @@ def _subset_histogram(
         for key, c in enumerate(counts)
         if c
     }
+
+
+def _paired_histogram(strip: CyclicStrip) -> dict[tuple[Stats, Stats], int]:
+    """Counts per (direct (n, b, j), dual (n, b, j)) of all bond subsets of
+    a square strip, each paired with its complementary dual configuration.
+
+    One depth-first walk decides the bonds in program order.  Excluding bond
+    k includes dual edge k, and including bond k leaves dual edge k out, so
+    each step does one union, on one side, and undoes it on the way back.
+    Both sides share one union-find, the dual vertices numbered after the
+    strip's, with the moves of ``_subset_histogram``; the two cap loops are
+    applied once, before the walk.  A leaf adds 1 to the count of its key.
+
+    >>> paired = _paired_histogram(square_strip(1, 1))
+    >>> sorted(paired.items())
+    [(((1, 0, 0), (1, 1, 1)), 1), (((1, 1, 1), (2, 0, 2)), 1)]
+    """
+    _check_edge_budget(strip)
+    dual_edges, cap_loops, n_dual = _dual_graph(strip)
+    n_direct = strip.vertex_count
+    n_edges = strip.edge_count
+    n_vertices = n_direct + n_dual
+    parent = list(range(n_vertices))
+    shift = [0] * n_vertices
+    wrapped = [False] * n_vertices
+    for c, _, _ in cap_loops:  # a loop (c, c, 1) wraps its cap
+        wrapped[n_direct + c] = True
+    # key = the direct (n, b, j) and dual (n, b, j) as six digits, highest
+    # first, each of base V + 1 > E with V the vertices of both sides
+    base = n_vertices + 1
+    steps = [base ** i for i in reversed(range(6))]
+    # per bond: (u, w, displacement, n step, b step, j step) of the dual edge
+    # it leaves in when excluded, then of the bond itself
+    moves = [
+        ((n_direct + du, n_direct + dw, dd, *steps[3:]), (u, w, d, *steps[:3]))
+        for (u, w, d), (du, dw, dd) in zip(strip.edges(), dual_edges)
+    ]
+    counts: dict[int, int] = defaultdict(int)
+    last = n_edges - 1
+
+    def walk(k: int, key: int) -> None:
+        for u, w, d, n_step, b_step, j_step in moves[k]:
+            x = u
+            dx = 0
+            while parent[x] != x:
+                dx += shift[x]
+                x = parent[x]
+            y = w
+            dy = 0
+            while parent[y] != y:
+                dy += shift[y]
+                y = parent[y]
+            wx = wrapped[x]
+            branch = key + b_step
+            if x != y:
+                branch -= n_step
+                if wx and wrapped[y]:
+                    branch -= j_step
+            elif not wx and dy - dx != d:
+                branch += j_step
+            if k == last:
+                counts[branch] += 1
+                continue
+            if x != y:
+                parent[y] = x
+                shift[y] = d + dx - dy
+                wrapped[x] = wx or wrapped[y]
+                walk(k + 1, branch)
+                parent[y] = y
+            else:
+                wrapped[x] = wx or dy - dx != d
+                walk(k + 1, branch)
+            wrapped[x] = wx
+
+    walk(0, n_direct * steps[0] + n_dual * steps[3] + len(cap_loops) * steps[5])
+    out = {}
+    for key, c in counts.items():
+        digits = [key // step % base for step in steps]
+        out[tuple(digits[:3]), tuple(digits[3:])] = c
+    return out
 
 
 def _rows(strip: CyclicStrip) -> tuple[tuple[Edge, ...], int]:
@@ -463,6 +553,10 @@ def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:
     with vd = Q/v the dual bond weight, t/t~ trivial-cluster counts and F, E
     the face and edge counts of the strip.  Both sides are monomials, so the
     check compares exponents exactly.
+
+    Each mask is classified from scratch on both graphs, one witness per
+    mask.  ``duality_witness_check`` reads the paired walk instead; this
+    per-mask loop is the independent reference it is tested against.
     """
     _check_edge_budget(strip)
     dual_edges, cap_loops, n_dual = _dual_graph(strip)
@@ -523,21 +617,32 @@ def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
 
 
 def duality_witness_check(strip: CyclicStrip) -> bool:
-    """True iff every configuration's weight identity holds *and* the
-    aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked
-    with its denominators cleared, with Zdual the plain cluster expansion of
-    the dual graph.
+    """True iff every configuration's weight identity (the one
+    ``duality_witnesses`` checks) holds *and* the aggregate identity
+    Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked with its
+    denominators cleared, with Zdual the plain cluster expansion of the dual
+    graph.
+
+    Both come from the joint histogram of ``_paired_histogram``: every
+    configuration lands in exactly one (direct, dual) key, so checking the
+    identity on every key checks every configuration, and the aggregate
+    sums the counts.
     """
     E = strip.edge_count
     F = strip.face_count
     aggregate: dict = {}
-    for w in duality_witnesses(strip):
-        if not w.ok:
+    for ((n, b, j), (dn, db, dwind)), count in _paired_histogram(strip).items():
+        t = n - j
+        dt = dn - dwind
+        if not (
+            dwind == j + 1
+            and (1 - F) + (j + 1) + dt + db == j + t
+            and E - db == b
+        ):
             return False
         # Q**(1-F) v**E * Q**dn * (Q/v)**db, multiplied by Q**(F-1):
-        db = w.dual_bonds
-        key = (w.dual_ntc + w.dual_trivial + db, E - db, 0)
-        aggregate[key] = aggregate.get(key, 0) + 1
+        key = (dn + db, E - db, 0)
+        aggregate[key] = aggregate.get(key, 0) + count
     lhs = MultiPoly(aggregate)  # = Q**(F-1) * v**E * Zdual(Q/v)
     rhs = fk_z(strip)
     qpow = MultiPoly.monomial(1, (F - 1, 0, 0))

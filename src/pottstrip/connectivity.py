@@ -75,49 +75,43 @@ def count_states(width: int, marks: int) -> int:
     return low - high
 
 
-def _is_noncrossing(blocks: Blocks) -> bool:
-    spans = [(b[0], b[-1], i) for i, b in enumerate(blocks)]
-    owner: dict[int, int] = {}
-    for i, b in enumerate(blocks):
-        for p in b:
-            owner[p] = i
-    for lo, hi, i in spans:
-        for p in range(lo + 1, hi):
-            if owner[p] == i:
-                continue
-            j = owner[p]
-            # every block met inside the span must lie entirely inside it
-            if blocks[j][0] < lo or blocks[j][-1] > hi:
-                return False
-    return True
+def _validate_partition(blocks: Blocks, n_points: int) -> list[bool]:
+    """Check that ``blocks`` is a non-crossing partition of the points in
+    canonical order; return one flag per block, True when it is unnested.
 
-
-def _unnested(blocks: Blocks) -> tuple[int, ...]:
-    out = []
-    for i, b in enumerate(blocks):
-        lo, hi = b[0], b[-1]
-        if not any(c[0] < lo and c[-1] > hi for c in blocks):
-            out.append(i)
-    return tuple(out)
-
-
-def _validate_partition(blocks: Blocks, n_points: int) -> None:
-    seen: set[int] = set()
-    for b in blocks:
+    One left-to-right pass keeps the open blocks on a stack: a block may
+    continue only while it is on top (anything above it would cross it), and
+    a block is unnested exactly when the stack is empty at its first point.
+    """
+    if not isinstance(blocks, tuple):
+        raise ValueError(f"blocks must be a tuple, got {blocks}")
+    owner = [-1] * n_points
+    for k, b in enumerate(blocks):
         if not b or tuple(sorted(b)) != tuple(b):
             raise ValueError(f"blocks must be non-empty sorted tuples, got {b}")
-        for p in b:
+        if k and b[0] < blocks[k - 1][0]:
+            raise ValueError("blocks must be listed in order of smallest element")
+        for p in (b[0], b[-1]):
             if not 0 <= p < n_points:
                 raise ValueError(f"point {p} outside range(0, {n_points})")
-            if p in seen:
+        for p in b:
+            if owner[p] >= 0:
                 raise ValueError(f"point {p} appears in two blocks")
-            seen.add(p)
-    if len(seen) != n_points:
+            owner[p] = k
+    if -1 in owner:
         raise ValueError("blocks do not cover every point")
-    if tuple(sorted(blocks)) != blocks:
-        raise ValueError("blocks must be listed in order of smallest element")
-    if not _is_noncrossing(blocks):
-        raise ValueError(f"partition {blocks} is crossing")
+    unnested = [False] * len(blocks)
+    stack: list[int] = []
+    for p, k in enumerate(owner):
+        b = blocks[k]
+        if p == b[0]:
+            unnested[k] = not stack
+            stack.append(k)
+        elif stack[-1] != k:
+            raise ValueError(f"partition {blocks} is crossing")
+        if p == b[-1]:
+            stack.pop()
+    return unnested
 
 
 class DetachTag(Enum):
@@ -221,16 +215,15 @@ class ConnectivityState:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        _validate_partition(self.blocks, self.width)
+        unnested = _validate_partition(self.blocks, self.width)
         if not self.marked:
             return
         if tuple(sorted(set(self.marked))) != self.marked:
             raise ValueError("marked indices must be strictly increasing")
-        unnested = set(_unnested(self.blocks))
         for i in self.marked:
             if not 0 <= i < len(self.blocks):
                 raise ValueError(f"marked index {i} out of range")
-            if i not in unnested:
+            if not unnested[i]:
                 raise ValueError(
                     f"block {self.blocks[i]} is nested and cannot be marked"
                 )
@@ -250,16 +243,24 @@ class ConnectivityState:
 
         The width, then each point's block index, then one mark flag per
         block.  Blocks are ordered by their smallest point, so the block
-        indices form a restricted growth string.
+        indices form a restricted growth string.  Up to width 255 each
+        number takes one byte.  Wider states start with a zero byte (no
+        state has width 0) and the byte count s of the width, then write
+        the width and every block index in s big-endian bytes, so codes of
+        one width still compare point by point.
         """
-        if self.width > 0xFF:
-            raise ValueError("width too large to encode")
-        owner = bytearray(self.width)
+        owner = [0] * self.width
         for k, b in enumerate(self.blocks):
             for p in b:
                 owner[p] = k
-        flags = bytes(k in self.marked for k in range(len(self.blocks)))
-        return bytes([self.width]) + owner + flags
+        flags = bytearray(len(self.blocks))
+        for k in self.marked:
+            flags[k] = 1
+        if self.width <= 0xFF:
+            return bytes([self.width, *owner, *flags])
+        size = (self.width.bit_length() + 7) // 8
+        numbers = b"".join(x.to_bytes(size, "big") for x in (self.width, *owner))
+        return bytes([0, size]) + numbers + bytes(flags)
 
     def render(self) -> str:
         """Human-readable form with 1-based labels, e.g. ``(12•)(3)``."""

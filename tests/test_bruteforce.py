@@ -471,3 +471,63 @@ def test_duality_requires_square_program():
     )
     with pytest.raises(ValueError):
         list(duality_witnesses(reordered))
+    with pytest.raises(ValueError):
+        duality_witness_check(reordered)
+
+
+def _witness_histogram(strip):
+    """Counts per (direct (n, b, j), dual (n, b, j)) from the per-mask
+    witnesses."""
+    out = {}
+    for w in duality_witnesses(strip):
+        key = (
+            (w.direct_ntc + w.direct_trivial, w.direct_bonds, w.direct_ntc),
+            (w.dual_ntc + w.dual_trivial, w.dual_bonds, w.dual_ntc),
+        )
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_paired_walk_equals_the_per_mask_witnesses():
+    square = [
+        strip
+        for strip in (square_strip(w, n) for w in range(1, 13) for n in range(1, 13))
+        if strip.edge_count <= 12
+    ]
+    assert square_strip(1, 1) in square and square_strip(6, 1) in square
+    for strip in square:
+        assert bruteforce._paired_histogram(strip) == _witness_histogram(strip), strip
+
+
+def test_duality_check_fails_when_a_dual_edge_becomes_a_loop(monkeypatch):
+    strip = square_strip(2, 3)
+    dual_graph = bruteforce._dual_graph
+    for k in range(strip.edge_count):
+
+        def faulty(strip, k=k):
+            edges, caps, n_dual = dual_graph(strip)
+            u, _, d = edges[k]
+            return edges[:k] + ((u, u, d),) + edges[k + 1 :], caps, n_dual
+
+        monkeypatch.setattr(bruteforce, "_dual_graph", faulty)
+        assert not duality_witness_check(strip), k
+
+
+def test_duality_check_classifies_no_mask_on_its_own(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return direct_stats(*args)
+
+    direct_stats = bruteforce._direct_stats
+    monkeypatch.setattr(bruteforce, "_direct_stats", counted)
+    monkeypatch.setattr(bruteforce, "duality_witnesses", None)
+    assert duality_witness_check(square_strip(2, 3))
+    assert calls == []
+
+
+def test_duality_check_on_eighteen_bonds():
+    strip = square_strip(2, 6)
+    assert strip.edge_count == 18
+    assert duality_witness_check(strip)

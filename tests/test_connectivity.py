@@ -1,6 +1,7 @@
 """Connectivity states: non-crossing partitions with marked blocks."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,71 @@ def test_state_validation():
     with pytest.raises(ValueError):
         # mark index out of range
         ConnectivityState(1, ((0,),), marked=(1,))
+
+
+def test_state_validation_refuses_malformed_blocks():
+    for width, blocks in (
+        (2, [(0,), (1,)]),  # not a tuple
+        (2, ((0, 1), ())),  # empty block
+        (2, ((1, 0),)),  # unsorted block
+        (2, ((0, 0), (1,))),  # repeated point
+        (2, ((0,), (0, 1))),  # point in two blocks
+        (2, ((1,), (0,))),  # blocks out of order
+        (2, ((0, 2), (1,))),  # point outside the width
+        (2, ((-1, 0), (1,))),  # negative point
+        (3, ((0, 2),)),  # point 1 missing
+    ):
+        with pytest.raises(ValueError):
+            ConnectivityState(width, blocks)
+
+
+def _crossing(blocks) -> bool:
+    """Some a < b < c < d with a, c in one block and b, d in another."""
+    return any(
+        a < b < c < d
+        for x, y in itertools.permutations(blocks, 2)
+        for a, c in itertools.combinations(x, 2)
+        for b, d in itertools.combinations(y, 2)
+    )
+
+
+def _nested(blocks, k) -> bool:
+    """Some block starts before block k and ends after it."""
+    return any(c[0] < blocks[k][0] and c[-1] > blocks[k][-1] for c in blocks)
+
+
+def test_constructor_accepts_exactly_noncrossing_partitions_with_unnested_marks():
+    """Every set partition of up to 7 points with every subset of its blocks
+    marked, against the pairwise definitions above."""
+    accepted = 0
+    for width in range(1, 8):
+        for rgs in _restricted_growth_strings(width):
+            blocks = tuple(
+                tuple(p for p in range(width) if rgs[p] == k)
+                for k in range(max(rgs) + 1)
+            )
+            crossing = _crossing(blocks)
+            for size in range(len(blocks) + 1):
+                for marked in itertools.combinations(range(len(blocks)), size):
+                    if crossing or any(_nested(blocks, k) for k in marked):
+                        with pytest.raises(ValueError):
+                            ConnectivityState(width, blocks, marked)
+                    else:
+                        assert ConnectivityState(width, blocks, marked).marked == marked
+                        accepted += 1
+    # every accepted state is one of the enumerated ones
+    assert accepted == sum(
+        count_states(width, marks) for width in range(1, 8) for marks in range(width + 1)
+    )
+
+
+def test_the_widest_sectors_enumerate_fast_in_code_order():
+    start = time.perf_counter()
+    states = enumerate_states(300, 299)
+    assert time.perf_counter() - start < 1.0
+    assert len(states) == count_states(300, 299)
+    codes = [s.code() for s in states]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_join_marks():
