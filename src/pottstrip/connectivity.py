@@ -243,11 +243,10 @@ class ConnectivityState:
 
         The width, then each point's block index, then one mark flag per
         block.  Blocks are ordered by their smallest point, so the block
-        indices form a restricted growth string.  Up to width 255 each
-        number takes one byte.  Wider states start with a zero byte (no
-        state has width 0) and the byte count s of the width, then write
-        the width and every block index in s big-endian bytes, so codes of
-        one width still compare point by point.
+        indices form a restricted growth string.  Each number takes the s
+        bytes the width needs, big-endian, so codes of one width compare
+        point by point; when s > 1 (widths above 255) the code starts with a
+        zero byte, which no narrower code does (no state has width 0), and s.
         """
         owner = [0] * self.width
         for k, b in enumerate(self.blocks):
@@ -256,11 +255,10 @@ class ConnectivityState:
         flags = bytearray(len(self.blocks))
         for k in self.marked:
             flags[k] = 1
-        if self.width <= 0xFF:
-            return bytes([self.width, *owner, *flags])
         size = (self.width.bit_length() + 7) // 8
+        head = bytes([0, size]) if size > 1 else b""
         numbers = b"".join(x.to_bytes(size, "big") for x in (self.width, *owner))
-        return bytes([0, size]) + numbers + bytes(flags)
+        return head + numbers + bytes(flags)
 
     def render(self) -> str:
         """Human-readable form with 1-based labels, e.g. ``(12•)(3)``."""
