@@ -623,10 +623,10 @@ def duality_witness_check(strip: CyclicStrip) -> bool:
     denominators cleared, with Zdual the plain cluster expansion of the dual
     graph.
 
-    Both come from the joint histogram of ``_paired_histogram``: every
-    configuration lands in exactly one (direct, dual) key, so checking the
-    identity on every key checks every configuration, and the aggregate
-    sums the counts.
+    The configurations come from the joint histogram of
+    ``_paired_histogram``: each lands in exactly one (direct, dual) key, so
+    checking the identity on every key checks every configuration, and the
+    aggregate's left side sums the counts.
     """
     E = strip.edge_count
     F = strip.face_count
