@@ -116,10 +116,18 @@ def test_walk_matches_single_mask_classification():
         assert fk_histogram(strip) == _mask_histogram(strip), strip
 
 
+def _ordered(strip, order):
+    """The edges of ``strip`` in ``order`` (``bruteforce._rows`` or
+    ``bruteforce._columns``), and its memo period."""
+    indices, period = order(strip)
+    edges = strip.edges()
+    return tuple(edges[k] for k in indices), period
+
+
 def _walk(strip, order):
-    """The memoised walk of ``strip`` in ``order`` (``bruteforce._rows`` or
-    ``bruteforce._columns``), whichever order fk_histogram would pick."""
-    edges, period = order(strip)
+    """The memoised walk of ``strip`` in ``order``, whichever order
+    fk_histogram would pick."""
+    edges, period = _ordered(strip, order)
     return bruteforce._subset_histogram(edges, strip.vertex_count, period)
 
 
@@ -173,13 +181,15 @@ def test_both_walk_orders_agree(monkeypatch):
 
 def test_walk_order_follows_the_strip_shape():
     """Rows while the length is at most the width plus one, with a memo
-    point every N edges; columns otherwise, with one every column."""
+    point every N edges; columns otherwise, with one every column.  Both
+    give edge indices, so a bond keeps the index of its dual edge."""
     for width, length in ((3, 4), (4, 3), (6, 2), (12, 1)):
         assert bruteforce._order(square_strip(width, length)) is bruteforce._rows
     for width, length in ((2, 4), (2, 8), (1, 24)):
         assert bruteforce._order(square_strip(width, length)) is bruteforce._columns
     strip = square_strip(3, 2)
-    assert bruteforce._rows(strip) == (
+    assert bruteforce._rows(strip) == ((2, 7, 0, 5, 3, 8, 1, 6, 4, 9), 2)
+    assert _ordered(strip, bruteforce._rows) == (
         (
             (0, 3, 1), (3, 0, 1), (0, 1, 0), (3, 4, 0),  # row 0
             (1, 4, 1), (4, 1, 1), (1, 2, 0), (4, 5, 0),  # row 1
@@ -187,7 +197,8 @@ def test_walk_order_follows_the_strip_shape():
         ),
         2,
     )
-    assert bruteforce._columns(strip) == (strip.edges(), 5)
+    assert bruteforce._columns(strip) == (tuple(range(10)), 5)
+    assert _ordered(strip, bruteforce._columns) == (strip.edges(), 5)
 
 
 def test_non_invariant_first_column_walks_every_pattern(monkeypatch):
@@ -294,7 +305,7 @@ def test_every_memo_period_equals_the_plain_walk_in_both_orders():
     serial = bruteforce._subset_histogram(strip.edges(), strip.vertex_count)
     assert sum(serial.values()) == 2 ** strip.edge_count
     for order in (bruteforce._rows, bruteforce._columns):
-        edges, _ = order(strip)
+        edges, _ = _ordered(strip, order)
         for period in range(1, 6):
             walked = bruteforce._subset_histogram(edges, strip.vertex_count, period)
             assert walked == serial, (order, period)
@@ -326,9 +337,9 @@ def test_memoised_histograms_equal_the_plain_walk(monkeypatch):
 
 def test_oracle_at_the_edge_cap_is_fast_and_exact(monkeypatch):
     """2x8 and 1x24 have E = MAX_EDGES, 12x1 and 6x2 E = 23 and 22; the
-    memoised walk takes under a second on each.  Its partition function
-    equals the character sum, or on 12x1, whose 208012 states the engine
-    refuses, the spin sums at Q = 2."""
+    memoised walk and the duality check each take under a second on each.
+    The partition function equals the character sum, or on 12x1, whose
+    208012 states the engine refuses, the spin sums at Q = 2."""
     from pottstrip.characters import z_from_characters
 
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
@@ -336,6 +347,9 @@ def test_oracle_at_the_edge_cap_is_fast_and_exact(monkeypatch):
         assert strip.edge_count >= bruteforce.MAX_EDGES - 2
         start = time.perf_counter()
         z = fk_z(strip)
+        assert time.perf_counter() - start < 1, strip
+        start = time.perf_counter()
+        assert duality_witness_check(strip), strip
         assert time.perf_counter() - start < 1, strip
         if strip.width < 12:
             assert z == z_from_characters(strip).value, strip
@@ -527,7 +541,52 @@ def test_duality_check_classifies_no_mask_on_its_own(monkeypatch):
     assert calls == []
 
 
-def test_duality_check_on_eighteen_bonds():
-    strip = square_strip(2, 6)
-    assert strip.edge_count == 18
-    assert duality_witness_check(strip)
+def test_paired_walk_on_random_dual_graphs(monkeypatch):
+    """Random column programs, and dual edge lists of no strip with
+    self-loops and displacements from -1 to 2 over the strip's dual
+    vertices: roots wrap and displacements vary above a memo point on both
+    sides, as no square strip shows there.  The memoised paired walk equals
+    the per-mask witnesses."""
+    rng = random.Random(16)
+    dual_graph = bruteforce._dual_graph
+    for _ in range(40):
+        width = rng.randint(1, 3)
+        ops = [vertical(i) for i in range(width - 1)]
+        ops += [horizontal(i) for i in range(width)]
+        program = tuple(rng.sample(ops, rng.randint(1, len(ops))))
+        strip = CyclicStrip(width, rng.randint(2, 4), program)
+        if strip.edge_count > 12:
+            continue
+        _, caps, n_dual = dual_graph(square_strip(width, strip.length))
+        edges = tuple(
+            (rng.randrange(n_dual), rng.randrange(n_dual), rng.randint(-1, 2))
+            for _ in range(strip.edge_count)
+        )
+        monkeypatch.setattr(
+            bruteforce, "_dual_graph", lambda _, e=edges, c=caps, n=n_dual: (e, c, n)
+        )
+        assert bruteforce._paired_histogram(strip) == _witness_histogram(strip), (
+            strip,
+            edges,
+        )
+
+
+def test_duality_check_holds_on_every_strip_up_to_the_cap(monkeypatch):
+    """On each of the 49 square strips with E <= MAX_EDGES (2x6, E = 18,
+    among them) the duality check holds, and the paired walk counts all
+    2**E subsets with fk_histogram as its direct marginal."""
+    monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
+    strips = [
+        strip
+        for strip in (square_strip(w, n) for w in range(1, 13) for n in range(1, 25))
+        if strip.edge_count <= bruteforce.MAX_EDGES
+    ]
+    assert len(strips) == 49 and square_strip(2, 6) in strips
+    for strip in strips:
+        assert duality_witness_check(strip), strip
+        paired = bruteforce._paired_histogram(strip)
+        assert sum(paired.values()) == 2 ** strip.edge_count, strip
+        direct = {}
+        for (stats, _), count in paired.items():
+            direct[stats] = direct.get(stats, 0) + count
+        assert direct == fk_histogram(strip), strip
