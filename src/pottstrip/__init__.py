@@ -14,122 +14,81 @@ value is one, such as a spin sum at rational v):
   ground truth for every identity above.
 """
 
-from .polynomial import (
-    ONE,
-    Q,
-    Q0,
-    VARIABLES,
-    ZERO,
-    MultiPoly,
-    v,
-)
-from .connectivity import (
-    ConnectivityState,
-    DetachTag,
-    catalan,
-    count_states,
-    enumerate_states,
-    enumerate_two_slice,
-)
-from .lattice import (
-    CyclicStrip,
-    EdgeOp,
-    horizontal,
-    parse_lattice,
-    square_strip,
-    vertical,
-)
-from .transfer import (
-    BlockStructureReport,
-    TransferBlock,
-    character_K,
-    column_transfer,
-    edge_operator,
-    verify_block_structure,
-)
-from .bruteforce import (
-    DualityWitness,
-    NtcSpectrum,
-    dual_boundary_z,
-    duality_witness_check,
-    duality_witnesses,
-    fixed_boundary_spin_z,
-    fk_spectrum,
-    fk_z,
-    spin_z,
-)
-from .characters import (
-    BerahaParam,
-    DecompositionResult,
-    amplitude_b,
-    amplitude_c,
-    amplitude_c_term,
-    character_F,
-    character_from_sectors,
-    dual_boundary_decomposition,
-    minimal_character,
-    z1_minimal_alternating,
-    z_fixed_boundary,
-    z_fixed_boundary_minimal,
-    z_from_characters,
-    z_minimal,
-    z_sector_from_characters,
-)
-from .suites import SUITES, CheckResult, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MultiPoly",
-    "Q",
-    "v",
-    "Q0",
-    "ZERO",
-    "ONE",
-    "VARIABLES",
-    "ConnectivityState",
-    "DetachTag",
-    "catalan",
-    "count_states",
-    "enumerate_states",
-    "enumerate_two_slice",
-    "CyclicStrip",
-    "EdgeOp",
-    "horizontal",
-    "parse_lattice",
-    "square_strip",
-    "vertical",
-    "TransferBlock",
-    "BlockStructureReport",
-    "character_K",
-    "column_transfer",
-    "edge_operator",
-    "verify_block_structure",
-    "NtcSpectrum",
-    "DualityWitness",
-    "fk_spectrum",
-    "fk_z",
-    "spin_z",
-    "dual_boundary_z",
-    "duality_witnesses",
-    "duality_witness_check",
-    "fixed_boundary_spin_z",
-    "BerahaParam",
-    "DecompositionResult",
-    "amplitude_b",
-    "amplitude_c",
-    "amplitude_c_term",
-    "character_F",
-    "character_from_sectors",
-    "dual_boundary_decomposition",
-    "minimal_character",
-    "z1_minimal_alternating",
-    "z_fixed_boundary",
-    "z_fixed_boundary_minimal",
-    "z_from_characters",
-    "z_minimal",
-    "z_sector_from_characters",
-    "CheckResult",
-    "run_suite",
-    "SUITES",
-]
+#: The public names, by defining module.  ``import pottstrip`` loads no
+#: submodule: a name's module is imported on first access (PEP 562).
+_EXPORTS = {
+    "polynomial": ("MultiPoly", "Q", "v", "Q0", "ZERO", "ONE", "VARIABLES"),
+    "connectivity": (
+        "ConnectivityState",
+        "DetachTag",
+        "catalan",
+        "count_states",
+        "enumerate_states",
+        "enumerate_two_slice",
+    ),
+    "lattice": (
+        "CyclicStrip",
+        "EdgeOp",
+        "horizontal",
+        "parse_lattice",
+        "square_strip",
+        "vertical",
+    ),
+    "transfer": (
+        "TransferBlock",
+        "BlockStructureReport",
+        "character_K",
+        "column_transfer",
+        "edge_operator",
+        "verify_block_structure",
+    ),
+    "bruteforce": (
+        "NtcSpectrum",
+        "DualityWitness",
+        "fk_spectrum",
+        "fk_z",
+        "spin_z",
+        "dual_boundary_z",
+        "duality_witnesses",
+        "duality_witness_check",
+        "fixed_boundary_spin_z",
+    ),
+    "characters": (
+        "BerahaParam",
+        "DecompositionResult",
+        "amplitude_b",
+        "amplitude_c",
+        "amplitude_c_term",
+        "character_F",
+        "character_from_sectors",
+        "dual_boundary_decomposition",
+        "minimal_character",
+        "z1_minimal_alternating",
+        "z_fixed_boundary",
+        "z_fixed_boundary_minimal",
+        "z_from_characters",
+        "z_minimal",
+        "z_sector_from_characters",
+    ),
+    "suites": ("CheckResult", "run_suite", "SUITES"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

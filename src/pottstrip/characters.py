@@ -40,13 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from .bruteforce import NtcSpectrum, fk_spectrum
 from .connectivity import count_states
 from .lattice import CyclicStrip, square_strip
 from .polynomial import ONE, MultiPoly, v
 from .transfer import character_K, check_character_budget
+
+if TYPE_CHECKING:
+    from .bruteforce import NtcSpectrum
 
 
 def amplitude_c(l: int) -> MultiPoly:
@@ -207,6 +209,8 @@ def _sector_sum(strip: CyclicStrip, l: int, coeff, spectrum: NtcSpectrum | None)
     out = MultiPoly.zero()
     for j in range(l, strip.width + 1):
         if spectrum is None:
+            from .bruteforce import fk_spectrum
+
             spectrum = fk_spectrum(strip)
         out = out + coeff(j) * spectrum[j].quotient_by_monomial((j, 0, 0))
     return out

@@ -7,6 +7,10 @@ for fixed flags the output is byte identical across runs and worker counts.
 Exit codes: 0 success, 1 identity-check failure (the first failing
 polynomial difference is printed), 2 usage error, 141 stdout closed early
 (a broken pipe, as in ``pottstrip verify | head -1``; 128 + SIGPIPE).
+
+Each command imports the layers it runs when it runs, so a process loads
+only what its command needs: ``oracle`` never loads the transfer engine,
+and ``characters`` never loads the oracle.
 """
 
 from __future__ import annotations
@@ -19,20 +23,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import suites
-from .bruteforce import dual_boundary_z, fk_spectrum, fk_z, spin_z
-from .characters import (
-    character_F,
-    dual_boundary_decomposition,
-    z_fixed_boundary,
-    z_fixed_boundary_minimal,
-    z_from_characters,
-    z_minimal,
-    z_sector_from_characters,
-)
 from .lattice import parse_lattice
 from .polynomial import MultiPoly
-from .transfer import character_K, check_character_budget, verify_block_structure
 
 FORMATS = ("json", "csv", "text")
 
@@ -86,13 +78,15 @@ def _emit_values(
 
 
 def _cmd_characters(args) -> int:
+    from .transfer import character_K, check_character_budget
+
     strip = parse_lattice(args.lattice)
     if args.l == "all":
         marks = list(range(strip.width + 1))
-    else:
+    elif args.l.isdecimal():
         marks = [int(args.l)]
-        if marks[0] < 0:
-            raise ValueError("--l must be nonnegative")
+    else:
+        raise ValueError(f"--l takes a non-negative integer or 'all', not {args.l!r}")
     for l in marks:
         check_character_budget(strip, l)
     values = [
@@ -111,6 +105,16 @@ def _decomposition_values(result) -> list[tuple[str, object]]:
 
 
 def _cmd_decompose(args) -> int:
+    from .characters import (
+        character_F,
+        dual_boundary_decomposition,
+        z_fixed_boundary,
+        z_fixed_boundary_minimal,
+        z_from_characters,
+        z_minimal,
+        z_sector_from_characters,
+    )
+
     strip = parse_lattice(args.lattice)
     meta: dict = {"lattice": str(strip), "target": args.target}
     if args.target == "z":
@@ -158,6 +162,8 @@ def _parse_spin(text: str) -> tuple[int, Fraction]:
 
 
 def _cmd_oracle(args) -> int:
+    from .bruteforce import dual_boundary_z, fk_spectrum, fk_z, spin_z
+
     strip = parse_lattice(args.lattice)
     values: list[tuple[str, object]] = [("z", fk_z(strip))]
     if args.count_ntc:
@@ -174,7 +180,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = suites.run_suite(args.suite, args.Lmax, args.Nmax)
+    from .suites import run_suite
+
+    results = run_suite(args.suite, args.Lmax, args.Nmax)
     failed = [r for r in results if not r.ok]
     if args.format == "json":
         payload = {
@@ -206,6 +214,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_blockcheck(args) -> int:
+    from .transfer import verify_block_structure
+
     strip = parse_lattice(args.lattice)
     report = verify_block_structure(strip)
     if args.format == "json":
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an identity suite against the oracles",
     )
     p_verify.add_argument(
-        "--suite", choices=suites.SUITES, default="all", help="which checks"
+        "--suite", default="all", help="which checks (default all)"
     )
     p_verify.add_argument("--Lmax", type=int, default=3)
     p_verify.add_argument("--Nmax", type=int, default=3)

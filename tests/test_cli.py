@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from pottstrip import bruteforce, transfer
 from pottstrip.lattice import MAX_WIDTH
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
+from pottstrip.suites import SUITES
 
 
 #: The environment of a ``python -m pottstrip`` child: it imports the
@@ -89,14 +92,17 @@ def test_invalid_width_is_usage_error(capsys):
 
 def test_malformed_lattice_and_flags(capsys):
     assert run_cli(capsys, "characters", "--lattice", "square:2")[0] == 2
-    assert run_cli(capsys, "characters", "--lattice", "square:2x2",
-                   "--l", "x")[0] == 2
-    assert run_cli(capsys, "characters", "--lattice", "square:2x2",
-                   "--l", "-1")[0] == 2
     assert run_cli(capsys, "characters")[0] == 2  # missing --lattice
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "characters", "--lattice", "square:2x2",
                    "--workers", "0")[0] == 2
+
+
+@pytest.mark.parametrize("bad", ["x", "-1", "", "1.5"])
+def test_characters_rejects_an_l_that_is_not_a_count(capsys, bad):
+    code, out, err = run_cli(capsys, "characters", "--lattice", "square:3x4", "--l", bad)
+    assert code == 2 and out == ""
+    assert err == f"error: --l takes a non-negative integer or 'all', not {bad!r}\n"
 
 
 @pytest.mark.parametrize("lattice", ["square:30x1", "square:2x100000"])
@@ -345,7 +351,12 @@ def test_verify_refuses_a_huge_nmax_quickly(capsys, suite):
 
 
 def test_verify_rejects_unknown_suite(capsys):
-    assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 2
+    """``run_suite`` is the one place that checks a suite name; its message
+    names every valid suite."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and out == ""
+    assert "unknown suite 'bogus'" in err
+    assert all(repr(name) in err for name in SUITES)
 
 
 def test_blockcheck(capsys):
@@ -470,3 +481,79 @@ def test_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait() == 141
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# ----------------------------------------------------------------------
+# import budget: a process loads only the layers its command runs
+
+#: Runs ``python -m pottstrip`` with the arguments after ``--`` and writes
+#: the package's loaded submodules as the last line of stderr.
+_RUN_AND_LIST = """
+import runpy, sys
+try:
+    runpy.run_module("pottstrip", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print(*sorted(n[len("pottstrip."):] for n in sys.modules if n.startswith("pottstrip.")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _loaded_layers(*argv: str) -> tuple[int, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST, *argv],
+        capture_output=True,
+        env=CHILD_ENV,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_pottstrip_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pottstrip; "
+         "print(*(n for n in sys.modules if n.startswith('pottstrip.')))"],
+        capture_output=True,
+        env=CHILD_ENV,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (("oracle", "--lattice", "square:2x2"), {"transfer", "connectivity", "characters", "suites"}),
+        (("characters", "--lattice", "square:2x2"), {"bruteforce", "characters", "suites"}),
+        (("blockcheck", "--lattice", "square:2x1"), {"bruteforce", "characters", "suites"}),
+        (("decompose", "--lattice", "square:3x2", "--target", "zff"), {"bruteforce", "suites"}),
+    ],
+    ids=["oracle", "characters", "blockcheck", "decompose-zff"],
+)
+def test_a_command_loads_only_its_layers(argv, unused):
+    code, loaded = _loaded_layers(*argv)
+    assert code == 0
+    assert "cli" in loaded and not loaded & unused
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert len(set(pottstrip.__all__)) == len(pottstrip.__all__)
+    assert set(pottstrip.__all__) <= set(dir(pottstrip))
+    for name in pottstrip.__all__:
+        module = importlib.import_module(f"pottstrip.{pottstrip._MODULE_OF[name]}")
+        obj = getattr(pottstrip, name)
+        assert obj is getattr(module, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            # defined there, not imported there from another module
+            assert obj.__module__ == module.__name__
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pottstrip.no_such_name
+    assert not hasattr(pottstrip, "no_such_name")
