@@ -618,18 +618,3 @@ def duality_witness_check(strip: CyclicStrip) -> bool:
     qpow = MultiPoly.monomial(1, (F - 1, 0, 0))
     return lhs == qpow * rhs
 
-
-__all__ = [
-    "MAX_EDGES",
-    "MAX_SPIN_CONFIGS",
-    "NtcSpectrum",
-    "DualityWitness",
-    "fk_histogram",
-    "fk_spectrum",
-    "fk_z",
-    "dual_boundary_z",
-    "spin_z",
-    "fixed_boundary_spin_z",
-    "duality_witnesses",
-    "duality_witness_check",
-]

@@ -17,27 +17,25 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .lattice import parse_lattice
-from .polynomial import MultiPoly
 
 FORMATS = ("json", "csv", "text")
 
 
-def _print_csv(named: list[tuple[str, MultiPoly]]) -> None:
+def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to stdout as CSV, in one write."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("name", "degQ", "degv", "degQ0", "coeff"))
-    for name, poly in named:
-        if poly.is_zero:
-            writer.writerow((name, 0, 0, 0, 0))
-        for mono, coeff in poly.terms():
-            writer.writerow((name, mono[0], mono[1], mono[2], str(coeff)))
+    writer.writerow(header)
+    writer.writerows(rows)
     sys.stdout.write(buffer.getvalue())
 
 
@@ -60,12 +58,15 @@ def _emit_values(
             payload[name] = value if isinstance(value, str) else value.to_json_obj()
         _print_json(payload)
     elif fmt == "csv":
-        named = []
+        rows = []
         for name, value in values:
             if isinstance(value, str):
-                value = MultiPoly.constant(Fraction(value))
-            named.append((name, value))
-        _print_csv(named)
+                rows.append((name, 0, 0, 0, value))
+            elif value.is_zero:
+                rows.append((name, 0, 0, 0, 0))
+            else:
+                rows.extend((name, *mono, str(coeff)) for mono, coeff in value.terms())
+        _print_csv(("name", "degQ", "degv", "degQ0", "coeff"), rows)
     else:
         for key, entry in meta.items():
             print(f"# {key}: {entry}")
@@ -197,12 +198,10 @@ def _cmd_verify(args) -> int:
         }
         _print_json(payload)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("check_id", "ok", "detail"))
-        for r in results:
-            writer.writerow((r.check_id, "ok" if r.ok else "FAIL", r.detail))
-        sys.stdout.write(buffer.getvalue())
+        _print_csv(
+            ("check_id", "ok", "detail"),
+            ((r.check_id, "ok" if r.ok else "FAIL", r.detail) for r in results),
+        )
     else:
         for r in results:
             if r.ok:
@@ -214,7 +213,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_blockcheck(args) -> int:
-    from .transfer import verify_block_structure
+    from .transfer import SectorReport, verify_block_structure
 
     strip = parse_lattice(args.lattice)
     report = verify_block_structure(strip)
@@ -224,46 +223,13 @@ def _cmd_blockcheck(args) -> int:
             "dimension": report.dimension,
             "triangular_ok": report.triangular_ok,
             "passed": report.passed,
-            "sectors": [
-                {
-                    "bridges": s.bridges,
-                    "group_count": s.group_count,
-                    "expected_groups": s.expected_groups,
-                    "group_sizes": list(s.group_sizes),
-                    "expected_size": s.expected_size,
-                    "cross_group_zero": s.cross_group_zero,
-                    "matches_reference": s.matches_reference,
-                }
-                for s in report.sectors
-            ],
-            "failures": list(report.failures),
+            "sectors": [dataclasses.asdict(s) for s in report.sectors],
+            "failures": report.failures,
         }
         _print_json(payload)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            (
-                "bridges",
-                "group_count",
-                "expected_groups",
-                "expected_size",
-                "cross_group_zero",
-                "matches_reference",
-            )
-        )
-        for s in report.sectors:
-            writer.writerow(
-                (
-                    s.bridges,
-                    s.group_count,
-                    s.expected_groups,
-                    s.expected_size,
-                    s.cross_group_zero,
-                    s.matches_reference,
-                )
-            )
-        sys.stdout.write(buffer.getvalue())
+        columns = [f.name for f in dataclasses.fields(SectorReport) if f.name != "group_sizes"]
+        _print_csv(columns, ([getattr(s, c) for c in columns] for s in report.sectors))
     else:
         print(f"lattice {strip}: two-slice dimension {report.dimension}")
         print(f"lower-triangular in bridge count: {report.triangular_ok}")

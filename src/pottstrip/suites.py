@@ -218,14 +218,13 @@ def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
                     z.subs_poly("Q", q),
                 )
             )
-            if p % 2 == 0:
-                out.append(
-                    _poly_check(
-                        f"minimal-sector0[{name},p={p}]",
-                        characters.z1_minimal_alternating(strip, p),
-                        z1.subs_poly("Q", q),
-                    )
+            out.append(
+                _poly_check(
+                    f"minimal-sector0[{name},p={p}]",
+                    characters.z1_minimal_alternating(strip, p),
+                    z1.subs_poly("Q", q),
                 )
+            )
     return out
 
 

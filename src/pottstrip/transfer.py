@@ -46,15 +46,16 @@ pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
 in one pass over their bytes.
 
 ``verify_block_structure`` rebuilds the *full* transfer matrix on two-slice
-states and checks the claimed structure directly: bridge count never
-increases, states of fixed bridge count split by left profile into
-n(L, l) groups of size n(L, l) with no transitions between groups, and
-every group's sub-matrix equals T_l on the nose.  A two-slice state is an
-unmarked state of 2L points, so the full matrix is the column program moved
-onto the right slice and compiled through the same cached ``_bond_table``
-of width 2L and no marks.  Both sides are pushed at one slot width and
-compared as packed ints, which is exact because the packing is injective
-under the bound ``_compile`` checks.
+states and checks the claimed structure directly, in one pass over its
+pushed columns: bridge count never increases, states of fixed bridge count
+split by left profile into n(L, l) groups of size n(L, l) with no
+transitions between groups, and every group's sub-matrix equals T_l on
+the nose.  A two-slice state is an unmarked state of 2L points, so the
+full matrix is the column program moved onto the right slice and compiled
+through the same cached ``_bond_table`` of width 2L and no marks.  Both
+sides are pushed at one slot width and compared as packed ints, which is
+exact because the packing is injective under the bound ``_compile``
+checks.
 """
 
 from __future__ import annotations
@@ -442,17 +443,21 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     * for each l, the l-bridge states split by left profile into
       count_states(L, l) groups of count_states(L, l) states each;
     * entries between different groups of the same bridge count vanish;
-    * each group's sub-matrix, rows and columns ordered by the canonical
-      order of the reduced states, equals T_l, the column program's
-      product on the l-mark states.
+    * each group's sub-matrix equals T_l, the column program's product on
+      the l-mark states, with each state at its place: the index of its
+      reduced state in the l-mark basis.
+
+    Each state is read once, for its bridge count, group and place, and
+    each pushed column is walked once.  A group whose places are not
+    exactly range(count_states(L, l)) is reported and not compared.
 
     The two-slice basis is ``_basis(2L, 0)``, the unmarked states of 2L
     points, and each bond, moved by ``_on_right_slice``, is the cached
     ``_bond_table`` of that basis.  Every column, two-slice or reference,
     is pushed at one slot width: both programs have the same E bonds and
     ``_compile`` bounds both, so equal polynomials pack to equal ints and
-    the sub-matrices are compared as packed ints.  Only the two entries of
-    a mismatch are unpacked, for its message.
+    the columns are compared as packed ints.  Only the two entries of a
+    mismatch are unpacked, for its message.
 
     Kept to widths <= 4; the basis has Catalan(2L) states.
     """
@@ -464,86 +469,78 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     bonds = len(strip.column_program)
     w = _slot_width(bonds, n)
     program = [_bond_table(2 * width, 0, _on_right_slice(op, width)) for op in strip.column_program]
-    cols = [_push(program, b, w) for b in range(n)]
+    sizes = [count_states(width, l) for l in range(width + 1)]
+    reference = [
+        [_push(_column_program(strip, l), i, w) for i in range(size)]
+        for l, size in enumerate(sizes)
+    ]
+    places = [{s.key: i for i, s in enumerate(_basis(width, l))} for l in range(width + 1)]
+
+    bridges, group, place = [], [], []
+    groups: dict[tuple, list[int]] = {}
+    for k, blocks in enumerate(basis):
+        l = bridge_count(blocks, width)
+        members = groups.setdefault((l, left_profile(blocks, width)), [])
+        members.append(k)
+        bridges.append(l)
+        group.append(members[0])  # a group is named by its first state
+        place.append(places[l].get(reduced(blocks, width)))
+
+    failures: list[str] = []
+    triangular_ok = True
+    cross_zero = [True] * (width + 1)
+    matches = [True] * (width + 1)
+    # the state at each place of every group whose places are range(n(L, l))
+    slots = {}
+    for (l, _), members in sorted(groups.items()):
+        at = {place[k]: k for k in members}
+        if len(members) == sizes[l] and at.keys() == set(range(sizes[l])):
+            slots[members[0]] = at
+        else:
+            matches[l] = False
+            failures.append(f"group at l={l} does not reduce onto the reference basis")
 
     def move(b: int, a: int) -> str:
         return f"{render_two_slice(basis[b], width)} -> {render_two_slice(basis[a], width)}"
 
-    bridges = [bridge_count(blocks, width) for blocks in basis]
-    failures: list[str] = []
-
-    triangular_ok = True
-    for b, col in enumerate(cols):
-        for a in col:
-            if bridges[a] > bridges[b]:
+    for b in range(n):
+        l = bridges[b]
+        got = {}
+        for a, entry in _push(program, b, w).items():
+            if bridges[a] > l:
                 triangular_ok = False
+                failures.append(f"bridge count grows {l} -> {bridges[a]} on {move(b, a)}")
+            elif group[a] == group[b]:
+                got[place[a]] = entry
+            elif bridges[a] == l:
+                cross_zero[l] = False
+                failures.append(f"leakage between sub-blocks at l={l}: {move(b, a)}")
+        # a group that does not reduce onto the reference basis is not compared
+        want = reference[l][place[b]] if group[b] in slots else got
+        for p in sorted(got.keys() | want.keys()):
+            if got.get(p, 0) != want.get(p, 0):
+                matches[l] = False
                 failures.append(
-                    f"bridge count grows {bridges[b]} -> {bridges[a]} on {move(b, a)}"
+                    f"entry mismatch at l={l}, {move(b, slots[group[b]][p])}: "
+                    f"{_unpack(got.get(p, 0), w, bonds)} != {_unpack(want.get(p, 0), w, bonds)}"
                 )
-
-    # group the l-bridge states by left profile
-    groups: dict[tuple, list[int]] = {}
-    for k, blocks in enumerate(basis):
-        groups.setdefault((bridges[k], left_profile(blocks, width)), []).append(k)
-    group_of = [0] * n
-    for gid, members in enumerate(groups.values()):
-        for k in members:
-            group_of[k] = gid
 
     sector_reports = []
-    for l in range(width + 1):
-        expected = count_states(width, l)
-        sector_groups = sorted(
-            (key, members) for key, members in groups.items() if key[0] == l
-        )
-        group_sizes = tuple(len(m) for _, m in sector_groups)
-        cross_zero = True
-        matches = True
-        ref_program = _column_program(strip, l)
-        reference = [_push(ref_program, b, w) for b in range(expected)]
-        ref_index = {s.key: i for i, s in enumerate(_basis(width, l))}
-        for _, members in sector_groups:
-            for b in members:
-                for a in cols[b]:
-                    if bridges[a] == l and group_of[a] != group_of[b]:
-                        cross_zero = False
-                        failures.append(
-                            f"leakage between sub-blocks at l={l}: {move(b, a)}"
-                        )
-            # order group members by their reduced state and compare
-            order = [ref_index.get(reduced(basis[k], width)) for k in members]
-            if None in order or sorted(order) != list(range(expected)):
-                matches = False
-                failures.append(
-                    f"group at l={l} does not reduce onto the reference basis"
-                )
-                continue
-            ordered = [k for _, k in sorted(zip(order, members))]
-            for ref_col, b in zip(reference, ordered):
-                col = cols[b]
-                for aa, a in enumerate(ordered):
-                    got, want = col.get(a, 0), ref_col.get(aa, 0)
-                    if got != want:
-                        matches = False
-                        failures.append(
-                            f"entry mismatch at l={l}, {move(b, a)}: "
-                            f"{_unpack(got, w, bonds)} != {_unpack(want, w, bonds)}"
-                        )
+    for l, expected in enumerate(sizes):
+        group_sizes = tuple(len(members) for key, members in sorted(groups.items()) if key[0] == l)
         sector_reports.append(
             SectorReport(
                 bridges=l,
-                group_count=len(sector_groups),
+                group_count=len(group_sizes),
                 expected_groups=expected,
                 group_sizes=group_sizes,
                 expected_size=expected,
-                cross_group_zero=cross_zero,
-                matches_reference=matches,
+                cross_group_zero=cross_zero[l],
+                matches_reference=matches[l],
             )
         )
-        if len(sector_groups) != expected:
-            failures.append(
-                f"sector l={l} has {len(sector_groups)} sub-blocks, expected {expected}"
-            )
+        if len(group_sizes) != expected:
+            failures.append(f"sector l={l} has {len(group_sizes)} sub-blocks, expected {expected}")
         if any(size != expected for size in group_sizes):
             failures.append(
                 f"sector l={l} has sub-block sizes {group_sizes}, expected all {expected}"

@@ -15,7 +15,8 @@ import pytest
 
 import pottstrip
 from pottstrip import bruteforce, transfer
-from pottstrip.lattice import MAX_WIDTH
+from pottstrip.connectivity import bridge_count, enumerate_two_slice, left_profile
+from pottstrip.lattice import MAX_WIDTH, horizontal
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.suites import SUITES
@@ -371,6 +372,8 @@ BLOCKCHECK_DIGESTS = {
     ("square:3x1", "json"): "f5fa36e2388b6385f5a71fc0b7e23465e28d4fb5eac923437dfd418bff2903e6",
     ("square:4x1", "json"): "8a34f0c1347e83b997a366200b1f66446c2f0f6986afdac338007d35a28f2ff0",
     ("square:3x2", "text"): "36b4a9dfc8f2b3a39200009fea7e8d15ff64899e4edff863f87edc58027ed5f0",
+    ("square:3x1", "csv"): "a470858d2f2f8791de96f21b874196c80aa1e2b4dee38c1e6cd5f0e8285c3b15",
+    ("square:2x1", "text"): "c277b52b63aa814de60a833a2d3ee11232387b5109b766ed00abf5164bd99573",
 }
 
 
@@ -379,6 +382,72 @@ def test_blockcheck_bytes_are_unchanged(capsys, lattice, fmt):
     code, out, _ = run_cli(capsys, "blockcheck", "--lattice", lattice, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BLOCKCHECK_DIGESTS[lattice, fmt]
+
+
+def test_blockcheck_failure_exits_one(capsys, monkeypatch):
+    """A two-slice branch sent to another left profile of the same bridge
+    count fails the check: exit 1, ``FAIL`` lines, and ``failed`` last."""
+    states = enumerate_two_slice(2)
+    group = {s.key: (bridge_count(s.blocks, 2), left_profile(s.blocks, 2)) for s in states}
+    source, target = next(
+        (a, b) for a in group for b in group if group[a][0] == group[b][0] and group[a] != group[b]
+    )
+    op = transfer._on_right_slice(horizontal(0), 2)
+    action = transfer._action
+
+    def rerouted(bond, key):
+        branches = action(bond, key)
+        if bond == op and key == source:
+            return [(target, branches[0][1]), *branches[1:]]
+        return branches
+
+    transfer._bond_table.cache_clear()
+    monkeypatch.setattr(transfer, "_action", rerouted)
+    try:
+        code, out, _ = run_cli(capsys, "blockcheck", "--lattice", "square:2x1")
+    finally:
+        monkeypatch.undo()
+        transfer._bond_table.cache_clear()
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "failed"
+    assert any(line.startswith("FAIL leakage between sub-blocks") for line in lines)
+
+
+#: sha256 of ``verify --suite cyclic --Lmax 2 --Nmax 2`` stdout per format.
+VERIFY_DIGESTS = {
+    "csv": "ec380ff505a93db9c7f46f766891e1be8ab908c93185046a19cabcbb4dbbf76e",
+    "text": "effeffd19846ef7d460afe2a50fb58f1c07128fcd98d4c0afedcc1f271db8165",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_DIGESTS)
+def test_verify_bytes_are_unchanged(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "cyclic", "--Lmax", "2", "--Nmax", "2", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
+
+
+#: sha256 of ``oracle --spin ... --format csv`` stdout per (lattice, spin).
+ORACLE_SPIN_DIGESTS = {
+    ("square:2x2", "2,1/2"): "87f90846ef03a46d06b71964f3050e1064e99d57a0f61493d34dff04516f6a2e",
+    ("square:1x1", "2,-1"): "13b6c959be5e74bf56918aaeb8cc799c34368451784d71f79bc8fc24231f0adf",
+}
+
+
+@pytest.mark.parametrize("lattice,spin", ORACLE_SPIN_DIGESTS)
+def test_oracle_spin_csv_rows(capsys, lattice, spin):
+    """The spin value is one row after the polynomial rows; a zero value
+    is the row ``name,0,0,0,0``."""
+    code, out, _ = run_cli(
+        capsys, "oracle", "--lattice", lattice, "--spin", spin, "--format", "csv"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SPIN_DIGESTS[lattice, spin]
+    if spin == "2,-1":
+        assert out.splitlines()[-1] == '"spin[Q=2,v=-1]",0,0,0,0'
 
 
 def test_verify_honours_workers(capsys, monkeypatch):

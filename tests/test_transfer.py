@@ -11,6 +11,8 @@ from pottstrip.connectivity import (
     count_states,
     enumerate_states,
     enumerate_two_slice,
+    left_profile,
+    render_two_slice,
 )
 from pottstrip.lattice import MAX_WIDTH, CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
@@ -362,6 +364,78 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
         got, want = failure.rsplit(": ", 1)[1].split(" != ")
         assert want in reference
         assert "Q" in got and got not in reference
+
+
+def _rerouted_check(monkeypatch, strip, op, source, target):
+    """The block check of ``strip`` with the first branch of bond ``op`` on
+    two-slice key ``source`` sent to ``target`` at the same weight, which
+    keeps the packing bound."""
+    action = transfer._action
+
+    def rerouted(bond, key):
+        branches = action(bond, key)
+        if bond == op and key == source:
+            return [(target, branches[0][1]), *branches[1:]]
+        return branches
+
+    transfer._bond_table.cache_clear()
+    monkeypatch.setattr(transfer, "_action", rerouted)
+    try:
+        return verify_block_structure(strip)
+    finally:
+        monkeypatch.undo()
+        transfer._bond_table.cache_clear()
+
+
+def _one_bond_move(leaves_group):
+    """A width-2 strip whose column program is the one bond horizontal(0),
+    that bond on the right slice, and a (source, target) pair of two-slice
+    states: the target has the source's bridge count and another left
+    profile when ``leaves_group``, and more bridges otherwise."""
+    strip = CyclicStrip(2, 1, (horizontal(0),))
+    group = {
+        s.key: (bridge_count(s.blocks, 2), left_profile(s.blocks, 2))
+        for s in enumerate_two_slice(2)
+    }
+
+    def wanted(a, b):
+        (bridges_a, profile_a), (bridges_b, profile_b) = group[a], group[b]
+        if leaves_group:
+            return bridges_a == bridges_b and profile_a != profile_b
+        return bridges_a < bridges_b
+
+    source, target = next((a, b) for a in group for b in group if wanted(a, b))
+    return strip, transfer._on_right_slice(horizontal(0), 2), source, target, group
+
+
+def test_block_structure_reports_leakage_between_groups(monkeypatch):
+    """A branch sent to a state of the same bridge count but another left
+    profile breaks the zero between the groups of that sector only, and
+    the one leakage message names the move."""
+    strip, op, source, target, group = _one_bond_move(leaves_group=True)
+    assert verify_block_structure(strip).passed
+    report = _rerouted_check(monkeypatch, strip, op, source, target)
+    sector = group[source][0]
+    assert not report.passed and report.triangular_ok
+    assert [s.cross_group_zero for s in report.sectors] == [l != sector for l in range(3)]
+    render = {s.key: render_two_slice(s.blocks, 2) for s in enumerate_two_slice(2)}
+    assert [f for f in report.failures if f.startswith("leakage")] == [
+        f"leakage between sub-blocks at l={sector}: {render[source]} -> {render[target]}"
+    ]
+
+
+def test_block_structure_reports_a_growing_bridge_count(monkeypatch):
+    """A branch sent to a state with more bridges fails the triangular check
+    and names the move."""
+    strip, op, source, target, group = _one_bond_move(leaves_group=False)
+    report = _rerouted_check(monkeypatch, strip, op, source, target)
+    assert not report.passed and not report.triangular_ok
+    assert all(s.cross_group_zero for s in report.sectors)
+    render = {s.key: render_two_slice(s.blocks, 2) for s in enumerate_two_slice(2)}
+    assert (
+        f"bridge count grows {group[source][0]} -> {group[target][0]} on "
+        f"{render[source]} -> {render[target]}"
+    ) in report.failures
 
 
 def test_block_structure_width_cap():
