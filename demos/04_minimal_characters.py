@@ -9,8 +9,8 @@ p = 2, 3, 4, 6 give Q = 0, 1, 2, 3 (the Ising model sits at p = 4).
 """
 
 from pottstrip import (
-    BerahaParam,
     amplitude_c,
+    beraha_q,
     fk_spectrum,
     fk_z,
     minimal_character,
@@ -27,7 +27,7 @@ strip = square_strip(2, 3)
 print("strip:", strip)
 
 for p in (2, 3, 4, 6):
-    q = BerahaParam.from_p(p).q_value
+    q = beraha_q(p)
     # chi combines K's with indices marching in steps of p
     chis = [
         minimal_character(strip, l, p) for l in range(0, (p - 2) // 2 + 1)

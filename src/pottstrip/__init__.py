@@ -24,7 +24,6 @@ _EXPORTS = {
     "polynomial": ("MultiPoly", "Q", "v", "Q0", "ZERO", "ONE", "VARIABLES"),
     "connectivity": (
         "ConnectivityState",
-        "DetachTag",
         "catalan",
         "count_states",
         "enumerate_states",
@@ -58,11 +57,11 @@ _EXPORTS = {
         "fixed_boundary_spin_z",
     ),
     "characters": (
-        "BerahaParam",
         "DecompositionResult",
         "amplitude_b",
         "amplitude_c",
         "amplitude_c_term",
+        "beraha_q",
         "character_F",
         "character_from_sectors",
         "dual_boundary_decomposition",

@@ -65,7 +65,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .lattice import VERTICAL, CyclicStrip, Edge, square_strip
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, Q0
 
 #: subsets beyond 2**24 are refused; the point of this module is certainty,
 #: not scale.
@@ -376,20 +376,15 @@ def fk_z(strip: CyclicStrip) -> MultiPoly:
 def dual_boundary_z(strip: CyclicStrip) -> MultiPoly:
     """Cluster expansion where one winding cluster is weighted Q0 instead
     of Q: configurations with j >= 1 winding clusters get Q0 * Q**(n-1) *
-    v**b, configurations with none keep Q**n * v**b.
+    v**b, configurations with none keep Q**n * v**b.  That is
+    Z_1 + Q0 * (Z - Z_1) / Q, the division checked term by term.
 
     >>> print(dual_boundary_z(square_strip(1, 2)))
     Q^2 + 2*Q*v + v^2*Q0
     """
-    counts = fk_histogram(strip)
-    terms: dict = {}
-    for (n, b, j), c in counts.items():
-        if j >= 1:
-            key = (n - 1, b, 1)
-        else:
-            key = (n, b, 0)
-        terms[key] = terms.get(key, 0) + c
-    return MultiPoly(terms)
+    spectrum = fk_spectrum(strip)
+    z1 = spectrum[0]
+    return z1 + Q0 * (spectrum.total() - z1).quotient_by_monomial((1, 0, 0))
 
 
 def _spin_sum(strip: CyclicStrip, q: int, v: Fraction | int, pinned: set[int]) -> Fraction:

@@ -59,10 +59,7 @@ def amplitude_c(l: int) -> MultiPoly:
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = MultiPoly.zero()
-    for j in range(l + 1):
-        out = out + MultiPoly.monomial((-1) ** (l - j) * comb(l + j, l - j), (j, 0, 0))
-    return out
+    return sum((amplitude_c_term(j, l) for j in range(l + 1)), MultiPoly.zero())
 
 
 def amplitude_c_term(j: int, l: int) -> MultiPoly:
@@ -90,27 +87,23 @@ def amplitude_b(l: int) -> MultiPoly:
     return out
 
 
-@dataclass(frozen=True)
-class BerahaParam:
-    """A supported Beraha point: integer p with Q = (2 cos(pi/p))**2 rational.
+#: Q = (2 cos(pi/p))**2 at the rational Beraha points, by p.
+_BERAHA_Q = {2: 0, 3: 1, 4: 2, 6: 3}
 
-    >>> BerahaParam.from_p(4).q_value
+
+def beraha_q(p: int) -> int:
+    """The value of Q at the Beraha point p; ValueError unless Q is
+    rational there, p in {2, 3, 4, 6}.
+
+    >>> beraha_q(4)
     2
     """
-
-    p: int
-    q_value: int
-
-    _SUPPORTED = {2: 0, 3: 1, 4: 2, 6: 3}
-
-    @classmethod
-    def from_p(cls, p: int) -> "BerahaParam":
-        try:
-            return cls(p, cls._SUPPORTED[p])
-        except KeyError:
-            raise ValueError(
-                f"p={p} is not supported; rational Beraha points have p in {{2, 3, 4, 6}}"
-            ) from None
+    try:
+        return _BERAHA_Q[p]
+    except KeyError:
+        raise ValueError(
+            f"p={p} is not supported; rational Beraha points have p in {{2, 3, 4, 6}}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -150,18 +143,15 @@ def _character_sum(
     strip: CyclicStrip,
     ls: Iterable[int],
     amplitude: Callable[[int], MultiPoly],
-    beraha: BerahaParam | None = None,
+    p: int | None = None,
 ) -> DecompositionResult:
-    """sum amplitude(l) * K(l) over ``ls``; with ``beraha``, sum
-    amplitude(l) * chi(l) with Q at its Beraha value in both factors.
+    """sum amplitude(l) * K(l) over ``ls``; with a Beraha point ``p``, sum
+    amplitude(l) * chi(l) with Q at ``beraha_q(p)`` in both factors.
 
     Every K(m) the sum reads passes ``check_character_budget`` first, so a
     strip over the caps is refused before any state or amplitude is built.
     """
-    reads = [
-        (l, [(l, 1)] if beraha is None else _minimal_marks(strip.width, l, beraha.p))
-        for l in ls
-    ]
+    reads = [(l, [(l, 1)] if p is None else _minimal_marks(strip.width, l, p)) for l in ls]
     for m in sorted({m for _, marks in reads for m, _ in marks}):
         check_character_budget(strip, m)
     terms = []
@@ -172,21 +162,19 @@ def _character_sum(
         for m, sign in marks:
             k = character_K(strip, m)
             character = character + k if sign > 0 else character - k
-        if beraha is not None:
-            amp = amp.subs_poly("Q", beraha.q_value)
-            character = character.subs_poly("Q", beraha.q_value)
+        if p is not None:
+            amp = amp.subs_poly("Q", beraha_q(p))
+            character = character.subs_poly("Q", beraha_q(p))
         terms.append((l, amp, character))
         total = total + amp * character
     return DecompositionResult(target, strip, total, tuple(terms))
 
 
-def _beraha(p: int | BerahaParam) -> BerahaParam:
-    return p if isinstance(p, BerahaParam) else BerahaParam.from_p(p)
-
-
-def _minimal_range(beraha: BerahaParam) -> range:
-    """The l of the minimal characters a Beraha decomposition sums over."""
-    return range((beraha.p - 2) // 2 + 1)
+def _minimal_range(p: int) -> range:
+    """The l of the minimal characters a Beraha-point decomposition sums
+    over; ValueError unless p is a supported Beraha point."""
+    beraha_q(p)
+    return range((p - 2) // 2 + 1)
 
 
 def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
@@ -244,37 +232,32 @@ def character_F(
     return _sector_sum(strip, l, lambda j: comb(2 * j, j - l), spectrum)
 
 
-def minimal_character(strip: CyclicStrip, l: int, p: int | BerahaParam) -> MultiPoly:
+def minimal_character(strip: CyclicStrip, l: int, p: int) -> MultiPoly:
     """The minimal character chi(l) at a Beraha point, as a polynomial in v.
 
     chi(l) = sum_{n >= 0} [K(np + l) - K((n+1)p - 1 - l)] with K(m) = 0 for
     m > L, Q evaluated at the Beraha value.  Requires 0 <= l <= p - 2.
     """
-    beraha = _beraha(p)
-    if not 0 <= l <= beraha.p - 2:
-        raise ValueError(f"minimal characters need 0 <= l <= p-2, got l={l}, p={beraha.p}")
-    return _character_sum(f"chi[{l}]@p={beraha.p}", strip, [l], lambda _: ONE, beraha).value
+    beraha_q(p)
+    if not 0 <= l <= p - 2:
+        raise ValueError(f"minimal characters need 0 <= l <= p-2, got l={l}, p={p}")
+    return _character_sum(f"chi[{l}]@p={p}", strip, [l], lambda _: ONE, p).value
 
 
-def z_minimal(strip: CyclicStrip, p: int | BerahaParam) -> DecompositionResult:
+def z_minimal(strip: CyclicStrip, p: int) -> DecompositionResult:
     """Z at a Beraha point as a finite sum of minimal characters:
     Z = sum_{l=0}^{floor((p-2)/2)} c(l)|_Q  chi(l)."""
-    beraha = _beraha(p)
-    return _character_sum(f"z@p={beraha.p}", strip, _minimal_range(beraha), amplitude_c, beraha)
+    return _character_sum(f"z@p={p}", strip, _minimal_range(p), amplitude_c, p)
 
 
-def z1_minimal_alternating(strip: CyclicStrip, p: int | BerahaParam) -> MultiPoly:
+def z1_minimal_alternating(strip: CyclicStrip, p: int) -> MultiPoly:
     """For even p: the zero-winding sector as an alternating sum of minimal
     characters, Z_1 = sum_l (-1)**l chi(l)."""
-    beraha = _beraha(p)
-    if beraha.p % 2:
+    beraha_q(p)
+    if p % 2:
         raise ValueError("the alternating minimal-character form needs even p")
     return _character_sum(
-        f"z1@p={beraha.p}",
-        strip,
-        _minimal_range(beraha),
-        lambda l: MultiPoly.constant((-1) ** l),
-        beraha,
+        f"z1@p={p}", strip, _minimal_range(p), lambda l: MultiPoly.constant((-1) ** l), p
     ).value
 
 
@@ -295,31 +278,28 @@ def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
     return MultiPoly({(a + k, edges - k, m): c for (a, k, m), c in poly.terms()})
 
 
-def _fixed_boundary(
-    width: int, length: int, beraha: BerahaParam | None
-) -> DecompositionResult:
+def _fixed_boundary(width: int, length: int, p: int | None) -> DecompositionResult:
     """Z_ff from the b(l)|_{Q0=1} character sum of the width-(L-1) strip:
     the sum at the dual weight, divided exactly by Q**(E+2-F) (at a Beraha
     point, by that integer power of Q's value), times (1+v)**(2N)."""
     inner = square_strip(width - 1, length)
     target = f"zff[{width}x{length}]"
-    if beraha is None:
+    if p is None:
         marks = range(width)
     else:
-        marks = _minimal_range(beraha)
-        target += f"@p={beraha.p}"
-    result = _character_sum(
-        target, inner, marks, lambda l: amplitude_b(l).subs_poly("Q0", 1), beraha
-    )
+        marks = _minimal_range(p)
+        target += f"@p={p}"
+    result = _character_sum(target, inner, marks, lambda l: amplitude_b(l).subs_poly("Q0", 1), p)
     edges = inner.edge_count
     dual_sum = _at_dual_weight(result.value, edges)
-    if beraha is None:
+    if p is None:
         dual_sum = dual_sum.quotient_by_monomial((edges + 2 - inner.face_count, 0, 0))
     else:
         # Z_ff at an integer Q has integer coefficients and (1+v)**(2N) is
         # primitive, so by Gauss's lemma a remainder here is an upstream bug.
-        d = beraha.q_value ** (edges + 2 - inner.face_count)
-        dual_sum = dual_sum.subs_poly("Q", beraha.q_value)
+        q = beraha_q(p)
+        d = q ** (edges + 2 - inner.face_count)
+        dual_sum = dual_sum.subs_poly("Q", q)
         if any(c % d for _, c in dual_sum.terms()):
             raise ValueError(f"{dual_sum} is not divisible by {d}")
         dual_sum = MultiPoly({m: c // d for m, c in dual_sum.terms()})
@@ -348,9 +328,7 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
     return _fixed_boundary(width, length, None)
 
 
-def z_fixed_boundary_minimal(
-    width: int, length: int, p: int | BerahaParam
-) -> DecompositionResult:
+def z_fixed_boundary_minimal(width: int, length: int, p: int) -> DecompositionResult:
     """The fixed-boundary decomposition at a Beraha point, regrouped into
     minimal characters of the width-(L-1) strip:
 
@@ -361,14 +339,14 @@ def z_fixed_boundary_minimal(
     v -> Q/v substitution shows only inside ``value``).  p = 2 is rejected:
     there Q = 0 and the dual weight Q/v vanishes.
     """
-    beraha = _beraha(p)
-    if beraha.p % 2:
+    q = beraha_q(p)
+    if p % 2:
         raise ValueError("the minimal regrouping is stated for even p")
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    if not beraha.q_value:
+    if not q:
         raise ValueError(
             "the fixed-boundary regrouping is undefined at p=2: Q = 0 makes "
             "the dual bond weight Q/v vanish"
         )
-    return _fixed_boundary(width, length, beraha)
+    return _fixed_boundary(width, length, p)

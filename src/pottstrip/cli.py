@@ -29,6 +29,9 @@ from .lattice import parse_lattice
 
 FORMATS = ("json", "csv", "text")
 
+#: The ``decompose`` flags that only some targets read, and those targets.
+_TARGETS_OF_FLAG = {"p": ("z", "zff"), "j": ("z2j",), "l": ("bigf",)}
+
 
 def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and then ``rows`` to stdout as CSV, in one write."""
@@ -116,6 +119,11 @@ def _cmd_decompose(args) -> int:
         z_sector_from_characters,
     )
 
+    for flag, targets in _TARGETS_OF_FLAG.items():
+        if getattr(args, flag) is not None and args.target not in targets:
+            raise ValueError(
+                f"--{flag} applies to --target {' or '.join(targets)}, not {args.target}"
+            )
     strip = parse_lattice(args.lattice)
     meta: dict = {"lattice": str(strip), "target": args.target}
     if args.target == "z":

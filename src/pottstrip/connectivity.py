@@ -16,7 +16,10 @@ This module provides
   construction;
 * the bond moves ``join`` and ``detach`` on the raw ``(blocks, marked)``
   key of a state: the one implementation of each move, which the transfer
-  engine compiles without building states;
+  engine compiles without building states.  Both share one contract: the
+  key itself when the move leaves the state unchanged, None when it would
+  lower the mark count (leave the sector), and otherwise a new key with
+  the same marks; ``mirror`` reflects a key across the width;
 * two-slice states, the basis of the full (untruncated) transfer matrix on
   which the block structure of the reduced matrices is verified.  A
   non-crossing partition of the 2L points of two slices is an unmarked
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -114,14 +116,6 @@ def _validate_partition(blocks: Blocks, n_points: int) -> list[bool]:
     return unnested
 
 
-class DetachTag(Enum):
-    """What happened to the block a point was detached from."""
-
-    STILL_POPULATED = "still-populated"
-    COMPLETED_UNMARKED = "completed-unmarked"
-    TERMINATED_MARKED = "terminated-marked"
-
-
 #: The raw key of a connectivity state: its ``(blocks, marked)`` pair.
 StateKey = tuple[Blocks, tuple[int, ...]]
 
@@ -140,55 +134,67 @@ def _key(blocks: list[tuple[int, ...]], marked: list[tuple[int, ...]]) -> StateK
     return tuple(blocks), tuple(sorted(map(blocks.index, marked)))
 
 
-def join(key: StateKey, i: int) -> StateKey:
+def join(key: StateKey, i: int) -> StateKey | None:
     """Merge the blocks of points i and i+1 of a raw state key.
 
-    The merged block is marked if either constituent was, so merging two
-    marked blocks lowers the mark count by one.  Returns ``key`` itself when
-    both points already share a block.  Arguments are not validated: pass a
-    valid key and 0 <= i < width - 1, and the result is again a valid key.
+    The merged block is marked if either constituent was.  Returns ``key``
+    itself when both points already share a block, and None when both
+    blocks are marked: that merge would lower the mark count and leave the
+    sector.  Arguments are not validated: pass a valid key and
+    0 <= i < width - 1, and a new key is again valid, with the same marks.
 
-    >>> join((((0,), (1,), (2,)), (0, 1)), 0)
+    >>> join((((0,), (1,), (2,)), (0,)), 0)
     (((0, 1), (2,)), (0,))
+    >>> join((((0,), (1,), (2,)), (0, 1)), 0) is None
+    True
     """
     blocks, marked = key
     bi, bj = _block_of(blocks, i), _block_of(blocks, i + 1)
     if bi == bj:
         return key
+    if bi in marked and bj in marked:
+        return None
     merged = tuple(sorted(blocks[bi] + blocks[bj]))
     rest = [b for k, b in enumerate(blocks) if k != bi and k != bj]
     rest.append(merged)
-    marks = [blocks[k] for k in marked if k != bi and k != bj]
-    if len(marks) < len(marked):
-        marks.append(merged)
+    marks = [merged if k in (bi, bj) else blocks[k] for k in marked]
     return _key(rest, marks)
 
 
-def detach(key: StateKey, i: int) -> tuple[DetachTag, StateKey | None]:
+def detach(key: StateKey, i: int) -> StateKey | None:
     """Remove point i of a raw state key from its block and re-insert it as
-    a fresh singleton: (tag, key).
+    a fresh singleton.
 
-    The tag records the fate of the old block: STILL_POPULATED if points
-    remain in it (it keeps its mark), COMPLETED_UNMARKED if an unmarked
-    block was vacated (the finished cluster earns a weight Q upstream; the
-    key is ``key`` itself), TERMINATED_MARKED if a marked block was vacated
-    (the key is None; fixed-mark transfer blocks drop the transition).
-    Arguments are not validated.
+    Returns ``key`` itself when i is an unmarked singleton (the vacated
+    block is a finished cluster, which earns a weight Q upstream), and None
+    when i is a marked singleton: vacating it would lower the mark count
+    and leave the sector.  Otherwise the old block keeps its mark and the
+    new key has the same marks.  Arguments are not validated.
 
     >>> detach((((0, 1),), (0,)), 0)
-    (<DetachTag.STILL_POPULATED: 'still-populated'>, (((0,), (1,)), (1,)))
+    (((0,), (1,)), (1,))
     """
     blocks, marked = key
     bi = _block_of(blocks, i)
     if len(blocks[bi]) == 1:
-        if bi in marked:
-            return DetachTag.TERMINATED_MARKED, None
-        return DetachTag.COMPLETED_UNMARKED, key
+        return None if bi in marked else key
     left = tuple(p for p in blocks[bi] if p != i)
     rest = [b for k, b in enumerate(blocks) if k != bi]
     rest += left, (i,)
     marks = [left if k == bi else blocks[k] for k in marked]
-    return DetachTag.STILL_POPULATED, _key(rest, marks)
+    return _key(rest, marks)
+
+
+def mirror(key: StateKey, width: int) -> StateKey:
+    """The raw key reflected across the width, point i -> width-1-i; marks
+    follow their blocks.
+
+    >>> mirror((((0, 1), (2,)), (0,)), 3)
+    (((0,), (1, 2)), (1,))
+    """
+    blocks, marked = key
+    flipped = [tuple(width - 1 - p for p in reversed(b)) for b in blocks]
+    return _key(flipped, [flipped[k] for k in marked])
 
 
 @dataclass(frozen=True)
@@ -203,9 +209,8 @@ class ConnectivityState:
     >>> s = ConnectivityState(3, ((0, 1), (2,)), (0,))
     >>> s.render()
     '(12•)(3)'
-    >>> tag, key = detach(s.key, 0)
-    >>> tag.value, ConnectivityState(3, *key).render()
-    ('still-populated', '(1)(2•)(3)')
+    >>> ConnectivityState(3, *detach(s.key, 0)).render()
+    '(1)(2•)(3)'
     """
 
     width: int

@@ -210,7 +210,7 @@ def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
         z = bruteforce.fk_z(strip)
         z1 = bruteforce.fk_spectrum(strip)[0]
         for p in (4, 6):
-            q = characters.BerahaParam.from_p(p).q_value
+            q = characters.beraha_q(p)
             out.append(
                 _poly_check(
                     f"minimal-z[{name},p={p}]",
@@ -293,9 +293,15 @@ def run_suite(name: str, l_max: int = 3, n_max: int = 3) -> list[CheckResult]:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if l_max < 1 or n_max < 1:
         raise ValueError("Lmax and Nmax must be >= 1")
-    if n_max > bruteforce.MAX_EDGES:
-        # the width-1 strip of n_max columns has n_max edges
-        raise ValueError(f"Nmax must be <= {bruteforce.MAX_EDGES}, the oracle's edge cap")
+    # the widest strip the suite hands the oracle: width min(Lmax, 3), or 2
+    # for ``dual`` alone, at length Nmax
+    widest = square_strip(min(l_max, 2 if name == "dual" else 3), n_max)
+    if widest.edge_count > bruteforce.MAX_EDGES:
+        per_column = len(widest.column_program)
+        raise ValueError(
+            f"Nmax must be <= {bruteforce.MAX_EDGES // per_column} at Lmax {l_max}: suite "
+            f"{name} checks {widest}, over the oracle's cap of {bruteforce.MAX_EDGES} edges"
+        )
     out: list[CheckResult] = []
     if name in ("all",):
         out.extend(dimension_checks(l_max))

@@ -10,9 +10,11 @@ where D pays a factor Q when it vacates an unmarked block (a finished
 cluster), a factor 1 when the block keeps other points, and *drops* the
 transition when it vacates a marked block -- that move lowers the mark
 count and belongs to a different sector.  Likewise the join branch of a
-vertical bond is dropped when it would fuse two marked blocks.  With those
-rules the matrix T_l on the states with l marks is the diagonal sub-block
-of the full transfer matrix in the l-bridge sector, and the character
+vertical bond is dropped when it would fuse two marked blocks.  Each move
+says so itself by returning None, so ``_action`` is one lookup in the
+``_MOVES`` table.  With those rules the matrix T_l on the states with l
+marks is the diagonal sub-block of the full transfer matrix in the
+l-bridge sector, and the character
 
     K(l) = trace(T_l ** N)
 
@@ -68,7 +70,6 @@ from typing import Callable, Sequence
 
 from .connectivity import (
     ConnectivityState,
-    DetachTag,
     StateKey,
     bridge_count,
     count_states,
@@ -76,6 +77,7 @@ from .connectivity import (
     enumerate_states,
     join,
     left_profile,
+    mirror,
     reduced,
     render_two_slice,
     right_position,
@@ -141,22 +143,22 @@ def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
     return tuple(enumerate_states(width, marks))
 
 
+#: Each bond kind as (move, weight kept, weight moved, weight when the move
+#: returns the key itself): vertical = 1 + v J, horizontal = v + D, where a
+#: detach that returns the key vacates a finished cluster, worth Q.
+_MOVES = {VERTICAL: (join, _ONE, _V, _ONE | _V), HORIZONTAL: (detach, _V, _ONE, _Q | _V)}
+
+
 def _action(op: EdgeOp, key: StateKey) -> list[tuple[StateKey, int]]:
-    """Sparse action of one bond on one raw state key (dropped transitions
-    omitted), as (target key, weight mask) branches."""
-    if op.kind == VERTICAL:
-        joined = join(key, op.site)
-        if joined is key:
-            return [(key, _ONE | _V)]
-        if len(joined[1]) < len(key[1]):
-            return [(key, _ONE)]  # the join would fuse two marked blocks
-        return [(key, _ONE), (joined, _V)]
-    tag, detached = detach(key, op.site)
-    if tag is DetachTag.TERMINATED_MARKED:
-        return [(key, _V)]
-    if tag is DetachTag.COMPLETED_UNMARKED:
-        return [(key, _Q | _V)]
-    return [(key, _V), (detached, _ONE)]
+    """Sparse action of one bond on one raw state key, as (target key,
+    weight mask) branches; a move that leaves the sector (None) is dropped."""
+    move, kept, moved, unchanged = _MOVES[op.kind]
+    target = move(key, op.site)
+    if target is key:
+        return [(key, unchanged)]
+    if target is None:
+        return [(key, kept)]
+    return [(key, kept), (target, moved)]
 
 
 def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
@@ -199,12 +201,7 @@ def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
     index = {s.key: k for k, s in enumerate(basis)}
     orbits = []
     for k, state in enumerate(basis):
-        raw = sorted(
-            (tuple(sorted(width - 1 - p for p in block)), i in state.marked)
-            for i, block in enumerate(state.blocks)
-        )
-        marked = tuple(i for i, (_, m) in enumerate(raw) if m)
-        image = index[tuple(b for b, _ in raw), marked]
+        image = index[mirror(state.key, width)]
         if k <= image:
             orbits.append((k, 1 if k == image else 2))
     return tuple(orbits)

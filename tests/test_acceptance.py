@@ -18,9 +18,9 @@ from pottstrip.bruteforce import (
     fk_z,
 )
 from pottstrip.characters import (
-    BerahaParam,
     amplitude_b,
     amplitude_c,
+    beraha_q,
     character_F,
     character_from_sectors,
     dual_boundary_decomposition,
@@ -160,7 +160,7 @@ def test_criterion_07_minimal_characters():
             strip = square_strip(width, length)
             z = fk_z(strip)
             for p in (4, 6):
-                q = BerahaParam.from_p(p).q_value
+                q = beraha_q(p)
                 got = z_minimal(strip, p).value
                 if got != z.subs_poly("Q", q):
                     failures.append((str(strip), p))

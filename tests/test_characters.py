@@ -16,10 +16,10 @@ from pottstrip.bruteforce import (
     spin_z,
 )
 from pottstrip.characters import (
-    BerahaParam,
     amplitude_b,
     amplitude_c,
     amplitude_c_term,
+    beraha_q,
     character_F,
     character_from_sectors,
     dual_boundary_decomposition,
@@ -81,13 +81,17 @@ def test_amplitude_b_rational_form():
 
 
 def test_beraha_param():
-    assert BerahaParam.from_p(2).q_value == 0
-    assert BerahaParam.from_p(3).q_value == 1
-    assert BerahaParam.from_p(4).q_value == 2
-    assert BerahaParam.from_p(6).q_value == 3
+    """A Beraha point is its p: ``beraha_q`` maps each rational one to its
+    Q, and every Beraha-point decomposition refuses any other p."""
+    assert [beraha_q(p) for p in (2, 3, 4, 6)] == [0, 1, 2, 3]
+    strip = square_strip(2, 2)
     for bad in (1, 5, 7):
-        with pytest.raises(ValueError):
-            BerahaParam.from_p(bad)
+        with pytest.raises(ValueError, match="not supported"):
+            beraha_q(bad)
+        with pytest.raises(ValueError, match="not supported"):
+            z_minimal(strip, bad)
+    with pytest.raises(ValueError, match="not supported"):
+        z_fixed_boundary_minimal(3, 2, 8)
 
 
 def test_z_from_characters_matches_oracle():
@@ -217,7 +221,7 @@ def test_z_minimal_matches_oracle_at_every_supported_point():
     for strip in (square_strip(2, 2), square_strip(2, 3), square_strip(3, 2)):
         z = fk_z(strip)
         for p in (2, 3, 4, 6):
-            q = BerahaParam.from_p(p).q_value
+            q = beraha_q(p)
             assert z_minimal(strip, p).value == z.subs_poly("Q", q)
 
 
@@ -233,7 +237,7 @@ def test_z_minimal_degenerate_points():
 def test_z1_minimal_alternating():
     for strip in (square_strip(2, 2), square_strip(3, 2)):
         for p in (2, 4, 6):
-            q = BerahaParam.from_p(p).q_value
+            q = beraha_q(p)
             got = z1_minimal_alternating(strip, p)
             assert got == fk_spectrum(strip)[0].subs_poly("Q", q)
     with pytest.raises(ValueError):
@@ -292,7 +296,7 @@ def test_fixed_boundary_minimal_rejects_a_remainder(monkeypatch):
 @pytest.mark.parametrize("width,length", [(3, 2), (3, 3), (4, 2), (4, 3)])
 @pytest.mark.parametrize("p", [4, 6])
 def test_fixed_boundary_minimal_is_z_ff_at_the_beraha_point(width, length, p):
-    q = BerahaParam.from_p(p).q_value
+    q = beraha_q(p)
     value = z_fixed_boundary_minimal(width, length, p).value
     assert value == z_fixed_boundary(width, length).value.subs_poly("Q", q)
     for vv in (2, Fraction(1, 2)):

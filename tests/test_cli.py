@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pottstrip
-from pottstrip import bruteforce, transfer
+from pottstrip import bruteforce, suites, transfer
 from pottstrip.connectivity import bridge_count, enumerate_two_slice, left_profile
 from pottstrip.lattice import MAX_WIDTH, horizontal
 from pottstrip.cli import main
@@ -214,6 +214,31 @@ def test_decompose_missing_flags(capsys):
     assert code == 2 and out == "" and "Q/v vanish" in err
 
 
+#: The flags of ``decompose`` that only some targets read, with a value.
+_TARGETED_FLAGS = {"--p": ("4", ("z", "zff")), "--j": ("1", ("z2j",)), "--l": ("1", ("bigf",))}
+
+
+@pytest.mark.parametrize(
+    "target,flag",
+    [
+        (target, flag)
+        for flag, (_, targets) in _TARGETED_FLAGS.items()
+        for target in ("z", "z2j", "bigf", "dual", "zff")
+        if target not in targets
+    ],
+)
+def test_decompose_refuses_a_flag_its_target_ignores(capsys, target, flag):
+    """A flag the target never reads is a usage error naming the flag, even
+    when the target's own flags are given, and nothing is printed."""
+    own = [f for f, (_, targets) in _TARGETED_FLAGS.items() if target in targets and f != "--p"]
+    argv = ["decompose", "--lattice", "square:3x2", "--target", target]
+    for f in (*own, flag):
+        argv += [f, _TARGETED_FLAGS[f][0]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
 def test_decompose_zff_beraha(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -349,6 +374,35 @@ def test_verify_refuses_a_huge_nmax_quickly(capsys, suite):
     assert code == 2 and out == ""
     assert "Nmax" in err
     assert time.perf_counter() - start < 10
+
+
+#: Each suite, an Lmax, and the longest Nmax whose widest strip, of width
+#: min(Lmax, 3) (2 for ``dual``), stays within the oracle's 24 edges.
+_NMAX_AT_THE_CAP = [
+    ("all", 3, 4),
+    ("cyclic", 3, 4),
+    ("minimal", 3, 4),
+    ("dual", 3, 8),
+    ("dual", 2, 8),
+    ("all", 2, 8),
+    ("cyclic", 1, 24),
+]
+
+
+@pytest.mark.parametrize("suite,lmax,nmax", _NMAX_AT_THE_CAP)
+def test_verify_refuses_before_any_check_runs(capsys, monkeypatch, suite, lmax, nmax):
+    """One column past the cap is refused before any check runs; at the cap
+    every check is reached."""
+    ran = []
+    for name in ("dimension_checks", "block_structure_checks", "cyclic_checks",
+                 "minimal_checks", "dual_checks"):
+        monkeypatch.setattr(suites, name, lambda *args, name=name: ran.append(name) or [])
+    argv = ["verify", "--suite", suite, "--Lmax", str(lmax)]
+    code, out, err = run_cli(capsys, *argv, "--Nmax", str(nmax + 1))
+    assert (code, out, ran) == (2, "", [])
+    assert "Nmax" in err
+    code, out, err = run_cli(capsys, *argv, "--Nmax", str(nmax))
+    assert code == 0 and err == "" and ran
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pottstrip.connectivity import (
     ConnectivityState,
-    DetachTag,
     bridge_count,
     catalan,
     count_states,
@@ -18,6 +17,7 @@ from pottstrip.connectivity import (
     enumerate_two_slice,
     join,
     left_profile,
+    mirror,
     reduced,
     render_two_slice,
     right_position,
@@ -181,11 +181,15 @@ def test_the_widest_sectors_enumerate_fast_in_code_order():
 
 
 def test_join_marks():
-    s = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0, 1))
+    s = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0,))
     merged = ConnectivityState(3, *join(s.key, 0))
     assert merged.mark_count == 1
     assert merged.blocks == ((0, 1), (2,))
-    assert ConnectivityState(3, *join(s.key, 1)).mark_count == 2
+    assert merged.marked == (0,)
+    assert ConnectivityState(3, *join(s.key, 1)).mark_count == 1
+    two = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0, 1))
+    assert join(two.key, 0) is None  # fusing two marked blocks leaves the sector
+    assert ConnectivityState(3, *join(two.key, 1)).mark_count == 2
 
 
 def test_join_same_block_is_identity():
@@ -195,21 +199,19 @@ def test_join_same_block_is_identity():
 
 def test_detach_outcomes():
     populated = ConnectivityState(2, ((0, 1),), marked=(0,))
-    tag, key = detach(populated.key, 0)
-    assert tag is DetachTag.STILL_POPULATED
-    state = ConnectivityState(2, *key)
+    state = ConnectivityState(2, *detach(populated.key, 0))
     assert state.mark_count == 1  # the survivor keeps the mark
     assert state.blocks == ((0,), (1,))
+    assert state.marked == (1,)
 
+    # a finished, unmarked cluster leaves the key itself
     unmarked_singleton = ConnectivityState(2, ((0,), (1,)))
-    tag, key = detach(unmarked_singleton.key, 1)
-    assert tag is DetachTag.COMPLETED_UNMARKED
-    assert ConnectivityState(2, *key) == unmarked_singleton
+    key = unmarked_singleton.key
+    assert detach(key, 1) is key
 
+    # vacating a marked block would leave the sector
     marked_singleton = ConnectivityState(2, ((0,), (1,)), marked=(0,))
-    tag, key = detach(marked_singleton.key, 0)
-    assert tag is DetachTag.TERMINATED_MARKED
-    assert key is None
+    assert detach(marked_singleton.key, 0) is None
 
 
 def test_join_detach_preserve_validity_exhaustively():
@@ -221,15 +223,59 @@ def test_join_detach_preserve_validity_exhaustively():
     for width in range(1, 5):
         for marks in range(width + 1):
             for s in enumerate_states(width, marks):
-                for i in range(width - 1):
-                    joined = ConnectivityState(width, *join(s.key, i))
-                    assert joined.mark_count in (marks, marks - 1)
-                for i in range(width):
-                    tag, key = detach(s.key, i)
-                    if tag is DetachTag.TERMINATED_MARKED:
-                        assert key is None
-                    else:
+                moved = [join(s.key, i) for i in range(width - 1)]
+                moved += [detach(s.key, i) for i in range(width)]
+                for key in moved:
+                    if key is not None:
                         assert ConnectivityState(width, *key).mark_count == marks
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_move_contract_exhaustively(width):
+    """On every state of every sector: a move returns None exactly when it
+    would lower the mark count, the key itself exactly when it changes
+    nothing (a bond inside one block, or a finished unmarked cluster), and
+    otherwise a new valid key of the same sector."""
+    for marks in range(width + 1):
+        basis = enumerate_states(width, marks)
+        keys = {s.key for s in basis}
+        for s in basis:
+            key = s.key
+            owner = {p: b for b in s.blocks for p in b}
+            marked = {s.blocks[k] for k in s.marked}
+            for i in range(width - 1):
+                a, b = owner[i], owner[i + 1]
+                got = join(key, i)
+                assert (got is None) == (a != b and a in marked and b in marked)
+                assert (got is key) == (a == b)
+                if got is not None and got is not key:
+                    assert got in keys
+                    assert ConnectivityState(width, *got).mark_count == marks
+            for i in range(width):
+                got = detach(key, i)
+                assert (got is None) == ((i,) in marked)
+                assert (got is key) == (owner[i] == (i,) and (i,) not in marked)
+                if got is not None and got is not key:
+                    assert got in keys
+                    assert ConnectivityState(width, *got).mark_count == marks
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_mirror_is_an_involution_on_every_sector(width):
+    """``mirror`` reflects each block, point i -> width-1-i, keeps each
+    block's mark, and maps every sector onto itself."""
+    for marks in range(width + 1):
+        keys = [s.key for s in enumerate_states(width, marks)]
+        for key in keys:
+            image = mirror(key, width)
+            blocks, marked = key
+            want = {
+                (frozenset(width - 1 - p for p in b), k in marked) for k, b in enumerate(blocks)
+            }
+            got = {(frozenset(b), k in image[1]) for k, b in enumerate(image[0])}
+            assert got == want
+            assert mirror(image, width) == key
+        assert {mirror(key, width) for key in keys} == set(keys)
 
 
 def _decode(code: bytes) -> ConnectivityState:
@@ -273,6 +319,7 @@ def test_random_walks_stay_valid(width, data):
             [s for m in range(width + 1) for s in enumerate_states(width, m)]
         )
     )
+    marks = state.mark_count
     for _ in range(6):
         move = data.draw(st.sampled_from(["join", "detach"]))
         if move == "join" and width > 1:
@@ -280,10 +327,11 @@ def test_random_walks_stay_valid(width, data):
             key = join(state.key, i)
         else:
             i = data.draw(st.integers(min_value=0, max_value=width - 1))
-            _, key = detach(state.key, i)
-            if key is None:
-                break
+            key = detach(state.key, i)
+        if key is None:  # the move would leave the sector
+            break
         state = ConnectivityState(width, *key)
+        assert state.mark_count == marks
         assert _decode(state.code()) == state
 
 
@@ -354,8 +402,8 @@ def test_two_slice_membership_width_six():
 def test_two_slice_moves_stay_in_the_basis():
     """Every right-slice join and detach of every two-slice state of width
     <= 3, made by ``join`` and ``detach`` on its unmarked key at the
-    mirrored points, lands in the enumerated basis, and a detach completes
-    exactly when the vacated block was the detached point alone."""
+    mirrored points, lands in the enumerated basis, and a detach returns the
+    key itself exactly when the vacated block was the detached point alone."""
     for width in (1, 2, 3):
         basis = set(enumerate_two_slice(width))
         for s in basis:
@@ -367,14 +415,13 @@ def test_two_slice_moves_stay_in_the_basis():
                 assert ConnectivityState(2 * width, blocks) in basis
             for i in range(width):
                 pos = right_position(width, i)
-                tag, target = detach(key, pos)
-                assert tag is not DetachTag.TERMINATED_MARKED
+                target = detach(key, pos)
+                assert target is not None
                 blocks, marked = target
                 assert marked == ()
                 detached = ConnectivityState(2 * width, blocks)
                 assert detached in basis
-                completed = tag is DetachTag.COMPLETED_UNMARKED
-                assert completed == ((pos,) in s.blocks)
+                assert (target is key) == ((pos,) in s.blocks)
                 assert (pos,) in detached.blocks
 
 

@@ -150,6 +150,24 @@ def _mirror(state):
     )
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_reflection_orbits_cover_each_sector(width):
+    """One start per orbit of the width reflection, named by its lower
+    index, weighted 1 exactly when the reflection fixes it: the weights
+    add up to the sector's size."""
+    for marks in range(width + 1):
+        basis = transfer._basis(width, marks)
+        index = {s: k for k, s in enumerate(basis)}
+        orbits = transfer._reflection_orbits(width, marks)
+        assert sum(weight for _, weight in orbits) == count_states(width, marks)
+        named = set()
+        for k, weight in orbits:
+            image = index[_mirror(basis[k])]
+            assert k <= image and weight == (1 if k == image else 2)
+            named |= {k, image}
+        assert named == set(range(len(basis)))
+
+
 def _full_diagonal(strip, marks):
     """(T_l^N)_ss for every start s, one push each, as packed ints."""
     n = count_states(strip.width, marks)
