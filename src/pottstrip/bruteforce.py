@@ -59,11 +59,11 @@ no connectivity states, no matrix products, just subsets of edges.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator
 
+from ._record import Record
 from .lattice import VERTICAL, CyclicStrip, Edge, square_strip
 from .polynomial import MultiPoly, Q0
 
@@ -326,16 +326,17 @@ def fk_histogram(strip: CyclicStrip, _ignored: object = None, /) -> Histogram:
     return counts
 
 
-@dataclass(frozen=True)
-class NtcSpectrum:
+class NtcSpectrum(Record):
     """The cluster expansion refined by winding-cluster count.
 
     ``sectors[j]`` is the sum of Q**n v**b over bond subsets with exactly j
     winding clusters; the sectors add up to the full partition function.
     """
 
-    width: int
-    sectors: tuple[MultiPoly, ...]
+    __slots__ = ("width", "sectors")
+
+    def __init__(self, width: int, sectors: tuple[MultiPoly, ...]):
+        self._assign(width, sectors)
 
     def __getitem__(self, j: int) -> MultiPoly:
         if not 0 <= j <= self.width:
@@ -495,18 +496,28 @@ def _dual_graph(strip: CyclicStrip):
     return tuple(dual_edges), ((bottom, bottom, 1), (top, top, 1)), n_interior + 2
 
 
-@dataclass(frozen=True)
-class DualityWitness:
+class DualityWitness(Record):
     """Per-configuration bookkeeping of the direct/dual weight match."""
 
-    mask: int
-    direct_ntc: int
-    direct_trivial: int
-    direct_bonds: int
-    dual_ntc: int
-    dual_trivial: int
-    dual_bonds: int
-    ok: bool
+    __slots__ = (
+        "mask", "direct_ntc", "direct_trivial", "direct_bonds",
+        "dual_ntc", "dual_trivial", "dual_bonds", "ok",
+    )
+
+    def __init__(
+        self,
+        mask: int,
+        direct_ntc: int,
+        direct_trivial: int,
+        direct_bonds: int,
+        dual_ntc: int,
+        dual_trivial: int,
+        dual_bonds: int,
+        ok: bool,
+    ):
+        self._assign(
+            mask, direct_ntc, direct_trivial, direct_bonds, dual_ntc, dual_trivial, dual_bonds, ok
+        )
 
 
 def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:

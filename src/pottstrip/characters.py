@@ -38,13 +38,13 @@ library and CLI callers alike; the K(m) themselves are cached in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from ._record import Record
 from .connectivity import count_states
 from .lattice import CyclicStrip, square_strip
-from .polynomial import ONE, MultiPoly, v
+from .polynomial import ONE, MultiPoly, Q0, v
 from .transfer import character_K, check_character_budget
 
 if TYPE_CHECKING:
@@ -79,12 +79,11 @@ def amplitude_b(l: int) -> MultiPoly:
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = MultiPoly.constant((-1) ** l)
-    for j in range(1, l + 1):
-        out = out + MultiPoly.monomial(
-            (-1) ** (l - j) * comb(l + j, l - j), (j - 1, 0, 1)
-        )
-    return out
+    traded = sum(
+        (amplitude_c_term(j, l).quotient_by_monomial((1, 0, 0)) for j in range(1, l + 1)),
+        MultiPoly.zero(),
+    )
+    return amplitude_c_term(0, l) + Q0 * traded
 
 
 #: Q = (2 cos(pi/p))**2 at the rational Beraha points, by p.
@@ -106,8 +105,7 @@ def beraha_q(p: int) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """A value together with the amplitude-times-character terms composing it.
 
     ``terms`` holds (l, amplitude, character) triples; ``value`` is their
@@ -116,10 +114,16 @@ class DecompositionResult:
     while the terms stay at the direct weight.
     """
 
-    target: str
-    strip: CyclicStrip
-    value: MultiPoly
-    terms: tuple[tuple[int, MultiPoly, MultiPoly], ...]
+    __slots__ = ("target", "strip", "value", "terms")
+
+    def __init__(
+        self,
+        target: str,
+        strip: CyclicStrip,
+        value: MultiPoly,
+        terms: tuple[tuple[int, MultiPoly, MultiPoly], ...],
+    ):
+        self._assign(target, strip, value, terms)
 
 
 def _minimal_marks(width: int, l: int, p: int) -> list[tuple[int, int]]:
@@ -304,7 +308,7 @@ def _fixed_boundary(width: int, length: int, p: int | None) -> DecompositionResu
             raise ValueError(f"{dual_sum} is not divisible by {d}")
         dual_sum = MultiPoly({m: c // d for m, c in dual_sum.terms()})
     value = (ONE + v) ** (2 * length) * dual_sum
-    return replace(result, strip=square_strip(width, length), value=value)
+    return DecompositionResult(result.target, square_strip(width, length), value, result.terms)
 
 
 def z_fixed_boundary(width: int, length: int) -> DecompositionResult:

@@ -16,8 +16,6 @@ and ``characters`` never loads the oracle.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import os
@@ -35,6 +33,8 @@ _TARGETS_OF_FLAG = {"p": ("z", "zff"), "j": ("z2j",), "l": ("bigf",)}
 
 def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and then ``rows`` to stdout as CSV, in one write."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -231,12 +231,12 @@ def _cmd_blockcheck(args) -> int:
             "dimension": report.dimension,
             "triangular_ok": report.triangular_ok,
             "passed": report.passed,
-            "sectors": [dataclasses.asdict(s) for s in report.sectors],
+            "sectors": [{name: getattr(s, name) for name in s.__slots__} for s in report.sectors],
             "failures": report.failures,
         }
         _print_json(payload)
     elif args.format == "csv":
-        columns = [f.name for f in dataclasses.fields(SectorReport) if f.name != "group_sizes"]
+        columns = [name for name in SectorReport.__slots__ if name != "group_sizes"]
         _print_csv(columns, ([getattr(s, c) for c in columns] for s in report.sectors))
     else:
         print(f"lattice {strip}: two-slice dimension {report.dimension}")

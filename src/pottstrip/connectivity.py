@@ -41,8 +41,9 @@ labels, e.g. ``(12•)(3)`` for the width-3 state whose marked block is {0,1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+
+from ._record import Record, _set
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -197,8 +198,7 @@ def mirror(key: StateKey, width: int) -> StateKey:
     return _key(flipped, [flipped[k] for k in marked])
 
 
-@dataclass(frozen=True)
-class ConnectivityState:
+class ConnectivityState(Record):
     """A non-crossing partition of slice points with marked, unnested blocks.
 
     ``blocks`` lists each block as a sorted tuple, blocks ordered by their
@@ -213,25 +213,33 @@ class ConnectivityState:
     '(1)(2•)(3)'
     """
 
-    width: int
-    blocks: Blocks
-    marked: tuple[int, ...] = ()
+    __slots__ = ("width", "blocks", "marked")
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, width: int, blocks: Blocks, marked: tuple[int, ...] = ()):
+        if width < 1:
             raise ValueError("width must be >= 1")
-        unnested = _validate_partition(self.blocks, self.width)
-        if not self.marked:
-            return
-        if tuple(sorted(set(self.marked))) != self.marked:
-            raise ValueError("marked indices must be strictly increasing")
-        for i in self.marked:
-            if not 0 <= i < len(self.blocks):
-                raise ValueError(f"marked index {i} out of range")
-            if not unnested[i]:
-                raise ValueError(
-                    f"block {self.blocks[i]} is nested and cannot be marked"
-                )
+        unnested = _validate_partition(blocks, width)
+        if marked:
+            if tuple(sorted(set(marked))) != marked:
+                raise ValueError("marked indices must be strictly increasing")
+            for i in marked:
+                if not 0 <= i < len(blocks):
+                    raise ValueError(f"marked index {i} out of range")
+                if not unnested[i]:
+                    raise ValueError(f"block {blocks[i]} is nested and cannot be marked")
+        self._assign(width, blocks, marked)
+
+    @classmethod
+    def _trusted(cls, width: int, blocks: Blocks, marked: tuple[int, ...]) -> ConnectivityState:
+        """A state built without validation, for ``enumerate_states``, whose
+        walk builds only valid states (a test checks each of them against
+        the constructor up to width 8).  It sets each field directly, at a
+        third of the cost of ``_assign``."""
+        state = object.__new__(cls)
+        _set(state, "width", width)
+        _set(state, "blocks", blocks)
+        _set(state, "marked", marked)
+        return state
 
     @property
     def key(self) -> StateKey:
@@ -287,7 +295,8 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
     sorted.  A branch is entered only if it can still end with ``marks``
     unnested blocks, so every branch yields a state and the cost follows
     the sector's size, not the Catalan(width) partitions.  The walk
-    recurses once per point.
+    recurses once per point, and builds only valid states, so it does not
+    validate them again.
 
     >>> [s.render() for s in enumerate_states(2, 1)]
     ['(12•)', '(1)(2•)', '(1•)(2)']
@@ -306,7 +315,7 @@ def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
             # combinations come in increasing order of the mark flags
             frozen = tuple(map(tuple, blocks))
             for chosen in reversed(list(itertools.combinations(stack, marks))):
-                out.append(ConnectivityState(width, frozen, chosen))
+                out.append(ConnectivityState._trusted(width, frozen, chosen))
             return
         # p joins the open block at depth d, which closes (nests) the ones
         # above it, or opens a new block, in increasing block index.  Open

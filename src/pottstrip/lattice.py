@@ -19,24 +19,23 @@ plus its two caps): F = E - V + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
-class EdgeOp:
+class EdgeOp(Record):
     """One bond of a column program."""
 
-    kind: str
-    site: int
+    __slots__ = ("kind", "site")
 
-    def __post_init__(self):
-        if self.kind not in (VERTICAL, HORIZONTAL):
-            raise ValueError(f"unknown edge kind {self.kind!r}")
-        if self.site < 0:
+    def __init__(self, kind: str, site: int):
+        if kind not in (VERTICAL, HORIZONTAL):
+            raise ValueError(f"unknown edge kind {kind!r}")
+        if site < 0:
             raise ValueError("site must be >= 0")
+        self._assign(kind, site)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.site})"
@@ -56,8 +55,7 @@ def horizontal(site: int) -> EdgeOp:
 Edge = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class CyclicStrip:
+class CyclicStrip(Record):
     """A width-L, length-N strip with periodic length direction.
 
     Vertices are indexed ``row + width * column``.  The same column program
@@ -68,19 +66,18 @@ class CyclicStrip:
     the cluster expansion and the transfer route weigh identical edge sets.
     """
 
-    width: int
-    length: int
-    column_program: tuple[EdgeOp, ...]
+    __slots__ = ("width", "length", "column_program")
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, width: int, length: int, column_program: tuple[EdgeOp, ...]):
+        if width < 1:
             raise ValueError("width must be >= 1")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("length must be >= 1")
-        for op in self.column_program:
-            limit = self.width - 1 if op.kind == VERTICAL else self.width
+        for op in column_program:
+            limit = width - 1 if op.kind == VERTICAL else width
             if op.site >= limit:
-                raise ValueError(f"{op} does not fit a width-{self.width} strip")
+                raise ValueError(f"{op} does not fit a width-{width} strip")
+        self._assign(width, length, column_program)
 
     @property
     def vertex_count(self) -> int:

@@ -17,10 +17,10 @@ Suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bruteforce, characters
+from ._record import Record
 from .connectivity import catalan, count_states, enumerate_states, enumerate_two_slice
 from .lattice import square_strip
 from .polynomial import MultiPoly
@@ -29,11 +29,11 @@ from .transfer import character_K, verify_block_structure
 SUITES = ("all", "cyclic", "dual", "minimal")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("check_id", "ok", "detail")
+
+    def __init__(self, check_id: str, ok: bool, detail: str = ""):
+        self._assign(check_id, ok, detail)
 
 
 def _diff(lhs: MultiPoly, rhs: MultiPoly) -> str:

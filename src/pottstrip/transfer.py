@@ -22,7 +22,7 @@ is an exact polynomial in Q and v.  Each bond's action is compiled once per
 (width, marks, bond) into an index table, in one cache that characters,
 ``column_transfer`` and the block check share.  Compilation applies the bond
 moves of ``connectivity`` to raw state keys, builds no state object, and
-checks every target key against the enumerated basis of validated states,
+checks every target key against the enumerated basis of valid states,
 so a target outside it raises.  One loop, ``_push``, pushes a start column
 through a program of E bonds; K(l) pushes start states through N copies of
 the column program and sums the diagonal entries they return to.  No matrix power is ever formed, no eigenvalues, no floats.
@@ -62,12 +62,12 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Sequence
 
+from ._record import Record
 from .connectivity import (
     ConnectivityState,
     StateKey,
@@ -118,17 +118,18 @@ _CAPS = (
 )
 
 
-@dataclass(frozen=True)
-class TransferBlock:
+class TransferBlock(Record):
     """An exact matrix over the canonical basis of connectivity states.
 
     ``rows[a][b]`` is the amplitude from basis state b to basis state a.
     """
 
-    width: int
-    marks: int
-    basis: tuple[ConnectivityState, ...]
-    rows: tuple[Row, ...]
+    __slots__ = ("width", "marks", "basis", "rows")
+
+    def __init__(
+        self, width: int, marks: int, basis: tuple[ConnectivityState, ...], rows: tuple[Row, ...]
+    ):
+        self._assign(width, marks, basis, rows)
 
     @property
     def dimension(self) -> int:
@@ -168,10 +169,10 @@ def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
     over {1, v, Q} and every state's weights add up to at most 2 at
     Q = v = 1: the packing in ``_push`` is exact only under that bound.
     Raises AssertionError too when a branch leaves the basis.  The keys are
-    those of an enumerated basis of validated states, so membership carries
-    every property the state constructor checks.  ``_bond_table`` is the
-    one caller: characters, ``column_transfer`` and the two-slice block
-    check all read its cached tables.
+    those of an enumerated basis, each a state the constructor accepts, so
+    membership carries every property the constructor checks.
+    ``_bond_table`` is the one caller: characters, ``column_transfer`` and
+    the two-slice block check all read its cached tables.
     """
     index = {key: k for k, key in enumerate(keys)}
     table = []
@@ -404,29 +405,45 @@ def _on_right_slice(op: EdgeOp, width: int) -> EdgeOp:
     return EdgeOp(op.kind, right_position(width, op.site + (op.kind == VERTICAL)))
 
 
-@dataclass(frozen=True)
-class SectorReport:
+class SectorReport(Record):
     """Findings for one bridge sector of the full transfer matrix."""
 
-    bridges: int
-    group_count: int
-    expected_groups: int
-    group_sizes: tuple[int, ...]
-    expected_size: int
-    cross_group_zero: bool
-    matches_reference: bool
+    __slots__ = (
+        "bridges", "group_count", "expected_groups", "group_sizes",
+        "expected_size", "cross_group_zero", "matches_reference",
+    )
+
+    def __init__(
+        self,
+        bridges: int,
+        group_count: int,
+        expected_groups: int,
+        group_sizes: tuple[int, ...],
+        expected_size: int,
+        cross_group_zero: bool,
+        matches_reference: bool,
+    ):
+        self._assign(
+            bridges, group_count, expected_groups, group_sizes,
+            expected_size, cross_group_zero, matches_reference,
+        )
 
 
-@dataclass(frozen=True)
-class BlockStructureReport:
+class BlockStructureReport(Record):
     """Outcome of checking the full transfer matrix against its claimed
     decomposition into reference blocks."""
 
-    width: int
-    dimension: int
-    triangular_ok: bool
-    sectors: tuple[SectorReport, ...]
-    failures: tuple[str, ...]
+    __slots__ = ("width", "dimension", "triangular_ok", "sectors", "failures")
+
+    def __init__(
+        self,
+        width: int,
+        dimension: int,
+        triangular_ok: bool,
+        sectors: tuple[SectorReport, ...],
+        failures: tuple[str, ...],
+    ):
+        self._assign(width, dimension, triangular_ok, sectors, failures)
 
     @property
     def passed(self) -> bool:

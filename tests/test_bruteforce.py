@@ -1,7 +1,6 @@
 """Exhaustive enumeration oracles: cluster sums, spin sums, duality."""
 
 import ast
-import dataclasses
 import hashlib
 import inspect
 import random
@@ -109,8 +108,7 @@ def test_walk_matches_single_mask_classification():
     ]
     assert square_strip(1, 1) in square and square_strip(6, 1) in square
     reversed_program = [
-        dataclasses.replace(s, column_program=s.column_program[::-1])
-        for s in square
+        CyclicStrip(s.width, s.length, s.column_program[::-1]) for s in square
     ]
     for strip in square + reversed_program:
         assert fk_histogram(strip) == _mask_histogram(strip), strip
@@ -170,7 +168,7 @@ def test_both_walk_orders_agree(monkeypatch):
     }
     for square in strips:
         reversed_program = square.column_program[::-1]
-        for strip in (square, dataclasses.replace(square, column_program=reversed_program)):
+        for strip in (square, CyclicStrip(square.width, square.length, reversed_program)):
             walked = fk_histogram(strip)
             if strip.edge_count > 20:
                 assert _digest(walked) == OTHER_ORDER_DIGESTS[strip.width, strip.length]
@@ -238,7 +236,7 @@ def test_every_walk_equals_the_per_mask_count(monkeypatch, width, length, revers
     monkeypatch.setattr(bruteforce, "_HISTOGRAM_CACHE", {})
     strip = square_strip(width, length)
     if reverse:
-        strip = dataclasses.replace(strip, column_program=strip.column_program[::-1])
+        strip = CyclicStrip(width, length, strip.column_program[::-1])
     expected = _mask_histogram(strip)
     assert fk_histogram(strip) == expected
     for order in (bruteforce._rows, bruteforce._columns):
@@ -403,8 +401,9 @@ def test_spin_sum_at_q_1_is_linear_in_the_bonds():
 
 def test_oracle_imports_only_lattice_and_polynomial():
     """The oracle shares no code with the transfer engine: of the package
-    it imports only ``lattice`` and ``polynomial``.  It starts no process:
-    it imports neither ``concurrent`` nor ``multiprocessing``."""
+    it imports only ``lattice``, ``polynomial`` and ``_record``, the base
+    of every record type.  It starts no process: it imports neither
+    ``concurrent`` nor ``multiprocessing``."""
     used, outside = set(), set()
     for node in ast.walk(ast.parse(inspect.getsource(bruteforce))):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -415,7 +414,7 @@ def test_oracle_imports_only_lattice_and_polynomial():
         elif isinstance(node, ast.Import):
             outside.update(a.name for a in node.names)
     used |= {name for name in outside if name.startswith("pottstrip")}
-    assert used <= {"lattice", "polynomial", "pottstrip.lattice", "pottstrip.polynomial"}
+    assert used <= {"lattice", "polynomial", "_record", "pottstrip.lattice", "pottstrip.polynomial"}
     assert not {name.split(".")[0] for name in outside} & {"concurrent", "multiprocessing"}
 
 
@@ -480,9 +479,7 @@ def test_duality_witness_counts_on_empty_and_full_masks():
 
 def test_duality_requires_square_program():
     strip = square_strip(2, 2)
-    reordered = dataclasses.replace(
-        strip, column_program=tuple(reversed(strip.column_program))
-    )
+    reordered = CyclicStrip(2, 2, tuple(reversed(strip.column_program)))
     with pytest.raises(ValueError):
         list(duality_witnesses(reordered))
     with pytest.raises(ValueError):

@@ -609,9 +609,15 @@ def test_closed_stdout_exits_141_without_a_traceback():
 # ----------------------------------------------------------------------
 # import budget: a process loads only the layers its command runs
 
+#: The standard-library modules a command should not load unasked:
+#: ``dataclasses`` and ``inspect`` cost every process about 13 ms, and
+#: ``csv`` serves only ``--format csv``.
+_WATCHED = ("csv", "dataclasses", "inspect")
+
 #: Runs ``python -m pottstrip`` with the arguments after ``--`` and writes
-#: the package's loaded submodules as the last line of stderr.
-_RUN_AND_LIST = """
+#: the package's loaded submodules, and the loaded modules of ``_WATCHED``,
+#: as the last line of stderr.
+_RUN_AND_LIST = f"""
 import runpy, sys
 try:
     runpy.run_module("pottstrip", run_name="__main__", alter_sys=True)
@@ -619,7 +625,7 @@ except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
 print(*sorted(n[len("pottstrip."):] for n in sys.modules if n.startswith("pottstrip.")),
-      file=sys.stderr)
+      *(n for n in {_WATCHED!r} if n in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -662,6 +668,39 @@ def test_a_command_loads_only_its_layers(argv, unused):
     code, loaded = _loaded_layers(*argv)
     assert code == 0
     assert "cli" in loaded and not loaded & unused
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("characters", "--lattice", "square:2x2"),
+        ("blockcheck", "--lattice", "square:2x1"),
+        ("decompose", "--lattice", "square:3x2", "--target", "zff"),
+        ("oracle", "--lattice", "square:2x2", "--count-ntc", "--dual"),
+        ("verify", "--Lmax", "2", "--Nmax", "2"),
+    ],
+    ids=["characters", "blockcheck", "decompose-zff", "oracle", "verify"],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv, fmt):
+    """Records are hand-written, so no command imports ``dataclasses`` (nor
+    ``inspect``, which it pulls in); ``csv`` loads only for ``--format csv``."""
+    code, loaded = _loaded_layers(*argv, "--format", fmt)
+    assert code == 0
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("csv" in loaded) == (fmt == "csv")
+
+
+def test_blockcheck_lists_the_sector_fields_in_order(capsys):
+    fields = [
+        "bridges", "group_count", "expected_groups", "group_sizes",
+        "expected_size", "cross_group_zero", "matches_reference",
+    ]
+    _, out, _ = run_cli(capsys, "blockcheck", "--lattice", "square:2x1", "--format", "json")
+    sectors = json.loads(out)["sectors"]
+    assert len(sectors) == 3 and all(list(s) == fields for s in sectors)
+    _, out, _ = run_cli(capsys, "blockcheck", "--lattice", "square:2x1", "--format", "csv")
+    assert out.splitlines()[0].split(",") == [f for f in fields if f != "group_sizes"]
 
 
 def test_every_public_name_is_its_defining_modules_object():

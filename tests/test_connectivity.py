@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pottstrip import connectivity
 from pottstrip.connectivity import (
     ConnectivityState,
     bridge_count,
@@ -119,6 +120,22 @@ def test_enumeration_equals_the_restricted_growth_string_reference():
             assert enumerate_states(width, marks) == _reference_states(width, marks), (
                 width, marks,
             )
+
+
+def test_every_enumerated_state_passes_the_validating_constructor(monkeypatch):
+    """``enumerate_states`` builds its states without validating them: each
+    state of every sector up to width 8 equals what the constructor builds,
+    and accepts, from its fields, and the walk never calls the validator."""
+    for width in range(1, 9):
+        for marks in range(width + 1):
+            for state in enumerate_states(width, marks):
+                assert ConnectivityState(state.width, state.blocks, state.marked) == state
+
+    def refuse(blocks, n_points):
+        raise AssertionError("enumerate_states re-validated a state")
+
+    monkeypatch.setattr(connectivity, "_validate_partition", refuse)
+    assert len(enumerate_states(6, 2)) == count_states(6, 2)
 
 
 def test_state_validation():

@@ -1,7 +1,5 @@
 """Transfer blocks, edge operators, characters and block structure."""
 
-import dataclasses
-
 import pytest
 
 from pottstrip import transfer
@@ -98,9 +96,7 @@ def test_trace_is_invariant_under_program_rotation():
     strip = square_strip(3, 2)
     program = strip.column_program
     for shift in range(1, len(program)):
-        rotated = dataclasses.replace(
-            strip, column_program=program[shift:] + program[:shift]
-        )
+        rotated = CyclicStrip(3, 2, program[shift:] + program[:shift])
         for marks in range(strip.width + 1):
             assert character_K(rotated, marks) == character_K(strip, marks)
 
