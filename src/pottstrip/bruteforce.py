@@ -292,9 +292,9 @@ def _columns(strip: CyclicStrip) -> tuple[tuple[int, ...], int]:
 
 
 def _order(strip: CyclicStrip) -> Order:
-    """The edge order of the walk: along the strip's longer side, so that
-    the frontier stays the shorter one.  Rows while length <= width + 1."""
-    return _rows if strip.length <= strip.width + 1 else _columns
+    """The edge order of the walk: rows while N <= max(L + 1, 2L - 2), else
+    columns; a column frontier also keeps the first column until the seam."""
+    return _rows if strip.length <= max(strip.width + 1, 2 * strip.width - 2) else _columns
 
 
 #: histograms kept, in order of last use; the least recently used is

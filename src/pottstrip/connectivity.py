@@ -14,12 +14,15 @@ This module provides
 * :class:`ConnectivityState` -- a non-crossing partition with marked blocks,
   the basis element of the reduced transfer matrices, validated on
   construction;
-* the bond moves ``join`` and ``detach`` on the raw ``(blocks, marked)``
-  key of a state: the one implementation of each move, which the transfer
-  engine compiles without building states.  Both share one contract: the
-  key itself when the move leaves the state unchanged, None when it would
-  lower the mark count (leave the sector), and otherwise a new key with
-  the same marks; ``mirror`` reflects a key across the width;
+* the bond moves ``join`` and ``detach`` on the key of a state, a flat
+  code: each point's block label in order of first occurrence (a
+  restricted growth string), then a bit mask of the marked labels, e.g.
+  ``(0, 0, 1, 0b01)`` for ``(12•)(3)``.  They are the one implementation
+  of each move, compiled by the transfer engine without building states.
+  Both share one contract: the key itself when the move leaves the state
+  unchanged, None when it would lower the mark count (leave the sector),
+  and otherwise a new key with the same marks; ``mirror`` reflects a key
+  across the width, and no other module reads the code's layout;
 * two-slice states, the basis of the full (untruncated) transfer matrix on
   which the block structure of the reduced matrices is verified.  A
   non-crossing partition of the 2L points of two slices is an unmarked
@@ -117,26 +120,21 @@ def _validate_partition(blocks: Blocks, n_points: int) -> list[bool]:
     return unnested
 
 
-#: The raw key of a connectivity state: its ``(blocks, marked)`` pair.
-StateKey = tuple[Blocks, tuple[int, ...]]
+#: The key of a state: each point's block label, then the marked labels' bit mask.
+StateKey = tuple[int, ...]
 
 
-def _block_of(blocks: Blocks, point: int) -> int:
-    for k, b in enumerate(blocks):
-        if point in b:
-            return k
-    raise ValueError(f"point {point} is in no block of {blocks}")
-
-
-def _key(blocks: list[tuple[int, ...]], marked: list[tuple[int, ...]]) -> StateKey:
-    """The key of ``blocks`` in canonical block order, the ones listed in
-    ``marked`` marked; with none marked it only sorts."""
-    blocks.sort()
-    return tuple(blocks), tuple(sorted(map(blocks.index, marked)))
+def _canonical(labels, mask: int) -> StateKey:
+    """The key of the partition with point p in block ``labels[p]``, any
+    int >= 0, the blocks whose label has its bit set in ``mask`` marked."""
+    first: dict[int, int] = {}
+    code = [first.setdefault(c, len(first)) for c in labels]
+    code.append(sum([1 << k for c, k in first.items() if mask >> c & 1]))
+    return tuple(code)
 
 
 def join(key: StateKey, i: int) -> StateKey | None:
-    """Merge the blocks of points i and i+1 of a raw state key.
+    """Merge the blocks of points i and i+1 of a state key.
 
     The merged block is marked if either constituent was.  Returns ``key``
     itself when both points already share a block, and None when both
@@ -144,27 +142,28 @@ def join(key: StateKey, i: int) -> StateKey | None:
     sector.  Arguments are not validated: pass a valid key and
     0 <= i < width - 1, and a new key is again valid, with the same marks.
 
-    >>> join((((0,), (1,), (2,)), (0,)), 0)
-    (((0, 1), (2,)), (0,))
-    >>> join((((0,), (1,), (2,)), (0, 1)), 0) is None
+    >>> join((0, 1, 2, 0b001), 0)
+    (0, 0, 1, 1)
+    >>> join((0, 1, 2, 0b011), 0) is None
     True
     """
-    blocks, marked = key
-    bi, bj = _block_of(blocks, i), _block_of(blocks, i + 1)
-    if bi == bj:
+    a, b = key[i], key[i + 1]
+    if a == b:
         return key
-    if bi in marked and bj in marked:
+    mask = key[-1]
+    if mask >> a & mask >> b & 1:
         return None
-    merged = tuple(sorted(blocks[bi] + blocks[bj]))
-    rest = [b for k, b in enumerate(blocks) if k != bi and k != bj]
-    rest.append(merged)
-    marks = [merged if k in (bi, bj) else blocks[k] for k in marked]
-    return _key(rest, marks)
+    # the later label goes; the labels above it move down by one
+    lo, hi = (a, b) if a < b else (b, a)
+    code = [c if c < hi else lo if c == hi else c - 1 for c in key[:-1]]
+    below = (1 << hi) - 1
+    code.append(mask & below | mask >> 1 & ~below | (mask >> hi & 1) << lo)
+    return tuple(code)
 
 
 def detach(key: StateKey, i: int) -> StateKey | None:
-    """Remove point i of a raw state key from its block and re-insert it as
-    a fresh singleton.
+    """Remove point i of a state key from its block and re-insert it as a
+    fresh singleton.
 
     Returns ``key`` itself when i is an unmarked singleton (the vacated
     block is a finished cluster, which earns a weight Q upstream), and None
@@ -172,30 +171,23 @@ def detach(key: StateKey, i: int) -> StateKey | None:
     and leave the sector.  Otherwise the old block keeps its mark and the
     new key has the same marks.  Arguments are not validated.
 
-    >>> detach((((0, 1),), (0,)), 0)
-    (((0,), (1,)), (1,))
+    >>> detach((0, 0, 0b1), 0)
+    (0, 1, 2)
     """
-    blocks, marked = key
-    bi = _block_of(blocks, i)
-    if len(blocks[bi]) == 1:
-        return None if bi in marked else key
-    left = tuple(p for p in blocks[bi] if p != i)
-    rest = [b for k, b in enumerate(blocks) if k != bi]
-    rest += left, (i,)
-    marks = [left if k == bi else blocks[k] for k in marked]
-    return _key(rest, marks)
+    labels, mask = key[:-1], key[-1]
+    if labels.count(labels[i]) == 1:
+        return None if mask >> labels[i] & 1 else key
+    return _canonical(labels[:i] + (len(labels),) + labels[i + 1 :], mask)
 
 
-def mirror(key: StateKey, width: int) -> StateKey:
-    """The raw key reflected across the width, point i -> width-1-i; marks
-    follow their blocks.
+def mirror(key: StateKey) -> StateKey:
+    """The state key reflected across the width, point i -> width-1-i;
+    marks follow their blocks.
 
-    >>> mirror((((0, 1), (2,)), (0,)), 3)
-    (((0,), (1, 2)), (1,))
+    >>> mirror((0, 0, 1, 0b01))
+    (0, 1, 1, 2)
     """
-    blocks, marked = key
-    flipped = [tuple(width - 1 - p for p in reversed(b)) for b in blocks]
-    return _key(flipped, [flipped[k] for k in marked])
+    return _canonical(key[-2::-1], key[-1])
 
 
 class ConnectivityState(Record):
@@ -204,12 +196,12 @@ class ConnectivityState(Record):
     ``blocks`` lists each block as a sorted tuple, blocks ordered by their
     smallest point; ``marked`` holds the indices (into ``blocks``) of the
     marked blocks, in increasing order.  The bond moves act on its
-    :attr:`key`; the constructor validates what they return.
+    :attr:`key`; :meth:`from_key` validates what they return.
 
     >>> s = ConnectivityState(3, ((0, 1), (2,)), (0,))
-    >>> s.render()
-    '(12•)(3)'
-    >>> ConnectivityState(3, *detach(s.key, 0)).render()
+    >>> s.render(), s.key
+    ('(12•)(3)', (0, 0, 1, 1))
+    >>> ConnectivityState.from_key(detach(s.key, 0)).render()
     '(1)(2•)(3)'
     """
 
@@ -241,10 +233,29 @@ class ConnectivityState(Record):
         _set(state, "marked", marked)
         return state
 
+    @classmethod
+    def from_key(cls, key: StateKey) -> ConnectivityState:
+        """The state of a key, through the validating constructor.  Raises
+        ValueError unless ``key`` is the key of a valid state."""
+        *labels, mask = key
+        blocks: dict = {}
+        for p, label in enumerate(labels):
+            blocks.setdefault(label, []).append(p)
+        marked = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+        state = cls(len(labels), tuple(map(tuple, blocks.values())), marked)
+        if state.key != key:
+            raise ValueError(f"{key} is not the key of {state}")
+        return state
+
     @property
     def key(self) -> StateKey:
-        """The raw ``(blocks, marked)`` key the bond moves act on."""
-        return self.blocks, self.marked
+        """The flat code the bond moves act on (see the module docstring)."""
+        code = [0] * (self.width + 1)
+        for k, b in enumerate(self.blocks):
+            for p in b:
+                code[p] = k
+        code[-1] = sum(1 << k for k in self.marked)
+        return tuple(code)
 
     @property
     def mark_count(self) -> int:
@@ -261,13 +272,8 @@ class ConnectivityState(Record):
         point by point; when s > 1 (widths above 255) the code starts with a
         zero byte, which no narrower code does (no state has width 0), and s.
         """
-        owner = [0] * self.width
-        for k, b in enumerate(self.blocks):
-            for p in b:
-                owner[p] = k
-        flags = bytearray(len(self.blocks))
-        for k in self.marked:
-            flags[k] = 1
+        *owner, mask = self.key
+        flags = [mask >> k & 1 for k in range(len(self.blocks))]
         size = (self.width.bit_length() + 7) // 8
         head = bytes([0, size]) if size > 1 else b""
         numbers = b"".join(x.to_bytes(size, "big") for x in (self.width, *owner))
@@ -359,23 +365,17 @@ def right_position(width: int, point: int) -> int:
     return 2 * width - 1 - point
 
 
-def reduced(blocks: Blocks, width: int) -> StateKey:
+def reduced(key: StateKey, width: int) -> StateKey:
     """Forget the left slice of a two-slice state: the key of the partition
     induced on the right slice, bridge blocks marked.  Blocks living only on
     the left vanish.
 
-    >>> reduced(((0, 3), (1,), (2,)), 2)
-    (((0,), (1,)), (0,))
+    >>> reduced((0, 1, 2, 0, 0), 2)
+    (0, 1, 1)
     """
-    rights, bridges = [], []
-    for b in blocks:
-        # right point k sits at position 2L-1-k, so reversed order sorts them
-        right = tuple(2 * width - 1 - p for p in reversed(b) if p >= width)
-        if right:
-            rights.append(right)
-            if b[0] < width:
-                bridges.append(right)
-    return _key(rights, bridges)
+    # right point k sits at point 2L-1-k
+    right = key[2 * width - 1 : width - 1 : -1]
+    return _canonical(right, sum({1 << c for c in key[:width]}))
 
 
 def bridge_count(blocks: Blocks, width: int) -> int:

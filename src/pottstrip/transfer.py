@@ -11,7 +11,7 @@ cluster), a factor 1 when the block keeps other points, and *drops* the
 transition when it vacates a marked block -- that move lowers the mark
 count and belongs to a different sector.  Likewise the join branch of a
 vertical bond is dropped when it would fuse two marked blocks.  Each move
-says so itself by returning None, so ``_action`` is one lookup in the
+says so itself by returning None, so a bond's action is one lookup in the
 ``_MOVES`` table.  With those rules the matrix T_l on the states with l
 marks is the diagonal sub-block of the full transfer matrix in the
 l-bridge sector, and the character
@@ -21,11 +21,18 @@ l-bridge sector, and the character
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
 (width, marks, bond) into an index table, in one cache that characters,
 ``column_transfer`` and the block check share.  Compilation applies the bond
-moves of ``connectivity`` to raw state keys, builds no state object, and
-checks every target key against the enumerated basis of valid states,
-so a target outside it raises.  One loop, ``_push``, pushes a start column
-through a program of E bonds; K(l) pushes start states through N copies of
-the column program and sums the diagonal entries they return to.  No matrix power is ever formed, no eigenvalues, no floats.
+moves of ``connectivity`` to the flat keys of a basis, indexed once per
+(width, marks); it builds no state and never reads a key's layout, and a
+target outside the basis raises.  One loop, ``_push``, pushes a start
+column through a program of E bonds; K(l) pushes start states through N
+copies of the column program and sums the diagonal entries they return to;
+reading nothing else, it pushes the last column only on each start's
+backward cone: the rows that can still reach the start, read off a
+reverse (target -> sources) view of each table, cached beside it.  A
+dropped row adds nothing to the start's entry, so the packed trace is the
+same int.  A bond where the cone holds more rows than the column it
+filters can, as on the first bonds of a one-column strip, keeps its full
+table.  No matrix power is ever formed, no eigenvalues, no floats.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -62,10 +69,11 @@ checks.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Collection, Sequence
 
 from ._record import Record
 from .connectivity import (
@@ -150,47 +158,78 @@ def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
 _MOVES = {VERTICAL: (join, _ONE, _V, _ONE | _V), HORIZONTAL: (detach, _V, _ONE, _Q | _V)}
 
 
-def _action(op: EdgeOp, key: StateKey) -> list[tuple[StateKey, int]]:
-    """Sparse action of one bond on one raw state key, as (target key,
-    weight mask) branches; a move that leaves the sector (None) is dropped."""
-    move, kept, moved, unchanged = _MOVES[op.kind]
-    target = move(key, op.site)
-    if target is key:
-        return [(key, unchanged)]
-    if target is None:
-        return [(key, kept)]
-    return [(key, kept), (target, moved)]
+def _compile(index: dict, op: EdgeOp) -> BondTable:
+    """The bond ``op`` as an index table over the basis whose keys ``index``
+    maps to their places, in basis order: per state, the move of the bond's
+    kind in ``_MOVES`` and its weights; a move that leaves the sector (None)
+    keeps only the unmoved branch.
 
-
-def _compile(keys: Sequence, action: Callable, op: EdgeOp) -> BondTable:
-    """The bond ``op`` as an index table over the basis with raw ``keys``.
-
-    Raises AssertionError unless every branch weight is a non-empty mask
-    over {1, v, Q} and every state's weights add up to at most 2 at
-    Q = v = 1: the packing in ``_push`` is exact only under that bound.
-    Raises AssertionError too when a branch leaves the basis.  The keys are
-    those of an enumerated basis, each a state the constructor accepts, so
+    Raises AssertionError unless every weight is a non-empty mask over
+    {1, v, Q} and a state's weights add up to at most 2 at Q = v = 1: the
+    packing in ``_push`` is exact only under that bound.  Raises
+    AssertionError too when a move leaves the basis.  The keys are those of
+    an enumerated basis, each a state the constructor accepts, so
     membership carries every property the constructor checks.
-    ``_bond_table`` is the one caller: characters, ``column_transfer`` and
-    the two-slice block check all read its cached tables.
     """
-    index = {key: k for k, key in enumerate(keys)}
+    move, kept, moved, unchanged = _MOVES[op.kind]
+    # a mask outside {1, v, Q} counts 3, over the bound on its own
+    if max(_MONOMIALS.get(kept, 3) + _MONOMIALS.get(moved, 3), _MONOMIALS.get(unchanged, 3)) > 2:
+        raise AssertionError(f"{op} breaks the packing bound: {_MOVES[op.kind]}")
     table = []
-    for key in keys:
-        branches = action(op, key)
-        # a mask outside {1, v, Q} counts 3, over the bound on its own
-        if sum([_MONOMIALS.get(weight, 3) for _, weight in branches]) > 2:
-            raise AssertionError(f"{op} on {key} breaks the packing bound: {branches}")
-        try:
-            table.append(tuple([(index[target], weight) for target, weight in branches]))
-        except KeyError as missing:
-            raise AssertionError(f"{op} on {key} leaves the basis: {missing.args[0]}") from None
+    for k, key in enumerate(index):
+        target = move(key, op.site)
+        if target is key:
+            table.append(((k, unchanged),))
+        elif target is None:
+            table.append(((k, kept),))
+        else:
+            try:
+                table.append(((k, kept), (index[target], moved)))
+            except KeyError:
+                raise AssertionError(f"{op} on {key} leaves the basis: {target}") from None
     return tuple(table)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _index(width: int, marks: int) -> dict[StateKey, int]:
+    """Each key of ``_basis(width, marks)`` mapped to its index, in order."""
+    return {s.key: k for k, s in enumerate(_basis(width, marks))}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
-    return _compile([s.key for s in _basis(width, marks)], _action, op)
+    return _compile(_index(width, marks), op)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sources(width: int, marks: int, op: EdgeOp) -> BondTable:
+    """``_bond_table(width, marks, op)`` reversed: ``sources[a]`` lists the
+    (source index, weight mask) branches into basis state a."""
+    table = _bond_table(width, marks, op)
+    sources: list[list[tuple[int, int]]] = [[] for _ in table]
+    for b, branches in enumerate(table):
+        for a, code in branches:
+            sources[a].append((b, code))
+    return tuple(map(tuple, sources))
+
+
+def _cone(column: Sequence[BondTable], sources: Sequence[BondTable], start: int, pushed: int):
+    """The last column's tables, pushed after ``pushed`` bonds, each kept to
+    its branches into the rows that can still reach ``start``; other rows
+    read as no branch.  Going back from the last bond, pruning stops at the
+    first bond j (of the whole program) whose kept rows are as many as a
+    column can hold after j bonds from one row: 2**j, or the basis."""
+    keep: Collection[int] = (start,)
+    cone = list(column)
+    for j in reversed(range(len(column))):
+        if len(keep) >= min(len(column[j]), 1 << pushed + j):
+            break
+        table = defaultdict(list)
+        for a in keep:
+            for b, code in sources[j][a]:
+                table[b].append((a, code))
+        cone[j] = keep = table
+    return tuple(cone)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -198,14 +237,9 @@ def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
     """One (index, weight) per orbit of the width reflection P, point
     i -> width-1-i, on ``_basis(width, marks)``: the lower index of the
     orbit, with weight 1 for a state P fixes and 2 otherwise."""
-    basis = _basis(width, marks)
-    index = {s.key: k for k, s in enumerate(basis)}
-    orbits = []
-    for k, state in enumerate(basis):
-        image = index[mirror(state.key, width)]
-        if k <= image:
-            orbits.append((k, 1 if k == image else 2))
-    return tuple(orbits)
+    index = _index(width, marks)
+    images = [index[mirror(key)] for key in index]
+    return tuple((k, 1 if k == image else 2) for k, image in enumerate(images) if k <= image)
 
 
 def _reflection_invariant(program: Sequence[EdgeOp], width: int) -> bool:
@@ -366,11 +400,12 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
 
     Each start state is pushed through the E = N * |column program| bonds
     on its own, as one packed int per entry, so only one column of T_l ** N
-    is held at a time; the diagonal ints, weighted by orbit size when the
-    program is reflection-invariant, are summed and the sum is unpacked
-    once.  Zero for l > L: a width-L slice cannot seed more than L wrapping
-    clusters.  Results are cached, so every decomposition of a strip
-    shares one computation of each K(l).
+    is held at a time, and its last column only on the rows that can still
+    return to the start (``_cone``); the diagonal ints, weighted by orbit
+    size when the program is reflection-invariant, are summed and the sum
+    is unpacked once.  Zero for l > L: a width-L slice cannot seed more
+    than L wrapping clusters.  Results are cached, so every decomposition
+    of a strip shares one computation of each K(l).
 
     Before any state is built, ``check_character_budget`` predicts the
     cost and refuses a sector beyond the caps with ValueError.
@@ -386,12 +421,15 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     if marks > strip.width:
         return MultiPoly.zero()
     n, bonds, w = check_character_budget(strip, marks)
-    program = _column_program(strip, marks) * strip.length
+    column = _column_program(strip, marks)
+    head = column * (strip.length - 1)
+    sources = [_sources(strip.width, marks, op) for op in strip.column_program]
     if _reflection_invariant(strip.column_program, strip.width):
         starts = _reflection_orbits(strip.width, marks)
     else:
         starts = [(b, 1) for b in range(n)]
-    trace = sum(weight * _push(program, b, w).get(b, 0) for b, weight in starts)
+    pushed = (_push(head + _cone(column, sources, b, len(head)), b, w) for b, _ in starts)
+    trace = sum(weight * col.get(b, 0) for (b, weight), col in zip(starts, pushed))
     return _unpack(trace, w, bonds)
 
 
@@ -488,17 +526,17 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
         [_push(_column_program(strip, l), i, w) for i in range(size)]
         for l, size in enumerate(sizes)
     ]
-    places = [{s.key: i for i, s in enumerate(_basis(width, l))} for l in range(width + 1)]
+    places = [_index(width, l) for l in range(width + 1)]
 
     bridges, group, place = [], [], []
     groups: dict[tuple, list[int]] = {}
-    for k, blocks in enumerate(basis):
+    for k, (blocks, key) in enumerate(zip(basis, _index(2 * width, 0))):
         l = bridge_count(blocks, width)
         members = groups.setdefault((l, left_profile(blocks, width)), [])
         members.append(k)
         bridges.append(l)
         group.append(members[0])  # a group is named by its first state
-        place.append(places[l].get(reduced(blocks, width)))
+        place.append(places[l].get(reduced(key, width)))
 
     failures: list[str] = []
     triangular_ok = True

@@ -178,12 +178,15 @@ def test_both_walk_orders_agree(monkeypatch):
 
 
 def test_walk_order_follows_the_strip_shape():
-    """Rows while the length is at most the width plus one, with a memo
+    """Rows while the length is at most max(L + 1, 2L - 2), with a memo
     point every N edges; columns otherwise, with one every column.  Both
-    give edge indices, so a bond keeps the index of its dual edge."""
-    for width, length in ((3, 4), (4, 3), (6, 2), (12, 1)):
+    give edge indices, so a bond keeps the index of its dual edge.  The
+    timed pairs 4x5, 4x6, 5x6 (faster in rows) and 3x5, 3x8, 4x8 (faster
+    in columns) pin the rule."""
+    rows = ((3, 4), (4, 3), (6, 2), (12, 1), (4, 5), (4, 6), (5, 6), (5, 8))
+    for width, length in rows:
         assert bruteforce._order(square_strip(width, length)) is bruteforce._rows
-    for width, length in ((2, 4), (2, 8), (1, 24)):
+    for width, length in ((2, 4), (2, 8), (1, 24), (3, 5), (3, 8), (4, 8), (5, 9)):
         assert bruteforce._order(square_strip(width, length)) is bruteforce._columns
     strip = square_strip(3, 2)
     assert bruteforce._rows(strip) == ((2, 7, 0, 5, 3, 8, 1, 6, 4, 9), 2)

@@ -447,16 +447,18 @@ def test_blockcheck_failure_exits_one(capsys, monkeypatch):
         (a, b) for a in group for b in group if group[a][0] == group[b][0] and group[a] != group[b]
     )
     op = transfer._on_right_slice(horizontal(0), 2)
-    action = transfer._action
+    compile_ = transfer._compile
 
-    def rerouted(bond, key):
-        branches = action(bond, key)
-        if bond == op and key == source:
-            return [(target, branches[0][1]), *branches[1:]]
-        return branches
+    def rerouted(index, bond):
+        # the first branch of bond ``op`` on ``source`` sent to ``target``
+        table = compile_(index, bond)
+        if bond != op or source not in index:
+            return table
+        k = index[source]
+        return table[:k] + (((index[target], table[k][0][1]), *table[k][1:]),) + table[k + 1 :]
 
     transfer._bond_table.cache_clear()
-    monkeypatch.setattr(transfer, "_action", rerouted)
+    monkeypatch.setattr(transfer, "_compile", rerouted)
     try:
         code, out, _ = run_cli(capsys, "blockcheck", "--lattice", "square:2x1")
     finally:

@@ -197,16 +197,41 @@ def test_the_widest_sectors_enumerate_fast_in_code_order():
     assert [_decode(code) for code in codes[::50]] == states[::50]
 
 
+def _state(width: int, key) -> ConnectivityState:
+    """The state of a move's key, through the validating constructor, with
+    ``width`` points."""
+    state = ConnectivityState.from_key(key)
+    assert state.width == width
+    return state
+
+
+def test_from_key_refuses_what_is_not_a_state_key():
+    """A key decodes to its blocks in label order and its marked labels;
+    the constructor refuses an invalid state and the round trip a
+    non-canonical key."""
+    for key in (
+        (1, 0, 0),  # labels out of first-occurrence order
+        (0, 2, 0),  # a skipped label
+        (0, 1, 0, 1, 0),  # crossing blocks
+        (0, 1, 0, 2),  # a mark on the nested block
+        (0, 0, 2),  # a mark on no block
+        (0,),  # no point
+        (),  # not even a mask
+    ):
+        with pytest.raises(ValueError):
+            ConnectivityState.from_key(key)
+
+
 def test_join_marks():
     s = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0,))
-    merged = ConnectivityState(3, *join(s.key, 0))
+    merged = _state(3, join(s.key, 0))
     assert merged.mark_count == 1
     assert merged.blocks == ((0, 1), (2,))
     assert merged.marked == (0,)
-    assert ConnectivityState(3, *join(s.key, 1)).mark_count == 1
+    assert _state(3, join(s.key, 1)).mark_count == 1
     two = ConnectivityState(3, ((0,), (1,), (2,)), marked=(0, 1))
     assert join(two.key, 0) is None  # fusing two marked blocks leaves the sector
-    assert ConnectivityState(3, *join(two.key, 1)).mark_count == 2
+    assert _state(3, join(two.key, 1)).mark_count == 2
 
 
 def test_join_same_block_is_identity():
@@ -216,7 +241,7 @@ def test_join_same_block_is_identity():
 
 def test_detach_outcomes():
     populated = ConnectivityState(2, ((0, 1),), marked=(0,))
-    state = ConnectivityState(2, *detach(populated.key, 0))
+    state = _state(2, detach(populated.key, 0))
     assert state.mark_count == 1  # the survivor keeps the mark
     assert state.blocks == ((0,), (1,))
     assert state.marked == (1,)
@@ -244,7 +269,7 @@ def test_join_detach_preserve_validity_exhaustively():
                 moved += [detach(s.key, i) for i in range(width)]
                 for key in moved:
                     if key is not None:
-                        assert ConnectivityState(width, *key).mark_count == marks
+                        assert _state(width, key).mark_count == marks
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -267,14 +292,14 @@ def test_move_contract_exhaustively(width):
                 assert (got is key) == (a == b)
                 if got is not None and got is not key:
                     assert got in keys
-                    assert ConnectivityState(width, *got).mark_count == marks
+                    assert _state(width, got).mark_count == marks
             for i in range(width):
                 got = detach(key, i)
                 assert (got is None) == ((i,) in marked)
                 assert (got is key) == (owner[i] == (i,) and (i,) not in marked)
                 if got is not None and got is not key:
                     assert got in keys
-                    assert ConnectivityState(width, *got).mark_count == marks
+                    assert _state(width, got).mark_count == marks
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -284,15 +309,16 @@ def test_mirror_is_an_involution_on_every_sector(width):
     for marks in range(width + 1):
         keys = [s.key for s in enumerate_states(width, marks)]
         for key in keys:
-            image = mirror(key, width)
-            blocks, marked = key
+            image = mirror(key)
+            state, flipped = _state(width, key), _state(width, image)
             want = {
-                (frozenset(width - 1 - p for p in b), k in marked) for k, b in enumerate(blocks)
+                (frozenset(width - 1 - p for p in b), k in state.marked)
+                for k, b in enumerate(state.blocks)
             }
-            got = {(frozenset(b), k in image[1]) for k, b in enumerate(image[0])}
+            got = {(frozenset(b), k in flipped.marked) for k, b in enumerate(flipped.blocks)}
             assert got == want
-            assert mirror(image, width) == key
-        assert {mirror(key, width) for key in keys} == set(keys)
+            assert mirror(image) == key
+        assert {mirror(key) for key in keys} == set(keys)
 
 
 def _decode(code: bytes) -> ConnectivityState:
@@ -347,7 +373,7 @@ def test_random_walks_stay_valid(width, data):
             key = detach(state.key, i)
         if key is None:  # the move would leave the sector
             break
-        state = ConnectivityState(width, *key)
+        state = _state(width, key)
         assert state.mark_count == marks
         assert _decode(state.code()) == state
 
@@ -412,7 +438,7 @@ def test_two_slice_membership_width_six():
     )
     assert state in enumerate_two_slice(6)
     assert bridge_count(state.blocks, 6) == 2
-    right = ConnectivityState(6, *reduced(state.blocks, 6))
+    right = _state(6, reduced(state.key, 6))
     assert right.mark_count == 2
 
 
@@ -427,16 +453,15 @@ def test_two_slice_moves_stay_in_the_basis():
             key = s.key
             for i in range(width - 1):
                 # right points i, i+1 sit at points 2L-1-i and 2L-2-i
-                blocks, marked = join(key, right_position(width, i + 1))
-                assert marked == ()
-                assert ConnectivityState(2 * width, blocks) in basis
+                joined = join(key, right_position(width, i + 1))
+                assert joined[-1] == 0  # no marks
+                assert _state(2 * width, joined) in basis
             for i in range(width):
                 pos = right_position(width, i)
                 target = detach(key, pos)
                 assert target is not None
-                blocks, marked = target
-                assert marked == ()
-                detached = ConnectivityState(2 * width, blocks)
+                assert target[-1] == 0
+                detached = _state(2 * width, target)
                 assert detached in basis
                 assert (target is key) == ((pos,) in s.blocks)
                 assert (pos,) in detached.blocks
@@ -452,6 +477,6 @@ def test_reduced_state_profiles():
     for width in (1, 2):
         for s in enumerate_two_slice(width):
             bridges = bridge_count(s.blocks, width)
-            assert ConnectivityState(width, *reduced(s.blocks, width)).mark_count == bridges
+            assert _state(width, reduced(s.key, width)).mark_count == bridges
             profile = left_profile(s.blocks, width)
             assert sum(1 for _, bridge in profile if bridge) == bridges

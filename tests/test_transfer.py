@@ -12,7 +12,7 @@ from pottstrip.connectivity import (
     left_profile,
     render_two_slice,
 )
-from pottstrip.lattice import MAX_WIDTH, CyclicStrip, horizontal, square_strip, vertical
+from pottstrip.lattice import MAX_WIDTH, VERTICAL, CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
     _CACHE_SIZE,
@@ -230,6 +230,89 @@ def test_non_invariant_program_sums_the_full_diagonal():
             )
 
 
+_INTERLEAVED = (vertical(0), horizontal(0), vertical(1), horizontal(1), horizontal(2))
+
+
+def _pruned_diagonal(strip, marks):
+    """(T_l^N)_ss for every start s, each pushed through the last column's
+    cone as ``character_K`` pushes it, as packed ints."""
+    n = count_states(strip.width, marks)
+    column = _column_program(strip, marks)
+    head = column * (strip.length - 1)
+    sources = [transfer._sources(strip.width, marks, op) for op in strip.column_program]
+    w = _slot_width(len(head) + len(column), n)
+    return [
+        _push(head + transfer._cone(column, sources, b, len(head)), b, w).get(b, 0)
+        for b in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "strip",
+    [square_strip(width, length) for width in range(1, 6) for length in (1, 2, 3)]
+    + [square_strip(6, 1), square_strip(6, 2)]
+    + [
+        pytest.param(CyclicStrip(3, length, _INTERLEAVED), id=f"interleaved:3x{length}")
+        for length in (1, 2, 3)
+    ],
+    ids=str,
+)
+def test_pruned_trace_equals_the_full_diagonal(strip):
+    """Pushing a start through the last column's cone drops only rows that
+    cannot return to it, so every diagonal entry, and the character, is the
+    one the full pushes give."""
+    for marks in range(strip.width + 1):
+        diagonal, w, bonds = _full_diagonal(strip, marks)
+        assert _pruned_diagonal(strip, marks) == diagonal
+        assert character_K.__wrapped__(strip, marks) == _unpack(sum(diagonal), w, bonds)
+
+
+def test_cone_keeps_full_tables_where_it_cannot_prune():
+    """A bond keeps its full table once the rows kept after it are as many
+    as the column pushed into it can hold: on a one-column strip the first
+    bond acts on the start's column of one row, so it is never pruned,
+    while the last bond keeps only the branches into the start."""
+    strip = square_strip(4, 1)
+    column = _column_program(strip, 1)
+    sources = [transfer._sources(4, 1, op) for op in strip.column_program]
+    for b in range(count_states(4, 1)):
+        cone = transfer._cone(column, sources, b, 0)
+        assert cone[0] is column[0]
+        last = {(k, branch) for k, branches in cone[-1].items() for branch in branches}
+        assert last == {(k, (b, code)) for k, code in sources[-1][b]}
+
+
+def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
+    """``check_character_budget`` predicts n * w * (E + 1)**2 bits per
+    column; no column that any push of ``character_K`` holds, after any
+    bond, has more bits, on every sector up to 5x3 and on 6x2."""
+    held = []
+
+    def recording_push(program, start, w):
+        # ``_push`` bond by bond, keeping the bits of each column it holds
+        shifts = transfer._shifts(w, len(program))
+        col = {start: 1}
+        for table in program:
+            out = {}
+            for k, c in col.items():
+                for a, code in table[k]:
+                    for s in shifts[code]:
+                        out[a] = out.get(a, 0) + (c << s)
+            col = out
+            held.append(sum(c.bit_length() for c in col.values()))
+        assert col == _push(program, start, w)
+        return col
+
+    monkeypatch.setattr(transfer, "_push", recording_push)
+    strips = [square_strip(width, length) for width in range(1, 6) for length in (1, 2, 3)]
+    for strip in strips + [square_strip(6, 2)]:
+        for marks in range(strip.width + 1):
+            n, bonds, w = check_character_budget(strip, marks)
+            del held[:]
+            character_K.__wrapped__(strip, marks)
+            assert held and max(held) <= n * w * (bonds + 1) ** 2
+
+
 def test_characters_are_computed_once():
     strip = square_strip(2, 3)
     first = character_K(strip, 1)
@@ -237,27 +320,30 @@ def test_characters_are_computed_once():
     assert character_K.cache_info().maxsize == _CACHE_SIZE
 
 
-def test_compile_refuses_weights_beyond_the_packing_bound():
+def test_compile_refuses_weights_beyond_the_packing_bound(monkeypatch):
     """An empty weight, a monomial outside {1, v, Q}, and branch weights
     adding up to 3 at Q = v = 1 would each break the slot width."""
-    for branches in ([("s", 0)], [("s", 8)], [("s", 3), ("s", 1)]):
+    join, _, _, _ = transfer._MOVES[VERTICAL]
+    for weights in ((1, 2, 0), (1, 8, 3), (3, 1, 3)):  # kept, moved, unchanged
+        monkeypatch.setitem(transfer._MOVES, VERTICAL, (join, *weights))
         with pytest.raises(AssertionError, match="packing bound"):
-            _compile(("s",), lambda op, state: branches, vertical(0))
+            _compile(transfer._index(3, 1), vertical(0))
 
 
-def test_compile_refuses_targets_outside_the_basis():
+def test_compile_refuses_targets_outside_the_basis(monkeypatch):
     """A branch to a key the enumerated basis does not hold, here a nested
     marked block that no valid state has, is refused by op and state
     rather than with a bare KeyError."""
-    keys = [s.key for s in transfer._basis(3, 1)]
-    nested = (((0, 2), (1,)), (1,))
-    assert nested not in keys
+    index = transfer._index(3, 1)
+    nested = (0, 1, 0, 0b10)  # blocks (0, 2) and (1,), the inner one marked
+    assert nested not in index
 
-    def leaving(op, key):
-        return [(key, 1), (nested, 2)]
+    def leaving(key, i):
+        return nested
 
+    monkeypatch.setitem(transfer._MOVES, VERTICAL, (leaving, *transfer._MOVES[VERTICAL][1:]))
     with pytest.raises(AssertionError, match=r"vertical\(1\) on .* leaves the basis"):
-        _compile(keys, leaving, vertical(1))
+        _compile(index, vertical(1))
 
 
 def test_character_budget():
@@ -335,34 +421,42 @@ def test_second_block_check_compiles_nothing():
     assert transfer._bond_table.cache_info().misses == misses
 
 
+def _with_row(monkeypatch, op, key, edit):
+    """Compile bond ``op`` with the row of state ``key`` replaced by
+    ``edit(row, index)``.  The tables are cached ``_bond_table``s: they are
+    dropped here, so that they compile under the patch, and the caller
+    drops those compiled under it after."""
+    compile_ = transfer._compile
+
+    def patched(index, bond):
+        table = compile_(index, bond)
+        if bond != op or key not in index:
+            return table
+        k = index[key]
+        return table[:k] + (edit(table[k], index),) + table[k + 1 :]
+
+    transfer._bond_table.cache_clear()
+    monkeypatch.setattr(transfer, "_compile", patched)
+
+
 def test_block_structure_reports_a_wrong_weight(monkeypatch):
     """One branch of one two-slice state weighted Q instead of 1, still
     within the packing bound, fails the check in that state's sector, and
     the message shows the two entries unpacked as polynomials."""
     strip = square_strip(3, 1)
     bridges = {s.key: bridge_count(s.blocks, 3) for s in enumerate_two_slice(3)}
-    action = transfer._action
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
+    index = transfer._index(6, 0)
+    keys, table = list(index), transfer._bond_table(6, 0, op)
     # a state whose detach branch stays among the states of its bridge count;
     # its width-6 key cannot collide with the key of a width-3 reduced state
     wrong = next(
         key
         for key in bridges
-        if len(branches := action(op, key)) == 2
-        and bridges[branches[1][0]] == bridges[key]
+        if len(row := table[index[key]]) == 2 and bridges[keys[row[1][0]]] == bridges[key]
     )
-
-    def miscounted(bond, key):
-        branches = action(bond, key)
-        if bond == op and key == wrong:
-            return [branches[0], (branches[1][0], transfer._Q)]
-        return branches
-
-    # the two-slice tables are cached ``_bond_table``s: drop them, so that
-    # they compile under the patch, and drop those compiled under it after
-    transfer._bond_table.cache_clear()
-    monkeypatch.setattr(transfer, "_action", miscounted)
+    _with_row(monkeypatch, op, wrong, lambda row, index: (row[0], (row[1][0], transfer._Q)))
     report = verify_block_structure(strip)
     monkeypatch.undo()
     transfer._bond_table.cache_clear()
@@ -384,16 +478,7 @@ def _rerouted_check(monkeypatch, strip, op, source, target):
     """The block check of ``strip`` with the first branch of bond ``op`` on
     two-slice key ``source`` sent to ``target`` at the same weight, which
     keeps the packing bound."""
-    action = transfer._action
-
-    def rerouted(bond, key):
-        branches = action(bond, key)
-        if bond == op and key == source:
-            return [(target, branches[0][1]), *branches[1:]]
-        return branches
-
-    transfer._bond_table.cache_clear()
-    monkeypatch.setattr(transfer, "_action", rerouted)
+    _with_row(monkeypatch, op, source, lambda row, index: ((index[target], row[0][1]), *row[1:]))
     try:
         return verify_block_structure(strip)
     finally:
