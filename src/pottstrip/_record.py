@@ -1,17 +1,18 @@
 """The shared base of the package's immutable records.
 
 A record is a plain class whose ``__slots__`` list its fields, in order.
-The base gives every record value equality (records of different classes
-are never equal), a value hash, so that records can key the caches that
-hold strips and bond operations, a ``repr`` in field order, an error on
-assignment, and ``copy`` and ``pickle`` through ``__init__``.  Each
-record's ``__init__`` validates its arguments where needed and stores them
-with ``_assign``.
+The base gives every record one constructor, which takes the fields in
+order or by name, value equality (records of different classes are never
+equal), a value hash, so that records can key the caches that hold strips
+and bond operations, a ``repr`` in field order, an error on assignment,
+and ``copy`` and ``pickle`` through ``__init__``.  A record defines its own
+``__init__``, calling the base's, only to check or default a field:
+``EdgeOp``, ``CyclicStrip`` and ``ConnectivityState`` validate their
+arguments, and ``CheckResult`` defaults its ``detail`` to "".
 
 Hand-written instead of ``dataclasses``: importing that module costs every
-process about 13 ms (it pulls in ``inspect``) and each decorated class
-another millisecond, against a few tens of milliseconds of work in a
-typical command.
+process about 13 ms (it pulls in ``inspect``), against a few tens of
+milliseconds of work in a typical command.
 """
 
 from __future__ import annotations
@@ -22,9 +23,28 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
 
-    def _assign(self, *values) -> None:
-        """Store ``values`` in field order; only ``__init__`` calls this."""
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named) -> None:
+        """Store the fields, given in order or by name; a missing, extra,
+        repeated or unknown field raises TypeError.
+
+        >>> class Point(Record):
+        ...     __slots__ = ("x", "y")
+        >>> Point(1, y=2)
+        Point(x=1, y=2)
+        >>> Point(1, x=2)
+        Traceback (most recent call last):
+        TypeError: Point() takes the fields x, y; got 1 in order and x by name
+        """
+        names = self.__slots__
+        if named or len(values) != len(names):
+            rest = names[len(values) :]
+            if len(values) > len(names) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__name__}() takes the fields {', '.join(names)}; "
+                    f"got {len(values)} in order and {', '.join(named) or 'none'} by name"
+                )
+            values += tuple(named[name] for name in rest)
+        for name, value in zip(names, values):
             _set(self, name, value)
 
     def _values(self) -> tuple:

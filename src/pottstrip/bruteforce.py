@@ -335,9 +335,6 @@ class NtcSpectrum(Record):
 
     __slots__ = ("width", "sectors")
 
-    def __init__(self, width: int, sectors: tuple[MultiPoly, ...]):
-        self._assign(width, sectors)
-
     def __getitem__(self, j: int) -> MultiPoly:
         if not 0 <= j <= self.width:
             raise ValueError(f"sector {j} outside range(0, {self.width + 1})")
@@ -503,21 +500,6 @@ class DualityWitness(Record):
         "mask", "direct_ntc", "direct_trivial", "direct_bonds",
         "dual_ntc", "dual_trivial", "dual_bonds", "ok",
     )
-
-    def __init__(
-        self,
-        mask: int,
-        direct_ntc: int,
-        direct_trivial: int,
-        direct_bonds: int,
-        dual_ntc: int,
-        dual_trivial: int,
-        dual_bonds: int,
-        ok: bool,
-    ):
-        self._assign(
-            mask, direct_ntc, direct_trivial, direct_bonds, dual_ntc, dual_trivial, dual_bonds, ok
-        )
 
 
 def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:

@@ -116,15 +116,6 @@ class DecompositionResult(Record):
 
     __slots__ = ("target", "strip", "value", "terms")
 
-    def __init__(
-        self,
-        target: str,
-        strip: CyclicStrip,
-        value: MultiPoly,
-        terms: tuple[tuple[int, MultiPoly, MultiPoly], ...],
-    ):
-        self._assign(target, strip, value, terms)
-
 
 def _minimal_marks(width: int, l: int, p: int) -> list[tuple[int, int]]:
     """The signed characters of chi(l) on a width-L strip: (m, +1) for

@@ -21,9 +21,12 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .lattice import parse_lattice
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FORMATS = ("json", "csv", "text")
 
@@ -158,10 +161,34 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _spin_digits(literal: str) -> int:
+    """The most digits the numerator or denominator of ``Fraction(literal)``
+    can have, read off the literal without building either: n digits, f of
+    them after the point, times 10**e are an integer of at most n + e - f
+    digits over a power of ten of 1 + f - e digits."""
+    mantissa, _, exponent = literal.strip().lower().partition("e")
+    if "/" in mantissa:
+        return max(map(len, mantissa.split("/")))
+    whole, _, fraction = mantissa.partition(".")
+    try:
+        shift = int(exponent or 0) - len(fraction)
+    except ValueError:  # no exponent Fraction reads, or one too long to read
+        return len(literal)
+    return max(len((whole + fraction).lstrip("+-0_")) + max(shift, 0), 1 - shift)
+
+
 def _parse_spin(text: str) -> tuple[int, Fraction]:
+    """Q and v of ``--spin Q,v``.  Each may have as many digits as the
+    interpreter prints, which is checked before v is built: ``1e30000000``
+    is ten characters, but a number of 30000001 digits."""
+    from fractions import Fraction
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--spin expects Q,v (for example 2,1 or 3,1/2)")
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(parts[0]), _spin_digits(parts[1])) > limit:
+        raise ValueError(f"--spin Q and v may have at most {limit} digits each")
     try:
         q = int(parts[0])
         vv = Fraction(parts[1])
@@ -183,7 +210,12 @@ def _cmd_oracle(args) -> int:
         values.append(("dual", dual_boundary_z(strip)))
     if args.spin is not None:
         q, vv = _parse_spin(args.spin)
-        values.append((f"spin[Q={q},v={vv}]", str(spin_z(strip, q, vv))))
+        z = spin_z(strip, q, vv)
+        try:
+            text = str(z)
+        except ValueError:  # more digits than the interpreter prints
+            raise ValueError("the spin sum at this --spin v has too many digits to print") from None
+        values.append((f"spin[Q={q},v={vv}]", text))
     _emit_values(args.format, {"lattice": str(strip)}, values)
     return 0
 

@@ -35,7 +35,7 @@ class EdgeOp(Record):
             raise ValueError(f"unknown edge kind {kind!r}")
         if site < 0:
             raise ValueError("site must be >= 0")
-        self._assign(kind, site)
+        super().__init__(kind, site)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.site})"
@@ -77,7 +77,7 @@ class CyclicStrip(Record):
             limit = width - 1 if op.kind == VERTICAL else width
             if op.site >= limit:
                 raise ValueError(f"{op} does not fit a width-{width} strip")
-        self._assign(width, length, column_program)
+        super().__init__(width, length, column_program)
 
     @property
     def vertex_count(self) -> int:

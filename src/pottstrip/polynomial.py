@@ -3,9 +3,9 @@
 Everything this package computes -- transfer-matrix entries, partition
 functions, amplitudes, duality prefactors -- is a sparse polynomial in the
 cluster weight Q, the bond weight v and the boundary cluster weight Q0, with
-arbitrary-precision ``int`` coefficients; a ``Fraction`` enters only with a
-rational value a caller passes in.  No floats appear anywhere, so every
-identity can be asserted with zero tolerance.
+arbitrary-precision ``int`` coefficients.  A rational number appears only
+as a value of :meth:`MultiPoly.evaluate` at a rational point.  No floats
+appear anywhere, so every identity can be asserted with zero tolerance.
 
 A monomial is an exponent triple ``(deg_Q, deg_v, deg_Q0)``; monomials are
 ordered lexicographically on that triple, and a polynomial's terms are
@@ -14,13 +14,14 @@ serialized in decreasing monomial order so output is deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VARIABLES = ("Q", "v", "Q0")
 
 Monomial = tuple[int, int, int]
-Scalar = Union[int, Fraction]
 
 
 def _var_index(name: str) -> int:
@@ -31,7 +32,7 @@ def _var_index(name: str) -> int:
 
 
 class MultiPoly:
-    """A sparse polynomial in (Q, v, Q0) with integer (or rational) coefficients.
+    """A sparse polynomial in (Q, v, Q0) with integer coefficients.
 
     Instances are immutable; arithmetic returns new objects and never keeps a
     zero coefficient, so two polynomials are equal iff their term dicts are.
@@ -45,17 +46,18 @@ class MultiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Scalar] = {}
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        clean: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if type(coeff) is int else Fraction(coeff)
-                if not c:
+                if type(coeff) is not int:
+                    raise TypeError(f"a coefficient must be an int, not {type(coeff).__name__}")
+                if not coeff:
                     continue
                 dq, dv, dq0 = mono
                 if dq < 0 or dv < 0 or dq0 < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
-                clean[(int(dq), int(dv), int(dq0))] = c
+                clean[(int(dq), int(dv), int(dq0))] = coeff
         self._terms = clean
 
     # ------------------------------------------------------------------
@@ -70,7 +72,7 @@ class MultiPoly:
         return cls({(0, 0, 0): 1})
 
     @classmethod
-    def constant(cls, c: Scalar) -> "MultiPoly":
+    def constant(cls, c: int) -> "MultiPoly":
         return cls({(0, 0, 0): c})
 
     @classmethod
@@ -80,7 +82,7 @@ class MultiPoly:
         return cls({tuple(mono): 1})
 
     @classmethod
-    def monomial(cls, coeff: Scalar, mono: Monomial) -> "MultiPoly":
+    def monomial(cls, coeff: int, mono: Monomial) -> "MultiPoly":
         return cls({mono: coeff})
 
     # ------------------------------------------------------------------
@@ -90,18 +92,18 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
+    def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Yield (monomial, coefficient) pairs in decreasing monomial order."""
         for mono in sorted(self._terms, reverse=True):
             yield mono, self._terms[mono]
 
-    def coefficient(self, mono: Monomial) -> Scalar:
+    def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(tuple(mono), 0)
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _scaled(self, c: Scalar) -> "MultiPoly":
+    def _scaled(self, c: int) -> "MultiPoly":
         if not c:
             return MultiPoly()
         return MultiPoly({m: k * c for m, k in self._terms.items()})
@@ -110,7 +112,7 @@ class MultiPoly:
     def _coerce(other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             return MultiPoly.constant(other)
         return None
 
@@ -150,7 +152,7 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in q._terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
@@ -189,7 +191,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # substitution and evaluation
 
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Scalar:
+    def evaluate(self, assignment: Mapping[str, int | Fraction]) -> int | Fraction:
         """Exact value at a rational point: an int when the value is
         integral, a Fraction otherwise.
 
@@ -198,9 +200,12 @@ class MultiPoly:
 
         >>> (Q * v + 1).evaluate({"Q": 2, "v": 3})
         7
+        >>> from fractions import Fraction
         >>> (Q * v).evaluate({"Q": 1, "v": Fraction(1, 2)})
         Fraction(1, 2)
         """
+        from fractions import Fraction
+
         vals = []
         for i, name in enumerate(VARIABLES):
             if name in assignment:
@@ -214,14 +219,14 @@ class MultiPoly:
             total += c * vals[0] ** m[0] * vals[1] ** m[1] * vals[2] ** m[2]
         return total.numerator if total.denominator == 1 else total
 
-    def subs_poly(self, name: str, value: "MultiPoly | Scalar") -> "MultiPoly":
+    def subs_poly(self, name: str, value: "MultiPoly | int") -> "MultiPoly":
         """Substitute a polynomial (or constant) for a variable, by Horner's
         rule over its exponents e: out = out * value + (the terms with e)."""
         val = self._coerce(value)
         if val is None:
-            raise TypeError("subs_poly needs a MultiPoly or rational constant")
+            raise TypeError("subs_poly needs a MultiPoly or an int")
         i = _var_index(name)
-        groups: dict[int, dict[Monomial, Scalar]] = {}
+        groups: dict[int, dict[Monomial, int]] = {}
         for m, c in self._terms.items():
             groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
         out = MultiPoly.zero()
@@ -237,7 +242,7 @@ class MultiPoly:
         not, i.e. an upstream bug -- so it raises rather than truncating.
         """
         dq, dv, dq0 = mono
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for m, c in self._terms.items():
             if m[0] < dq or m[1] < dv or m[2] < dq0:
                 raise ValueError(
@@ -254,7 +259,7 @@ class MultiPoly:
     def to_json_obj(self) -> list[dict]:
         """JSON-ready encoding: one object per term, decreasing monomial order.
 
-        Coefficients are decimal strings ("3", "-1/2") so the round trip is
+        Coefficients are decimal strings ("3", "-12") so the round trip is
         bit exact.
         """
         out = []
@@ -273,18 +278,19 @@ class MultiPoly:
     def from_json_obj(cls, data) -> "MultiPoly":
         if not isinstance(data, list):
             raise ValueError("polynomial encoding must be a list of term objects")
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
         for item in data:
             if not isinstance(item, dict):
                 raise ValueError("each term must be an object")
             try:
-                mono = (int(item["Q"]), int(item["v"]), int(item["Q0"]))
-                coeff = Fraction(item["coeff"])
+                # through str, so that a float such as 0.5 fails rather than truncates
+                mono = (int(str(item["Q"])), int(str(item["v"])), int(str(item["Q0"])))
+                coeff = int(str(item["coeff"]))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"malformed polynomial term {item!r}") from exc
             if mono in terms:
                 raise ValueError(f"duplicate monomial {mono}")
-            terms[mono] = coeff if coeff.denominator > 1 else coeff.numerator
+            terms[mono] = coeff
         return cls(terms)
 
     # ------------------------------------------------------------------

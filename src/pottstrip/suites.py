@@ -33,7 +33,7 @@ class CheckResult(Record):
     __slots__ = ("check_id", "ok", "detail")
 
     def __init__(self, check_id: str, ok: bool, detail: str = ""):
-        self._assign(check_id, ok, detail)
+        super().__init__(check_id, ok, detail)
 
 
 def _diff(lhs: MultiPoly, rhs: MultiPoly) -> str:

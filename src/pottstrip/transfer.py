@@ -93,8 +93,6 @@ from .connectivity import (
 from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
 from .polynomial import ZERO, MultiPoly
 
-Row = tuple[MultiPoly, ...]
-
 # A branch weight is a sum of distinct monomials from {1, v, Q}, each with
 # coefficient 1, coded as a bit mask over the three; small ints are shared
 # objects, so a table holds no weight of its own.
@@ -133,11 +131,6 @@ class TransferBlock(Record):
     """
 
     __slots__ = ("width", "marks", "basis", "rows")
-
-    def __init__(
-        self, width: int, marks: int, basis: tuple[ConnectivityState, ...], rows: tuple[Row, ...]
-    ):
-        self._assign(width, marks, basis, rows)
 
     @property
     def dimension(self) -> int:
@@ -451,37 +444,12 @@ class SectorReport(Record):
         "expected_size", "cross_group_zero", "matches_reference",
     )
 
-    def __init__(
-        self,
-        bridges: int,
-        group_count: int,
-        expected_groups: int,
-        group_sizes: tuple[int, ...],
-        expected_size: int,
-        cross_group_zero: bool,
-        matches_reference: bool,
-    ):
-        self._assign(
-            bridges, group_count, expected_groups, group_sizes,
-            expected_size, cross_group_zero, matches_reference,
-        )
-
 
 class BlockStructureReport(Record):
     """Outcome of checking the full transfer matrix against its claimed
     decomposition into reference blocks."""
 
     __slots__ = ("width", "dimension", "triangular_ok", "sectors", "failures")
-
-    def __init__(
-        self,
-        width: int,
-        dimension: int,
-        triangular_ok: bool,
-        sectors: tuple[SectorReport, ...],
-        failures: tuple[str, ...],
-    ):
-        self._assign(width, dimension, triangular_ok, sectors, failures)
 
     @property
     def passed(self) -> bool:

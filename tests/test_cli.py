@@ -341,6 +341,48 @@ def test_oracle_bad_spin(capsys):
                    "--spin", "a,b")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "spin",
+    [
+        "2,1e30000000",
+        "2,1e-30000000",
+        "2,0e30000000",
+        "2,1e" + "9" * 5000,
+        "2," + "1" * 4301,
+        "2,1/" + "3" * 4301,
+        "2," + "1" * 4297 + ".5e4",
+        "2" * 4301 + ",1",
+    ],
+    ids=["1e30000000", "1e-30000000", "0e30000000", "long-exponent", "long-v",
+         "long-denominator", "shifted-decimal", "long-q"],
+)
+def test_oracle_refuses_a_spin_too_long_to_print_before_building_it(capsys, spin):
+    """``1e30000000`` is ten characters, but a power of ten that took a
+    minute to build before the spin sum failed to print.  The refusal names
+    the flag, not an interpreter setting a user cannot reach."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--lattice", "square:2x2", "--spin", spin)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --spin Q and v may have at most {sys.get_int_max_str_digits()} digits each\n"
+
+
+@pytest.mark.parametrize("spin", ["2,1e4299", "2,1e-4299", "2,0.5e4299", "2,-0.00_5"])
+def test_oracle_reads_a_spin_v_of_as_many_digits_as_can_print(capsys, spin):
+    from fractions import Fraction
+
+    code, out, _ = run_cli(capsys, "oracle", "--lattice", "square:1x1", "--spin", spin)
+    assert code == 0
+    assert f"spin[Q=2,v={Fraction(spin[2:])}]" in out
+
+
+def test_oracle_refuses_a_spin_sum_too_long_to_print(capsys):
+    """v = 10**4000 prints, but the sum over a 2x2 strip holds (1 + v)**8."""
+    code, out, err = run_cli(capsys, "oracle", "--lattice", "square:2x2", "--spin", "2,1e4000")
+    assert code == 2 and out == ""
+    assert "--spin" in err and "set_int_max_str_digits" not in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "cyclic", "--Lmax", "2", "--Nmax", "2"
@@ -612,9 +654,10 @@ def test_closed_stdout_exits_141_without_a_traceback():
 # import budget: a process loads only the layers its command runs
 
 #: The standard-library modules a command should not load unasked:
-#: ``dataclasses`` and ``inspect`` cost every process about 13 ms, and
-#: ``csv`` serves only ``--format csv``.
-_WATCHED = ("csv", "dataclasses", "inspect")
+#: ``dataclasses`` and ``inspect`` cost every process about 13 ms,
+#: ``csv`` serves only ``--format csv``, and ``fractions`` only the
+#: commands that print a rational value.
+_WATCHED = ("csv", "dataclasses", "fractions", "inspect")
 
 #: Runs ``python -m pottstrip`` with the arguments after ``--`` and writes
 #: the package's loaded submodules, and the loaded modules of ``_WATCHED``,
@@ -691,6 +734,24 @@ def test_no_command_loads_dataclasses_or_inspect(argv, fmt):
     assert code == 0
     assert not loaded & {"dataclasses", "inspect"}
     assert ("csv" in loaded) == (fmt == "csv")
+
+
+@pytest.mark.parametrize(
+    "argv,rational",
+    [
+        (("characters", "--lattice", "square:2x2"), False),
+        (("blockcheck", "--lattice", "square:2x1"), False),
+        (("decompose", "--lattice", "square:3x2", "--target", "zff"), False),
+        (("oracle", "--lattice", "square:2x2", "--spin", "2,1/2"), True),
+    ],
+    ids=["characters", "blockcheck", "decompose-zff", "oracle-spin"],
+)
+def test_only_a_command_with_rational_values_loads_fractions(argv, rational):
+    """Polynomial coefficients are ints, so ``fractions`` loads only where a
+    rational value is read or summed: ``--spin`` and the spin sums."""
+    code, loaded = _loaded_layers(*argv)
+    assert code == 0
+    assert ("fractions" in loaded) == rational
 
 
 def test_blockcheck_lists_the_sector_fields_in_order(capsys):

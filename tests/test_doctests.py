@@ -12,6 +12,7 @@ import pytest
 
 import pottstrip
 from pottstrip import (
+    _record,
     bruteforce,
     characters,
     connectivity,
@@ -20,7 +21,7 @@ from pottstrip import (
     transfer,
 )
 
-MODULES = [bruteforce, characters, connectivity, lattice, polynomial, transfer]
+MODULES = [_record, bruteforce, characters, connectivity, lattice, polynomial, transfer]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

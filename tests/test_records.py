@@ -1,6 +1,7 @@
-"""The contract of the package's immutable records: value equality and
-hash, a field-order repr, no assignment, copy and pickle, and the
-constructors' validation messages."""
+"""The contract of the package's immutable records: one constructor that
+takes the fields in order or by name, value equality and hash, a
+field-order repr, no assignment, copy and pickle, and the constructors'
+validation messages."""
 
 import copy
 import pickle
@@ -77,6 +78,38 @@ def test_equal_fields_give_equal_records_and_hashes():
         assert twin == record and not twin != record
         assert hash(twin) == hash(record)
         assert len({twin, record}) == 1
+
+
+def test_fields_given_by_name_build_the_record_given_in_order():
+    for record in _one_of_each():
+        cls, names, values = type(record), FIELDS[type(record)], _fields(record)
+        assert cls(**dict(zip(names, values))) == cls(*values) == record
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == record
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_a_missing_extra_repeated_or_unknown_field_raises_type_error(cls):
+    record = next(record for record in _one_of_each() if type(record) is cls)
+    names, values = FIELDS[cls], _fields(record)
+    by_name = dict(zip(names, values))
+    for args, named in [
+        ((), {}),  # missing
+        ((), {name: by_name[name] for name in names[1:]}),  # missing
+        ((*values, None), {}),  # extra
+        (values, {names[0]: values[0]}),  # repeated, in order and by name
+        (values[:1], by_name),  # repeated
+        ((), {**by_name, "extra": None}),  # unknown
+    ]:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **named)
+
+
+def test_the_base_constructor_names_the_fields_it_takes():
+    with pytest.raises(TypeError) as raised:
+        NtcSpectrum(2)
+    assert str(raised.value) == (
+        "NtcSpectrum() takes the fields width, sectors; got 1 in order and none by name"
+    )
 
 
 def test_records_differ_by_value_and_by_type():
