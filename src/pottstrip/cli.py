@@ -90,7 +90,8 @@ def _cmd_characters(args) -> int:
     strip = parse_lattice(args.lattice)
     if args.l == "all":
         marks = list(range(strip.width + 1))
-    elif args.l.isdecimal():
+    # an l, and so the 2l+1 its label prints, of fewer digits than can print
+    elif args.l.isdecimal() and not 0 < sys.get_int_max_str_digits() <= len(args.l):
         marks = [int(args.l)]
     else:
         raise ValueError(f"--l takes a non-negative integer or 'all', not {args.l!r}")

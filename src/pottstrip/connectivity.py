@@ -12,8 +12,8 @@ span may carry a mark.
 This module provides
 
 * :class:`ConnectivityState` -- a non-crossing partition with marked blocks,
-  the basis element of the reduced transfer matrices, validated on
-  construction;
+  validated on construction and the only reader of blocks; after
+  enumeration a state is its key, which the moves and readers below take;
 * the bond moves ``join`` and ``detach`` on the key of a state, a flat
   code: each point's block label in order of first occurrence (a
   restricted growth string), then a bit mask of the marked labels, e.g.
@@ -28,7 +28,7 @@ This module provides
   non-crossing partition of the 2L points of two slices is an unmarked
   state of 2L points, on which right point k sits at point 2L-1-k
   (:func:`right_position`); plain functions read its bridges, its left
-  profile and its reduction to the right slice;
+  profile, its rendering and its reduction to the right slice from its key;
 * enumeration of one sector in canonical order by a single walk over the
   points that never enters a partition with too few unnested blocks,
   plus the ballot-number count
@@ -131,6 +131,14 @@ def _canonical(labels, mask: int) -> StateKey:
     code = [first.setdefault(c, len(first)) for c in labels]
     code.append(sum([1 << k for c, k in first.items() if mask >> c & 1]))
     return tuple(code)
+
+
+def _blocks(labels) -> Blocks:
+    """The blocks, by smallest point, of the partition with p in ``labels[p]``."""
+    blocks: dict[int, list[int]] = {}
+    for p, label in enumerate(labels):
+        blocks.setdefault(label, []).append(p)
+    return tuple(map(tuple, blocks.values()))
 
 
 def join(key: StateKey, i: int) -> StateKey | None:
@@ -238,11 +246,8 @@ class ConnectivityState(Record):
         """The state of a key, through the validating constructor.  Raises
         ValueError unless ``key`` is the key of a valid state."""
         *labels, mask = key
-        blocks: dict = {}
-        for p, label in enumerate(labels):
-            blocks.setdefault(label, []).append(p)
         marked = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-        state = cls(len(labels), tuple(map(tuple, blocks.values())), marked)
+        state = cls(len(labels), _blocks(labels), marked)
         if state.key != key:
             raise ValueError(f"{key} is not the key of {state}")
         return state
@@ -261,24 +266,6 @@ class ConnectivityState(Record):
     def mark_count(self) -> int:
         return len(self.marked)
 
-    def code(self) -> bytes:
-        """Injective byte encoding; lexicographic order on codes is the
-        canonical state order used by all enumerations.
-
-        The width, then each point's block index, then one mark flag per
-        block.  Blocks are ordered by their smallest point, so the block
-        indices form a restricted growth string.  Each number takes the s
-        bytes the width needs, big-endian, so codes of one width compare
-        point by point; when s > 1 (widths above 255) the code starts with a
-        zero byte, which no narrower code does (no state has width 0), and s.
-        """
-        *owner, mask = self.key
-        flags = [mask >> k & 1 for k in range(len(self.blocks))]
-        size = (self.width.bit_length() + 7) // 8
-        head = bytes([0, size]) if size > 1 else b""
-        numbers = b"".join(x.to_bytes(size, "big") for x in (self.width, *owner))
-        return head + numbers + bytes(flags)
-
     def render(self) -> str:
         """Human-readable form with 1-based labels, e.g. ``(12•)(3)``."""
         parts = []
@@ -294,11 +281,12 @@ class ConnectivityState(Record):
 
 def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
     """All connectivity states of ``width`` points with exactly ``marks``
-    marked blocks, in canonical (code-lexicographic) order.
+    marked blocks, in canonical order: lexicographic in the key's block
+    labels, then in the mark flags listed in block order.
 
     One depth-first walk over the points builds the partitions in
-    restricted-growth-string order, which is code order, so nothing is
-    sorted.  A branch is entered only if it can still end with ``marks``
+    restricted-growth-string order, which is the labels' order, so nothing
+    is sorted.  A branch is entered only if it can still end with ``marks``
     unnested blocks, so every branch yields a state and the cost follows
     the sector's size, not the Catalan(width) partitions.  The walk
     recurses once per point, and builds only valid states, so it does not
@@ -378,34 +366,33 @@ def reduced(key: StateKey, width: int) -> StateKey:
     return _canonical(right, sum({1 << c for c in key[:width]}))
 
 
-def bridge_count(blocks: Blocks, width: int) -> int:
+def bridge_count(key: StateKey, width: int) -> int:
     """Number of blocks of a two-slice state meeting both slices."""
-    return sum(1 for b in blocks if b[0] < width <= b[-1])
+    return len(set(key[:width]).intersection(key[width:-1]))
 
 
-def left_profile(blocks: Blocks, width: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+def left_profile(key: StateKey, width: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """The partition a two-slice state induces on the left slice, each
     induced block tagged True when its parent block reaches the right slice
-    (a bridge).  Blocks are ordered by their smallest point, which is a left
-    point whenever the block has one, so the profile comes out sorted.
+    (a bridge).  Left points come first, so the profile comes out in block
+    order, read off the L left points alone.
 
     Transfer moves act on the right slice only, so within a fixed bridge
     count the left profile is conserved; states sharing a profile form one
     diagonal sub-block of the full transfer matrix.
     """
-    return tuple(
-        (tuple(p for p in b if p < width), b[-1] >= width) for b in blocks if b[0] < width
-    )
+    right = set(key[width:-1])
+    return tuple((b, key[b[0]] in right) for b in _blocks(key[:width]))
 
 
-def render_two_slice(blocks: Blocks, width: int) -> str:
+def render_two_slice(key: StateKey, width: int) -> str:
     """A two-slice state with primed labels for the left slice.
 
-    >>> render_two_slice(((0, 3), (1, 2)), 2)
+    >>> render_two_slice((0, 1, 1, 0, 0), 2)
     "(1'1)(2'2)"
     """
     parts = []
-    for b in blocks:
+    for b in _blocks(key[:-1]):
         labels = [f"{p + 1}'" if p < width else str(2 * width - p) for p in b]
         body = ",".join(labels) if width > 9 else "".join(labels)
         parts.append(f"({body})")

@@ -55,9 +55,11 @@ class MultiPoly:
                 if not coeff:
                     continue
                 dq, dv, dq0 = mono
+                if not type(dq) is type(dv) is type(dq0) is int:
+                    raise TypeError(f"exponents must be ints, got {mono!r}")
                 if dq < 0 or dv < 0 or dq0 < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
-                clean[(int(dq), int(dv), int(dq0))] = coeff
+                clean[(dq, dv, dq0)] = coeff
         self._terms = clean
 
     # ------------------------------------------------------------------
@@ -196,7 +198,8 @@ class MultiPoly:
         integral, a Fraction otherwise.
 
         Raises ValueError if a variable occurring in the polynomial has no
-        assigned value.  Extra assignments are ignored.
+        assigned value, TypeError for a value that is not an int or a
+        Fraction, and ignores extra assignments.
 
         >>> (Q * v + 1).evaluate({"Q": 2, "v": 3})
         7
@@ -208,12 +211,12 @@ class MultiPoly:
 
         vals = []
         for i, name in enumerate(VARIABLES):
-            if name in assignment:
-                vals.append(Fraction(assignment[name]))
-            else:
-                if any(m[i] > 0 for m in self._terms):
-                    raise ValueError(f"no value assigned to variable {name!r}")
-                vals.append(0)
+            value = assignment.get(name, 0)
+            if type(value) not in (int, Fraction):
+                raise TypeError(f"a value must be an int or a Fraction, not {value!r}")
+            if name not in assignment and any(m[i] for m in self._terms):
+                raise ValueError(f"no value assigned to variable {name!r}")
+            vals.append(Fraction(value))
         total = Fraction(0)
         for m, c in self._terms.items():
             total += c * vals[0] ** m[0] * vals[1] ** m[1] * vals[2] ** m[2]

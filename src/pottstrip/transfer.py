@@ -77,7 +77,6 @@ from typing import Collection, Sequence
 
 from ._record import Record
 from .connectivity import (
-    ConnectivityState,
     StateKey,
     bridge_count,
     count_states,
@@ -140,11 +139,6 @@ class TransferBlock(Record):
         return self.rows[a][b]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _basis(width: int, marks: int) -> tuple[ConnectivityState, ...]:
-    return tuple(enumerate_states(width, marks))
-
-
 #: Each bond kind as (move, weight kept, weight moved, weight when the move
 #: returns the key itself): vertical = 1 + v J, horizontal = v + D, where a
 #: detach that returns the key vacates a finished cluster, worth Q.
@@ -185,8 +179,8 @@ def _compile(index: dict, op: EdgeOp) -> BondTable:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _index(width: int, marks: int) -> dict[StateKey, int]:
-    """Each key of ``_basis(width, marks)`` mapped to its index, in order."""
-    return {s.key: k for k, s in enumerate(_basis(width, marks))}
+    """Each key of ``enumerate_states(width, marks)`` mapped to its index."""
+    return {s.key: k for k, s in enumerate(enumerate_states(width, marks))}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -228,8 +222,8 @@ def _cone(column: Sequence[BondTable], sources: Sequence[BondTable], start: int,
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
     """One (index, weight) per orbit of the width reflection P, point
-    i -> width-1-i, on ``_basis(width, marks)``: the lower index of the
-    orbit, with weight 1 for a state P fixes and 2 otherwise."""
+    i -> width-1-i, on the basis ``_index(width, marks)``: the lower index
+    of the orbit, with weight 1 for a state P fixes and 2 otherwise."""
     index = _index(width, marks)
     images = [index[mirror(key)] for key in index]
     return tuple((k, 1 if k == image else 2) for k, image in enumerate(images) if k <= image)
@@ -303,7 +297,7 @@ def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
 def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
     """The product of ``program`` on the ``marks``-mark basis, with its
     non-zero entries unpacked; equal entries share one polynomial."""
-    basis = _basis(width, marks)
+    basis = tuple(enumerate_states(width, marks))
     n = len(basis)
     w = _slot_width(len(program), n)
     cols = [_push(program, b, w) for b in range(n)]
@@ -471,20 +465,20 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     each pushed column is walked once.  A group whose places are not
     exactly range(count_states(L, l)) is reported and not compared.
 
-    The two-slice basis is ``_basis(2L, 0)``, the unmarked states of 2L
-    points, and each bond, moved by ``_on_right_slice``, is the cached
-    ``_bond_table`` of that basis.  Every column, two-slice or reference,
-    is pushed at one slot width: both programs have the same E bonds and
-    ``_compile`` bounds both, so equal polynomials pack to equal ints and
-    the columns are compared as packed ints.  Only the two entries of a
-    mismatch are unpacked, for its message.
+    The two-slice basis is the keys of ``_index(2L, 0)``, the unmarked
+    states of 2L points, and each bond, moved by ``_on_right_slice``, is
+    the cached ``_bond_table`` of that basis.  Every column, two-slice or
+    reference, is pushed at one slot width: both programs have the same E
+    bonds and ``_compile`` bounds both, so equal polynomials pack to equal
+    ints and the columns are compared as packed ints.  Only the two entries
+    of a mismatch are unpacked, for its message.
 
     Kept to widths <= 4; the basis has Catalan(2L) states.
     """
     if strip.width > 4:
         raise ValueError("block-structure verification is capped at width 4")
     width = strip.width
-    basis = [s.blocks for s in _basis(2 * width, 0)]
+    basis = list(_index(2 * width, 0))
     n = len(basis)
     bonds = len(strip.column_program)
     w = _slot_width(bonds, n)
@@ -498,9 +492,9 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
 
     bridges, group, place = [], [], []
     groups: dict[tuple, list[int]] = {}
-    for k, (blocks, key) in enumerate(zip(basis, _index(2 * width, 0))):
-        l = bridge_count(blocks, width)
-        members = groups.setdefault((l, left_profile(blocks, width)), [])
+    for k, key in enumerate(basis):
+        l = bridge_count(key, width)
+        members = groups.setdefault((l, left_profile(key, width)), [])
         members.append(k)
         bridges.append(l)
         group.append(members[0])  # a group is named by its first state

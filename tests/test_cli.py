@@ -106,6 +106,23 @@ def test_characters_rejects_an_l_that_is_not_a_count(capsys, bad):
     assert err == f"error: --l takes a non-negative integer or 'all', not {bad!r}\n"
 
 
+def test_characters_refuses_an_l_too_long_to_print(capsys):
+    """An l with as many digits as the interpreter prints is refused with the
+    --l message; one digit fewer runs, and its empty sector prints K = 0."""
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    for digits in (limit, 5000):
+        bad = "9" * digits
+        code, out, err = run_cli(capsys, "characters", "--lattice", "square:2x2", "--l", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: --l takes a non-negative integer or 'all', not {bad!r}\n"
+    l = "9" * (limit - 1)
+    code, out, err = run_cli(capsys, "characters", "--lattice", "square:2x2", "--l", l)
+    assert code == 0 and err == ""
+    assert out == f"# lattice: square:2x2\nK_1,{2 * int(l) + 1} = 0\n"
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("lattice", ["square:30x1", "square:2x100000"])
 def test_characters_over_budget_exit_quickly(capsys, monkeypatch, lattice):
     """Catalan-many states on 30x1, and gigabit packed entries on 2x100000,
@@ -484,7 +501,7 @@ def test_blockcheck_failure_exits_one(capsys, monkeypatch):
     """A two-slice branch sent to another left profile of the same bridge
     count fails the check: exit 1, ``FAIL`` lines, and ``failed`` last."""
     states = enumerate_two_slice(2)
-    group = {s.key: (bridge_count(s.blocks, 2), left_profile(s.blocks, 2)) for s in states}
+    group = {s.key: (bridge_count(s.key, 2), left_profile(s.key, 2)) for s in states}
     source, target = next(
         (a, b) for a in group for b in group if group[a][0] == group[b][0] and group[a] != group[b]
     )

@@ -46,11 +46,18 @@ def test_count_states_matches_enumeration():
             assert len(set(states)) == len(states)
 
 
+def _canonical_order(state):
+    """The canonical order as a sort key: the key's block labels, then one
+    mark flag per block, in block order."""
+    *labels, mask = state.key
+    return tuple(labels), tuple(mask >> k & 1 for k in range(max(labels) + 1))
+
+
 def test_enumeration_is_code_sorted():
     for width in range(1, 5):
         for marks in range(width + 1):
-            codes = [s.code() for s in enumerate_states(width, marks)]
-            assert codes == sorted(codes)
+            states = enumerate_states(width, marks)
+            assert states == sorted(states, key=_canonical_order)
 
 
 def test_noncrossing_partition_count():
@@ -192,9 +199,9 @@ def test_the_widest_sectors_enumerate_fast_in_code_order():
     states = enumerate_states(300, 299)
     assert time.perf_counter() - start < 1.0
     assert len(states) == count_states(300, 299)
-    codes = [s.code() for s in states]
-    assert all(a < b for a, b in zip(codes, codes[1:]))
-    assert [_decode(code) for code in codes[::50]] == states[::50]
+    order = [_canonical_order(s) for s in states]
+    assert all(a < b for a, b in zip(order, order[1:]))
+    assert [ConnectivityState.from_key(s.key) for s in states[::50]] == states[::50]
 
 
 def _state(width: int, key) -> ConnectivityState:
@@ -321,33 +328,6 @@ def test_mirror_is_an_involution_on_every_sector(width):
         assert {mirror(key) for key in keys} == set(keys)
 
 
-def _decode(code: bytes) -> ConnectivityState:
-    """The state behind ``ConnectivityState.code``: width, each point's block
-    index, one mark flag per block; numbers take one byte, or, after a zero
-    byte, the count of bytes that follows it."""
-    size = 1
-    if code[0] == 0:
-        size, code = code[1], code[2:]
-    numbers = [int.from_bytes(code[i : i + size], "big") for i in range(0, len(code), size)]
-    width = numbers[0]
-    blocks: list[list[int]] = []
-    for p, b in enumerate(numbers[1 : 1 + width]):
-        if b == len(blocks):
-            blocks.append([])
-        blocks[b].append(p)
-    flags = code[size * (1 + width) :]
-    assert len(flags) == len(blocks)
-    marked = tuple(k for k, flag in enumerate(flags) if flag)
-    return ConnectivityState(width, tuple(map(tuple, blocks)), marked)
-
-
-def test_code_round_trip():
-    for width in range(1, 5):
-        for marks in range(width + 1):
-            for s in enumerate_states(width, marks):
-                assert _decode(s.code()) == s
-
-
 def test_render():
     s = ConnectivityState(3, ((0, 1), (2,)), marked=(0,))
     assert s.render() == "(12•)(3)"
@@ -375,7 +355,6 @@ def test_random_walks_stay_valid(width, data):
             break
         state = _state(width, key)
         assert state.mark_count == marks
-        assert _decode(state.code()) == state
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +390,7 @@ def test_two_slice_counts():
 
 def test_two_slice_one_column():
     states = enumerate_two_slice(1)
-    renders = sorted(render_two_slice(s.blocks, 1) for s in states)
+    renders = sorted(render_two_slice(s.key, 1) for s in states)
     assert renders == ["(1')(1)", "(1'1)"]
 
 
@@ -419,7 +398,7 @@ def test_two_slice_bridge_distribution():
     for width in (1, 2, 3):
         for l in range(width + 1):
             matching = [
-                s for s in enumerate_two_slice(width) if bridge_count(s.blocks, width) == l
+                s for s in enumerate_two_slice(width) if bridge_count(s.key, width) == l
             ]
             assert len(matching) == count_states(width, l) ** 2
 
@@ -437,7 +416,7 @@ def test_two_slice_membership_width_six():
         ],
     )
     assert state in enumerate_two_slice(6)
-    assert bridge_count(state.blocks, 6) == 2
+    assert bridge_count(state.key, 6) == 2
     right = _state(6, reduced(state.key, 6))
     assert right.mark_count == 2
 
@@ -476,7 +455,26 @@ def test_two_slice_crossing_rejected():
 def test_reduced_state_profiles():
     for width in (1, 2):
         for s in enumerate_two_slice(width):
-            bridges = bridge_count(s.blocks, width)
+            bridges = bridge_count(s.key, width)
             assert _state(width, reduced(s.key, width)).mark_count == bridges
-            profile = left_profile(s.blocks, width)
+            profile = left_profile(s.key, width)
             assert sum(1 for _, bridge in profile if bridge) == bridges
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_two_slice_readers_equal_their_block_definitions(width):
+    """On every two-slice key of the width, the key readers equal the
+    definitions on the blocks of the state the key decodes to: a bridge is
+    a block with a left and a right point, the left profile lists each
+    block's left points with its bridge flag, and the rendering primes the
+    left points."""
+    for s in enumerate_two_slice(width):
+        blocks = ConnectivityState.from_key(s.key).blocks
+        assert bridge_count(s.key, width) == sum(1 for b in blocks if b[0] < width <= b[-1])
+        assert left_profile(s.key, width) == tuple(
+            (tuple(p for p in b if p < width), b[-1] >= width) for b in blocks if b[0] < width
+        )
+        labels = (
+            [f"{p + 1}'" if p < width else str(2 * width - p) for p in b] for b in blocks
+        )
+        assert render_two_slice(s.key, width) == "".join(f"({''.join(b)})" for b in labels)

@@ -60,6 +60,22 @@ def test_a_coefficient_that_is_not_an_int_is_refused():
             v.subs_poly("v", coeff)
 
 
+def test_an_exponent_that_is_not_an_int_is_refused():
+    for exponent in (1.5, 1.0, True, Fraction(1)):
+        for mono in ((exponent, 0, 0), (0, exponent, 0), (0, 0, exponent)):
+            with pytest.raises(TypeError, match="exponents must be ints"):
+                MultiPoly({mono: 1})
+    assert MultiPoly({(1, 0, 0): 1}) == Q
+
+
+def test_evaluate_refuses_a_value_that_is_not_an_int_or_a_fraction():
+    for value in (0.1, 2.0, True):
+        with pytest.raises(TypeError, match="a value must be an int or a Fraction"):
+            (Q + 1).evaluate({"Q": value})
+    assert (Q + 1).evaluate({"Q": 2}) == 3
+    assert (Q + 1).evaluate({"Q": Fraction(1, 3)}) == Fraction(4, 3)
+
+
 def test_terms_are_sorted_descending():
     p = Q0 + v ** 3 + Q * v + Q ** 2
     monos = [m for m, _ in p.terms()]

@@ -12,6 +12,7 @@ would lower the mark count, else a new key with the same marks.
 import pytest
 
 from pottstrip import transfer
+from pottstrip.connectivity import enumerate_states
 from pottstrip.lattice import HORIZONTAL, VERTICAL, square_strip
 
 
@@ -65,9 +66,9 @@ _REFERENCE = {
 
 
 def reference_table(width, marks, op):
-    """The table of ``op`` on ``_basis(width, marks)``, built with the
-    reference moves on ``(blocks, marked)`` keys."""
-    keys = [(s.blocks, s.marked) for s in transfer._basis(width, marks)]
+    """The table of ``op`` on ``enumerate_states(width, marks)``, built with
+    the reference moves on ``(blocks, marked)`` keys."""
+    keys = [(s.blocks, s.marked) for s in enumerate_states(width, marks)]
     index = {key: k for k, key in enumerate(keys)}
     move, kept, moved, unchanged = _REFERENCE[op.kind]
     table = []

@@ -152,7 +152,7 @@ def test_reflection_orbits_cover_each_sector(width):
     index, weighted 1 exactly when the reflection fixes it: the weights
     add up to the sector's size."""
     for marks in range(width + 1):
-        basis = transfer._basis(width, marks)
+        basis = enumerate_states(width, marks)
         index = {s: k for k, s in enumerate(basis)}
         orbits = transfer._reflection_orbits(width, marks)
         assert sum(weight for _, weight in orbits) == count_states(width, marks)
@@ -421,6 +421,16 @@ def test_second_block_check_compiles_nothing():
     assert transfer._bond_table.cache_info().misses == misses
 
 
+def test_the_engine_reads_states_only_by_key():
+    """``_index`` is the one basis cache per (width, marks), and the engine
+    binds no state class: it reads enumerated states only by their keys."""
+    assert not hasattr(transfer, "_basis")
+    assert not hasattr(transfer, "ConnectivityState")
+    index = transfer._index(3, 1)
+    assert list(index) == [s.key for s in enumerate_states(3, 1)]
+    assert transfer._index(3, 1) is index
+
+
 def _with_row(monkeypatch, op, key, edit):
     """Compile bond ``op`` with the row of state ``key`` replaced by
     ``edit(row, index)``.  The tables are cached ``_bond_table``s: they are
@@ -444,7 +454,7 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
     within the packing bound, fails the check in that state's sector, and
     the message shows the two entries unpacked as polynomials."""
     strip = square_strip(3, 1)
-    bridges = {s.key: bridge_count(s.blocks, 3) for s in enumerate_two_slice(3)}
+    bridges = {s.key: bridge_count(s.key, 3) for s in enumerate_two_slice(3)}
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
     index = transfer._index(6, 0)
@@ -493,7 +503,7 @@ def _one_bond_move(leaves_group):
     profile when ``leaves_group``, and more bridges otherwise."""
     strip = CyclicStrip(2, 1, (horizontal(0),))
     group = {
-        s.key: (bridge_count(s.blocks, 2), left_profile(s.blocks, 2))
+        s.key: (bridge_count(s.key, 2), left_profile(s.key, 2))
         for s in enumerate_two_slice(2)
     }
 
@@ -517,7 +527,7 @@ def test_block_structure_reports_leakage_between_groups(monkeypatch):
     sector = group[source][0]
     assert not report.passed and report.triangular_ok
     assert [s.cross_group_zero for s in report.sectors] == [l != sector for l in range(3)]
-    render = {s.key: render_two_slice(s.blocks, 2) for s in enumerate_two_slice(2)}
+    render = {s.key: render_two_slice(s.key, 2) for s in enumerate_two_slice(2)}
     assert [f for f in report.failures if f.startswith("leakage")] == [
         f"leakage between sub-blocks at l={sector}: {render[source]} -> {render[target]}"
     ]
@@ -530,7 +540,7 @@ def test_block_structure_reports_a_growing_bridge_count(monkeypatch):
     report = _rerouted_check(monkeypatch, strip, op, source, target)
     assert not report.passed and not report.triangular_ok
     assert all(s.cross_group_zero for s in report.sectors)
-    render = {s.key: render_two_slice(s.blocks, 2) for s in enumerate_two_slice(2)}
+    render = {s.key: render_two_slice(s.key, 2) for s in enumerate_two_slice(2)}
     assert (
         f"bridge count grows {group[source][0]} -> {group[target][0]} on "
         f"{render[source]} -> {render[target]}"
