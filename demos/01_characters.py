@@ -11,6 +11,7 @@ the N-th power of the column transfer restricted to l marks.
 
 from pottstrip import (
     character_K,
+    ConnectivityState,
     column_transfer,
     count_states,
     enumerate_states,
@@ -19,10 +20,12 @@ from pottstrip import (
 from pottstrip.polynomial import Q, v
 
 # The states of a width-3 slice with one marked block.  The ballot-number
-# formula says there are C(6,2) - C(6,1) = 9 of them.
+# formula says there are C(6,2) - C(6,1) = 9 of them.  A state is its key,
+# each point's block label then the marked labels' bit mask; from_key
+# validates a key and renders it.
 print("width 3, one mark:", count_states(3, 1), "states")
-for state in enumerate_states(3, 1):
-    print("  ", state.render())
+for key in enumerate_states(3, 1):
+    print("  ", key, ConnectivityState.from_key(key).render())
 
 # One column of the strip consists of the vertical bonds inside the slice
 # followed by the horizontal bonds into the next slice.  On the mark-free

@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._record import Record
 from .lattice import VERTICAL, CyclicStrip, Edge, square_strip
@@ -82,9 +82,6 @@ Histogram = dict[Stats, int]
 #: steps being what one cluster, bond and winding cluster of the edge's side
 #: weigh in the packed key
 Move = tuple[int, int, int, int, int, int]
-
-#: an edge order of the walk: the edge indices and the memo period
-Order = Callable[[CyclicStrip], tuple[tuple[int, ...], int]]
 
 
 def _check_edge_budget(strip: CyclicStrip) -> None:
@@ -259,7 +256,7 @@ def _paired_histogram(strip: CyclicStrip) -> dict[tuple[Stats, Stats], int]:
     wrapped = [False] * (n_direct + n_dual)
     for c, _, _ in cap_loops:  # a loop (c, c, 1) wraps its cap
         wrapped[n_direct + c] = True
-    order, period = _order(strip)(strip)
+    order, period = _order(strip)
     dual = [(n_direct + u, n_direct + w, d) for u, w, d in dual_edges]
     moves = [((*dual[k], *steps[3:]), (*edges[k], *steps[:3])) for k in order]
     start = n_direct * steps[0] + n_dual * steps[3] + len(cap_loops) * steps[5]
@@ -291,10 +288,12 @@ def _columns(strip: CyclicStrip) -> tuple[tuple[int, ...], int]:
     return tuple(range(strip.edge_count)), len(strip.column_program)
 
 
-def _order(strip: CyclicStrip) -> Order:
-    """The edge order of the walk: rows while N <= max(L + 1, 2L - 2), else
-    columns; a column frontier also keeps the first column until the seam."""
-    return _rows if strip.length <= max(strip.width + 1, 2 * strip.width - 2) else _columns
+def _order(strip: CyclicStrip) -> tuple[tuple[int, ...], int]:
+    """The edge indices of the walk and its memo period: rows while
+    N <= max(L + 1, 2L - 2), else columns; a column frontier also keeps the
+    first column until the seam."""
+    order = _rows if strip.length <= max(strip.width + 1, 2 * strip.width - 2) else _columns
+    return order(strip)
 
 
 #: histograms kept, in order of last use; the least recently used is
@@ -316,7 +315,7 @@ def fk_histogram(strip: CyclicStrip, _ignored: object = None, /) -> Histogram:
         _HISTOGRAM_CACHE[strip] = cached
         return cached
     _check_edge_budget(strip)
-    order, period = _order(strip)(strip)
+    order, period = _order(strip)
     edges = strip.edges()
     ordered = tuple(edges[k] for k in order)
     counts = _subset_histogram(ordered, strip.vertex_count, period)

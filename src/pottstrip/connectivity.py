@@ -9,11 +9,12 @@ non-trivial, wrapping clusters.  A marked block can always be drawn out to
 the boundary of the disk, so only blocks not nested inside another block's
 span may carry a mark.
 
-This module provides
+A state is its key, from enumeration on.  This module provides
 
-* :class:`ConnectivityState` -- a non-crossing partition with marked blocks,
-  validated on construction and the only reader of blocks; after
-  enumeration a state is its key, which the moves and readers below take;
+* :class:`ConnectivityState` -- the validating, printable view of a key: a
+  non-crossing partition with marked blocks, checked on construction or by
+  :meth:`~ConnectivityState.from_key`, and the only reader of blocks.  The
+  engine never builds one;
 * the bond moves ``join`` and ``detach`` on the key of a state, a flat
   code: each point's block label in order of first occurrence (a
   restricted growth string), then a bit mask of the marked labels, e.g.
@@ -29,9 +30,9 @@ This module provides
   state of 2L points, on which right point k sits at point 2L-1-k
   (:func:`right_position`); plain functions read its bridges, its left
   profile, its rendering and its reduction to the right slice from its key;
-* enumeration of one sector in canonical order by a single walk over the
-  points that never enters a partition with too few unnested blocks,
-  plus the ballot-number count
+* enumeration of one sector's keys in canonical order by a single walk
+  over the points that writes block labels and never enters a partition
+  with too few unnested blocks, plus the ballot-number count
 
       count_states(L, l) = C(2L, L-l) - C(2L, L-l-1)
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from ._record import Record, _set
+from ._record import Record
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -230,21 +231,11 @@ class ConnectivityState(Record):
         super().__init__(width, blocks, marked)
 
     @classmethod
-    def _trusted(cls, width: int, blocks: Blocks, marked: tuple[int, ...]) -> ConnectivityState:
-        """A state built without validation, for ``enumerate_states``, whose
-        walk builds only valid states (a test checks each of them against
-        the constructor up to width 8).  It sets each field directly, at
-        half the cost of storing them through ``Record.__init__``."""
-        state = object.__new__(cls)
-        _set(state, "width", width)
-        _set(state, "blocks", blocks)
-        _set(state, "marked", marked)
-        return state
-
-    @classmethod
     def from_key(cls, key: StateKey) -> ConnectivityState:
         """The state of a key, through the validating constructor.  Raises
         ValueError unless ``key`` is the key of a valid state."""
+        if not key or any(type(c) is not int for c in key):
+            raise ValueError(f"{key!r} is not a tuple of ints")
         *labels, mask = key
         marked = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
         state = cls(len(labels), _blocks(labels), marked)
@@ -279,57 +270,59 @@ class ConnectivityState(Record):
         return self.render()
 
 
-def enumerate_states(width: int, marks: int) -> list[ConnectivityState]:
-    """All connectivity states of ``width`` points with exactly ``marks``
-    marked blocks, in canonical order: lexicographic in the key's block
-    labels, then in the mark flags listed in block order.
+def enumerate_states(width: int, marks: int) -> list[StateKey]:
+    """The keys of all connectivity states of ``width`` points with exactly
+    ``marks`` marked blocks, in canonical order: lexicographic in the key's
+    block labels, then in the mark flags listed in block order.
 
-    One depth-first walk over the points builds the partitions in
+    One depth-first walk over the points writes the block labels in
     restricted-growth-string order, which is the labels' order, so nothing
     is sorted.  A branch is entered only if it can still end with ``marks``
     unnested blocks, so every branch yields a state and the cost follows
     the sector's size, not the Catalan(width) partitions.  The walk
-    recurses once per point, and builds only valid states, so it does not
-    validate them again.
+    recurses once per point and writes only keys of valid states, which
+    ``ConnectivityState.from_key`` turns into validated, printable ones.
 
-    >>> [s.render() for s in enumerate_states(2, 1)]
+    >>> enumerate_states(2, 1)
+    [(0, 0, 1), (0, 1, 2), (0, 1, 1)]
+    >>> [ConnectivityState.from_key(key).render() for key in enumerate_states(2, 1)]
     ['(12•)', '(1)(2•)', '(1•)(2)']
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if marks < 0:
         raise ValueError("marks must be >= 0")
-    out: list[ConnectivityState] = []
-    blocks: list[list[int]] = []  # in order of smallest point
-    stack: list[int] = []  # indices of the open blocks, lowest first
+    out: list[StateKey] = []
+    labels: list[int] = []  # the block label of each point so far
+    stack: list[int] = []  # labels of the open blocks, lowest first
 
-    def walk(p: int) -> None:
+    def walk(p: int, blocks: int) -> None:
         if p == width:
             # the blocks still open are exactly the unnested ones; reversed
             # combinations come in increasing order of the mark flags
-            frozen = tuple(map(tuple, blocks))
+            code = tuple(labels)
             for chosen in reversed(list(itertools.combinations(stack, marks))):
-                out.append(ConnectivityState._trusted(width, frozen, chosen))
+                out.append(code + (sum([1 << k for k in chosen]),))
             return
         # p joins the open block at depth d, which closes (nests) the ones
-        # above it, or opens a new block, in increasing block index.  Open
-        # blocks plus points left bound the unnested blocks; the first
-        # depth keeps that bound >= marks.
+        # above it, or opens block number ``blocks``.  Open blocks plus
+        # points left bound the unnested blocks; the first depth keeps that
+        # bound >= marks.
         for d in range(max(0, marks - width + p), len(stack)):
             closed = stack[d + 1 :]
             del stack[d + 1 :]
-            blocks[stack[d]].append(p)
-            walk(p + 1)
-            blocks[stack[d]].pop()
+            labels.append(stack[d])
+            walk(p + 1, blocks)
+            labels.pop()
             stack.extend(closed)
-        stack.append(len(blocks))
-        blocks.append([p])
-        walk(p + 1)
-        blocks.pop()
+        stack.append(blocks)
+        labels.append(blocks)
+        walk(p + 1, blocks + 1)
+        labels.pop()
         stack.pop()
 
     if marks <= width:
-        walk(0)
+        walk(0, 0)
     return out
 
 
@@ -399,9 +392,9 @@ def render_two_slice(key: StateKey, width: int) -> str:
     return "".join(parts)
 
 
-def enumerate_two_slice(width: int) -> list[ConnectivityState]:
-    """All two-slice states of a width-L strip, canonically ordered: the
-    unmarked states of 2L points.  There are Catalan(2L) of them.
+def enumerate_two_slice(width: int) -> list[StateKey]:
+    """The keys of all two-slice states of a width-L strip, canonically
+    ordered: the unmarked states of 2L points.  There are Catalan(2L) of them.
 
     >>> len(enumerate_two_slice(2)) == catalan(4)
     True

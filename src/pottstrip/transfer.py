@@ -21,18 +21,19 @@ l-bridge sector, and the character
 is an exact polynomial in Q and v.  Each bond's action is compiled once per
 (width, marks, bond) into an index table, in one cache that characters,
 ``column_transfer`` and the block check share.  Compilation applies the bond
-moves of ``connectivity`` to the flat keys of a basis, indexed once per
-(width, marks); it builds no state and never reads a key's layout, and a
-target outside the basis raises.  One loop, ``_push``, pushes a start
-column through a program of E bonds; K(l) pushes start states through N
-copies of the column program and sums the diagonal entries they return to;
-reading nothing else, it pushes the last column only on each start's
-backward cone: the rows that can still reach the start, read off a
-reverse (target -> sources) view of each table, cached beside it.  A
-dropped row adds nothing to the start's entry, so the packed trace is the
-same int.  A bond where the cone holds more rows than the column it
-filters can, as on the first bonds of a one-column strip, keeps its full
-table.  No matrix power is ever formed, no eigenvalues, no floats.
+moves of ``connectivity`` to the keys ``enumerate_states`` returns, indexed
+once per (width, marks) in a cache that every ``TransferBlock`` takes its
+basis from; it never reads a key's layout, and a target outside the basis
+raises.  One loop, ``_push``, pushes a start column through a program of E
+bonds; K(l) pushes start states through N copies of the column program and
+sums the diagonal entries they return to; reading nothing else, it pushes
+the last column only on each start's backward cone: the rows that can
+still reach the start, read off a reverse (target -> sources) view of each
+table, cached beside it.  A dropped row adds nothing to the start's entry,
+so the packed trace is the same int.  A bond where the cone holds more
+rows than the column it filters can, as on the first bonds of a
+one-column strip, keeps its full table.  No matrix power is ever formed,
+no eigenvalues, no floats.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -126,6 +127,7 @@ _CAPS = (
 class TransferBlock(Record):
     """An exact matrix over the canonical basis of connectivity states.
 
+    ``basis`` holds the states' keys, in the order of ``enumerate_states``;
     ``rows[a][b]`` is the amplitude from basis state b to basis state a.
     """
 
@@ -180,7 +182,7 @@ def _compile(index: dict, op: EdgeOp) -> BondTable:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _index(width: int, marks: int) -> dict[StateKey, int]:
     """Each key of ``enumerate_states(width, marks)`` mapped to its index."""
-    return {s.key: k for k, s in enumerate(enumerate_states(width, marks))}
+    return {key: k for k, key in enumerate(enumerate_states(width, marks))}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -297,7 +299,7 @@ def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
 def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
     """The product of ``program`` on the ``marks``-mark basis, with its
     non-zero entries unpacked; equal entries share one polynomial."""
-    basis = tuple(enumerate_states(width, marks))
+    basis = tuple(_index(width, marks))
     n = len(basis)
     w = _slot_width(len(program), n)
     cols = [_push(program, b, w) for b in range(n)]

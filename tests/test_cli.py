@@ -500,8 +500,7 @@ def test_blockcheck_bytes_are_unchanged(capsys, lattice, fmt):
 def test_blockcheck_failure_exits_one(capsys, monkeypatch):
     """A two-slice branch sent to another left profile of the same bridge
     count fails the check: exit 1, ``FAIL`` lines, and ``failed`` last."""
-    states = enumerate_two_slice(2)
-    group = {s.key: (bridge_count(s.key, 2), left_profile(s.key, 2)) for s in states}
+    group = {key: (bridge_count(key, 2), left_profile(key, 2)) for key in enumerate_two_slice(2)}
     source, target = next(
         (a, b) for a in group for b in group if group[a][0] == group[b][0] and group[a] != group[b]
     )

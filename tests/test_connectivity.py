@@ -46,23 +46,23 @@ def test_count_states_matches_enumeration():
             assert len(set(states)) == len(states)
 
 
-def _canonical_order(state):
+def _canonical_order(key):
     """The canonical order as a sort key: the key's block labels, then one
     mark flag per block, in block order."""
-    *labels, mask = state.key
+    *labels, mask = key
     return tuple(labels), tuple(mask >> k & 1 for k in range(max(labels) + 1))
 
 
 def test_enumeration_is_code_sorted():
     for width in range(1, 5):
         for marks in range(width + 1):
-            states = enumerate_states(width, marks)
-            assert states == sorted(states, key=_canonical_order)
+            keys = enumerate_states(width, marks)
+            assert keys == sorted(keys, key=_canonical_order)
 
 
 def test_noncrossing_partition_count():
     for n in range(1, 8):
-        parts = [s.blocks for s in enumerate_states(n, 0)]
+        parts = [ConnectivityState.from_key(key).blocks for key in enumerate_states(n, 0)]
         assert len(parts) == catalan(n)
         assert len(set(parts)) == len(parts)
 
@@ -77,8 +77,8 @@ def _crossing_free(blocks) -> bool:
 
 
 def test_noncrossing_partitions_are_noncrossing():
-    for state in enumerate_states(6, 0):
-        assert _crossing_free(state.blocks)
+    for key in enumerate_states(6, 0):
+        assert _crossing_free(ConnectivityState.from_key(key).blocks)
 
 
 def _restricted_growth_strings(n):
@@ -124,19 +124,18 @@ def test_enumeration_equals_the_restricted_growth_string_reference():
     assert sum(1 for _ in _restricted_growth_strings(8)) == 4140
     for width in range(1, 9):
         for marks in range(width + 2):
-            assert enumerate_states(width, marks) == _reference_states(width, marks), (
-                width, marks,
-            )
+            reference = [s.key for s in _reference_states(width, marks)]
+            assert enumerate_states(width, marks) == reference, (width, marks)
 
 
 def test_every_enumerated_state_passes_the_validating_constructor(monkeypatch):
-    """``enumerate_states`` builds its states without validating them: each
-    state of every sector up to width 8 equals what the constructor builds,
-    and accepts, from its fields, and the walk never calls the validator."""
+    """``enumerate_states`` writes keys without validating them: each key
+    of every sector up to width 8 is the key of the state ``from_key``
+    builds, and accepts, from it, and the walk never calls the validator."""
     for width in range(1, 9):
         for marks in range(width + 1):
-            for state in enumerate_states(width, marks):
-                assert ConnectivityState(state.width, state.blocks, state.marked) == state
+            for key in enumerate_states(width, marks):
+                assert ConnectivityState.from_key(key).key == key
 
     def refuse(blocks, n_points):
         raise AssertionError("enumerate_states re-validated a state")
@@ -196,12 +195,12 @@ def test_constructor_accepts_exactly_noncrossing_partitions_with_unnested_marks(
 
 def test_the_widest_sectors_enumerate_fast_in_code_order():
     start = time.perf_counter()
-    states = enumerate_states(300, 299)
+    keys = enumerate_states(300, 299)
     assert time.perf_counter() - start < 1.0
-    assert len(states) == count_states(300, 299)
-    order = [_canonical_order(s) for s in states]
+    assert len(keys) == count_states(300, 299)
+    order = [_canonical_order(key) for key in keys]
     assert all(a < b for a, b in zip(order, order[1:]))
-    assert [ConnectivityState.from_key(s.key) for s in states[::50]] == states[::50]
+    assert [ConnectivityState.from_key(key).key for key in keys[::50]] == keys[::50]
 
 
 def _state(width: int, key) -> ConnectivityState:
@@ -214,8 +213,8 @@ def _state(width: int, key) -> ConnectivityState:
 
 def test_from_key_refuses_what_is_not_a_state_key():
     """A key decodes to its blocks in label order and its marked labels;
-    the constructor refuses an invalid state and the round trip a
-    non-canonical key."""
+    the constructor refuses an invalid state, the round trip a
+    non-canonical key, and the decoder an entry that is not an int."""
     for key in (
         (1, 0, 0),  # labels out of first-occurrence order
         (0, 2, 0),  # a skipped label
@@ -224,6 +223,11 @@ def test_from_key_refuses_what_is_not_a_state_key():
         (0, 0, 2),  # a mark on no block
         (0,),  # no point
         (),  # not even a mask
+        (0.0, 0),  # a float label
+        (0, True),  # a bool mask
+        (0, 1.5),  # a float mask
+        (0, "x"),  # a str mask
+        (0, None),  # no mask
     ):
         with pytest.raises(ValueError):
             ConnectivityState.from_key(key)
@@ -271,12 +275,12 @@ def test_join_detach_preserve_validity_exhaustively():
     """
     for width in range(1, 5):
         for marks in range(width + 1):
-            for s in enumerate_states(width, marks):
-                moved = [join(s.key, i) for i in range(width - 1)]
-                moved += [detach(s.key, i) for i in range(width)]
-                for key in moved:
-                    if key is not None:
-                        assert _state(width, key).mark_count == marks
+            for key in enumerate_states(width, marks):
+                moved = [join(key, i) for i in range(width - 1)]
+                moved += [detach(key, i) for i in range(width)]
+                for target in moved:
+                    if target is not None:
+                        assert _state(width, target).mark_count == marks
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -287,9 +291,9 @@ def test_move_contract_exhaustively(width):
     otherwise a new valid key of the same sector."""
     for marks in range(width + 1):
         basis = enumerate_states(width, marks)
-        keys = {s.key for s in basis}
-        for s in basis:
-            key = s.key
+        keys = set(basis)
+        for key in basis:
+            s = ConnectivityState.from_key(key)
             owner = {p: b for b in s.blocks for p in b}
             marked = {s.blocks[k] for k in s.marked}
             for i in range(width - 1):
@@ -314,7 +318,7 @@ def test_mirror_is_an_involution_on_every_sector(width):
     """``mirror`` reflects each block, point i -> width-1-i, keeps each
     block's mark, and maps every sector onto itself."""
     for marks in range(width + 1):
-        keys = [s.key for s in enumerate_states(width, marks)]
+        keys = enumerate_states(width, marks)
         for key in keys:
             image = mirror(key)
             state, flipped = _state(width, key), _state(width, image)
@@ -337,11 +341,12 @@ def test_render():
 @given(st.integers(min_value=1, max_value=5), st.data())
 def test_random_walks_stay_valid(width, data):
     """Random sequences of joins and detaches keep states well formed."""
-    state = data.draw(
+    key = data.draw(
         st.sampled_from(
-            [s for m in range(width + 1) for s in enumerate_states(width, m)]
+            [key for m in range(width + 1) for key in enumerate_states(width, m)]
         )
     )
+    state = _state(width, key)
     marks = state.mark_count
     for _ in range(6):
         move = data.draw(st.sampled_from(["join", "detach"]))
@@ -390,7 +395,7 @@ def test_two_slice_counts():
 
 def test_two_slice_one_column():
     states = enumerate_two_slice(1)
-    renders = sorted(render_two_slice(s.key, 1) for s in states)
+    renders = sorted(render_two_slice(key, 1) for key in states)
     assert renders == ["(1')(1)", "(1'1)"]
 
 
@@ -398,7 +403,7 @@ def test_two_slice_bridge_distribution():
     for width in (1, 2, 3):
         for l in range(width + 1):
             matching = [
-                s for s in enumerate_two_slice(width) if bridge_count(s.key, width) == l
+                key for key in enumerate_two_slice(width) if bridge_count(key, width) == l
             ]
             assert len(matching) == count_states(width, l) ** 2
 
@@ -415,7 +420,7 @@ def test_two_slice_membership_width_six():
             ("4",),
         ],
     )
-    assert state in enumerate_two_slice(6)
+    assert state.key in enumerate_two_slice(6)
     assert bridge_count(state.key, 6) == 2
     right = _state(6, reduced(state.key, 6))
     assert right.mark_count == 2
@@ -428,21 +433,21 @@ def test_two_slice_moves_stay_in_the_basis():
     key itself exactly when the vacated block was the detached point alone."""
     for width in (1, 2, 3):
         basis = set(enumerate_two_slice(width))
-        for s in basis:
-            key = s.key
+        for key in basis:
+            blocks = ConnectivityState.from_key(key).blocks
             for i in range(width - 1):
                 # right points i, i+1 sit at points 2L-1-i and 2L-2-i
                 joined = join(key, right_position(width, i + 1))
                 assert joined[-1] == 0  # no marks
-                assert _state(2 * width, joined) in basis
+                assert _state(2 * width, joined).key in basis
             for i in range(width):
                 pos = right_position(width, i)
                 target = detach(key, pos)
                 assert target is not None
                 assert target[-1] == 0
                 detached = _state(2 * width, target)
-                assert detached in basis
-                assert (target is key) == ((pos,) in s.blocks)
+                assert detached.key in basis
+                assert (target is key) == ((pos,) in blocks)
                 assert (pos,) in detached.blocks
 
 
@@ -454,10 +459,10 @@ def test_two_slice_crossing_rejected():
 
 def test_reduced_state_profiles():
     for width in (1, 2):
-        for s in enumerate_two_slice(width):
-            bridges = bridge_count(s.key, width)
-            assert _state(width, reduced(s.key, width)).mark_count == bridges
-            profile = left_profile(s.key, width)
+        for key in enumerate_two_slice(width):
+            bridges = bridge_count(key, width)
+            assert _state(width, reduced(key, width)).mark_count == bridges
+            profile = left_profile(key, width)
             assert sum(1 for _, bridge in profile if bridge) == bridges
 
 
@@ -468,13 +473,13 @@ def test_two_slice_readers_equal_their_block_definitions(width):
     a block with a left and a right point, the left profile lists each
     block's left points with its bridge flag, and the rendering primes the
     left points."""
-    for s in enumerate_two_slice(width):
-        blocks = ConnectivityState.from_key(s.key).blocks
-        assert bridge_count(s.key, width) == sum(1 for b in blocks if b[0] < width <= b[-1])
-        assert left_profile(s.key, width) == tuple(
+    for key in enumerate_two_slice(width):
+        blocks = ConnectivityState.from_key(key).blocks
+        assert bridge_count(key, width) == sum(1 for b in blocks if b[0] < width <= b[-1])
+        assert left_profile(key, width) == tuple(
             (tuple(p for p in b if p < width), b[-1] >= width) for b in blocks if b[0] < width
         )
         labels = (
             [f"{p + 1}'" if p < width else str(2 * width - p) for p in b] for b in blocks
         )
-        assert render_two_slice(s.key, width) == "".join(f"({''.join(b)})" for b in labels)
+        assert render_two_slice(key, width) == "".join(f"({''.join(b)})" for b in labels)

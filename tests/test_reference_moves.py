@@ -12,7 +12,7 @@ would lower the mark count, else a new key with the same marks.
 import pytest
 
 from pottstrip import transfer
-from pottstrip.connectivity import enumerate_states
+from pottstrip.connectivity import ConnectivityState, enumerate_states
 from pottstrip.lattice import HORIZONTAL, VERTICAL, square_strip
 
 
@@ -68,7 +68,8 @@ _REFERENCE = {
 def reference_table(width, marks, op):
     """The table of ``op`` on ``enumerate_states(width, marks)``, built with
     the reference moves on ``(blocks, marked)`` keys."""
-    keys = [(s.blocks, s.marked) for s in enumerate_states(width, marks)]
+    states = map(ConnectivityState.from_key, enumerate_states(width, marks))
+    keys = [(s.blocks, s.marked) for s in states]
     index = {key: k for k, key in enumerate(keys)}
     move, kept, moved, unchanged = _REFERENCE[op.kind]
     table = []

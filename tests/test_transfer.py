@@ -40,8 +40,8 @@ def test_edge_operator_width_one():
 def test_edge_operator_vertical_width_two():
     op = edge_operator(2, 0, vertical(0))
     basis = op.basis
-    joined = next(i for i, s in enumerate(basis) if s.blocks == ((0, 1),))
-    split = next(i for i, s in enumerate(basis) if s.blocks == ((0,), (1,)))
+    joined = basis.index((0, 0, 0))
+    split = basis.index((0, 1, 0))
     # acting on the split state: identity branch plus v times the join
     assert op.entry(split, split) == MultiPoly.one()
     assert op.entry(joined, split) == v
@@ -132,8 +132,9 @@ def test_character_in_length_is_a_trace_power():
                 assert character_K(square_strip(width, length), marks) == trace
 
 
-def _mirror(state):
-    """The state with point i moved to width-1-i, marks kept."""
+def _mirror(key):
+    """The state key with point i moved to width-1-i, marks kept."""
+    state = ConnectivityState.from_key(key)
     top = state.width - 1
     raw = sorted(
         (tuple(sorted(top - p for p in block)), i in state.marked)
@@ -143,7 +144,7 @@ def _mirror(state):
         state.width,
         tuple(b for b, _ in raw),
         tuple(i for i, (_, marked) in enumerate(raw) if marked),
-    )
+    ).key
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -427,8 +428,28 @@ def test_the_engine_reads_states_only_by_key():
     assert not hasattr(transfer, "_basis")
     assert not hasattr(transfer, "ConnectivityState")
     index = transfer._index(3, 1)
-    assert list(index) == [s.key for s in enumerate_states(3, 1)]
+    assert list(index) == enumerate_states(3, 1)
     assert transfer._index(3, 1) is index
+
+
+def test_edge_operators_of_one_sector_enumerate_it_once(monkeypatch):
+    """Every ``TransferBlock`` takes its basis from the cached ``_index``:
+    the edge operators of the 11 bonds of a width-6 column, on the
+    two-mark sector, enumerate that sector at most once between them, and
+    their basis is the enumeration's keys."""
+    calls = []
+
+    def counting(width, marks):
+        calls.append((width, marks))
+        return enumerate_states(width, marks)
+
+    monkeypatch.setattr(transfer, "enumerate_states", counting)
+    transfer._index.cache_clear()
+    program = square_strip(6, 1).column_program
+    assert len(program) == 11
+    blocks = [edge_operator(6, 2, op) for op in program]
+    assert len(calls) <= 1
+    assert all(block.basis == tuple(enumerate_states(6, 2)) for block in blocks)
 
 
 def _with_row(monkeypatch, op, key, edit):
@@ -454,7 +475,7 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
     within the packing bound, fails the check in that state's sector, and
     the message shows the two entries unpacked as polynomials."""
     strip = square_strip(3, 1)
-    bridges = {s.key: bridge_count(s.key, 3) for s in enumerate_two_slice(3)}
+    bridges = {key: bridge_count(key, 3) for key in enumerate_two_slice(3)}
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
     index = transfer._index(6, 0)
@@ -502,10 +523,7 @@ def _one_bond_move(leaves_group):
     states: the target has the source's bridge count and another left
     profile when ``leaves_group``, and more bridges otherwise."""
     strip = CyclicStrip(2, 1, (horizontal(0),))
-    group = {
-        s.key: (bridge_count(s.key, 2), left_profile(s.key, 2))
-        for s in enumerate_two_slice(2)
-    }
+    group = {key: (bridge_count(key, 2), left_profile(key, 2)) for key in enumerate_two_slice(2)}
 
     def wanted(a, b):
         (bridges_a, profile_a), (bridges_b, profile_b) = group[a], group[b]
@@ -527,7 +545,7 @@ def test_block_structure_reports_leakage_between_groups(monkeypatch):
     sector = group[source][0]
     assert not report.passed and report.triangular_ok
     assert [s.cross_group_zero for s in report.sectors] == [l != sector for l in range(3)]
-    render = {s.key: render_two_slice(s.key, 2) for s in enumerate_two_slice(2)}
+    render = {key: render_two_slice(key, 2) for key in enumerate_two_slice(2)}
     assert [f for f in report.failures if f.startswith("leakage")] == [
         f"leakage between sub-blocks at l={sector}: {render[source]} -> {render[target]}"
     ]
@@ -540,7 +558,7 @@ def test_block_structure_reports_a_growing_bridge_count(monkeypatch):
     report = _rerouted_check(monkeypatch, strip, op, source, target)
     assert not report.passed and not report.triangular_ok
     assert all(s.cross_group_zero for s in report.sectors)
-    render = {s.key: render_two_slice(s.key, 2) for s in enumerate_two_slice(2)}
+    render = {key: render_two_slice(key, 2) for key in enumerate_two_slice(2)}
     assert (
         f"bridge count grows {group[source][0]} -> {group[target][0]} on "
         f"{render[source]} -> {render[target]}"
