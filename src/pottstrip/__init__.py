@@ -47,12 +47,10 @@ _EXPORTS = {
     ),
     "bruteforce": (
         "NtcSpectrum",
-        "DualityWitness",
         "fk_spectrum",
         "fk_z",
         "spin_z",
         "dual_boundary_z",
-        "duality_witnesses",
         "duality_witness_check",
         "fixed_boundary_spin_z",
     ),

@@ -459,8 +459,7 @@ def _dual_graph(strip: CyclicStrip):
 
     Interior faces form an (L-1) x N strip of dual vertices; the two annulus
     caps contribute one exterior dual vertex each.  Dual edge k crosses
-    direct edge k (same index), so complementing a bond subset is a bitwise
-    NOT of the mask.
+    direct edge k (same index).
 
     Returns (dual edges, cap loops, number of dual vertices).  Dual edges are
     ordinary (u, w, column displacement) edges, those touching a cap with
@@ -492,98 +491,29 @@ def _dual_graph(strip: CyclicStrip):
     return tuple(dual_edges), ((bottom, bottom, 1), (top, top, 1)), n_interior + 2
 
 
-class DualityWitness(Record):
-    """Per-configuration bookkeeping of the direct/dual weight match."""
+def duality_witness_check(strip: CyclicStrip) -> bool:
+    """True iff every configuration's weight identity holds *and* the
+    aggregate identity Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked
+    with its denominators cleared, with Zdual the plain cluster expansion of
+    the dual graph.
 
-    __slots__ = (
-        "mask", "direct_ntc", "direct_trivial", "direct_bonds",
-        "dual_ntc", "dual_trivial", "dual_bonds", "ok",
-    )
-
-
-def duality_witnesses(strip: CyclicStrip) -> Iterator[DualityWitness]:
-    """Walk all bond subsets, pairing each with its complementary dual
-    configuration and checking the weight identity
+    A bond subset with b bonds, j winding and t non-winding clusters is
+    paired with the complementary dual configuration, with b~ bonds, j~
+    winding and t~ non-winding clusters.  Its weight identity is
 
         Q**(1-F) * v**E * [Q**(j+1) * Q**t~ * vd**b~] == Q**j * Q**t * v**b
 
-    with vd = Q/v the dual bond weight, t/t~ trivial-cluster counts and F, E
-    the face and edge counts of the strip.  Both sides are monomials, so the
-    check compares exponents exactly.
-
-    Each mask is classified from scratch on both graphs, one witness per
-    mask.  ``duality_witness_check`` reads the paired walk instead; this
-    per-mask loop is the independent reference it is tested against.
-    """
-    _check_edge_budget(strip)
-    dual_edges, cap_loops, n_dual = _dual_graph(strip)
-    dual_edges += cap_loops
-    edges = strip.edges()
-    n_edges = len(edges)
-    full = (1 << n_edges) - 1
-    loops = 3 << n_edges  # the two cap loops are always present
-    F = strip.face_count
-
-    for mask in range(1 << n_edges):
-        n, b, j = _direct_stats(mask, edges, strip.vertex_count)
-        t = n - j
-        dn, db, dwind = _direct_stats(full ^ mask | loops, dual_edges, n_dual)
-        db -= 2
-        dt = dn - dwind
-        # LHS exponents: Q: (1-F) + (j+1) + t~ + b~ ; v: E - b~
-        ok = (
-            dwind == j + 1
-            and (1 - F) + (j + 1) + dt + db == j + t
-            and n_edges - db == b
-        )
-        yield DualityWitness(mask, j, t, b, dwind, dt, db, ok)
-
-
-def _direct_stats(mask: int, edges, n_vertices: int) -> tuple[int, int, int]:
-    """(clusters, bonds, winding clusters) of one bond subset."""
-    parent = list(range(n_vertices))
-    shift = [0] * n_vertices
-    wrapped = [False] * n_vertices
-
-    def find(x: int) -> tuple[int, int]:
-        d = 0
-        while parent[x] != x:
-            d += shift[x]
-            x = parent[x]
-        return x, d
-
-    n = n_vertices
-    b = 0
-    for k, (uu, vv, disp) in enumerate(edges):
-        if not mask >> k & 1:
-            continue
-        b += 1
-        x, dx = find(uu)
-        y, dy = find(vv)
-        if x == y:
-            if dy - dx != disp:
-                wrapped[x] = True
-        else:
-            n -= 1
-            parent[y] = x
-            shift[y] = disp + dx - dy
-            if wrapped[y]:
-                wrapped[x] = True
-    j = sum(1 for i in range(n_vertices) if parent[i] == i and wrapped[i])
-    return n, b, j
-
-
-def duality_witness_check(strip: CyclicStrip) -> bool:
-    """True iff every configuration's weight identity (the one
-    ``duality_witnesses`` checks) holds *and* the aggregate identity
-    Q**(1-F) * v**E * Zdual(Q/v) == Z(v) holds, checked with its
-    denominators cleared, with Zdual the plain cluster expansion of the dual
-    graph.
+    with vd = Q/v the dual bond weight, F the faces and E the edges of the
+    strip.  Both sides are monomials, so it holds iff j~ == j + 1 and the
+    exponents of Q and v agree.
 
     The configurations come from the joint histogram of
     ``_paired_histogram``: each lands in exactly one (direct, dual) key, so
     checking the identity on every key checks every configuration, and the
     aggregate's left side sums the counts.
+
+    >>> duality_witness_check(square_strip(2, 2))
+    True
     """
     E = strip.edge_count
     F = strip.face_count

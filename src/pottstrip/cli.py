@@ -91,7 +91,7 @@ def _cmd_characters(args) -> int:
     if args.l == "all":
         marks = list(range(strip.width + 1))
     # an l, and so the 2l+1 its label prints, of fewer digits than can print
-    elif args.l.isdecimal() and not 0 < sys.get_int_max_str_digits() <= len(args.l):
+    elif args.l.isdecimal() and not 0 < _int_max_str_digits() <= len(args.l):
         marks = [int(args.l)]
     else:
         raise ValueError(f"--l takes a non-negative integer or 'all', not {args.l!r}")
@@ -162,6 +162,14 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _int_max_str_digits() -> int:
+    """The most digits an int may print in this interpreter, 0 for no limit;
+    ``sys.get_int_max_str_digits`` exists only from Python 3.10.7 on, and
+    before it there was no limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _spin_digits(literal: str) -> int:
     """The most digits the numerator or denominator of ``Fraction(literal)``
     can have, read off the literal without building either: n digits, f of
@@ -187,7 +195,7 @@ def _parse_spin(text: str) -> tuple[int, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--spin expects Q,v (for example 2,1 or 3,1/2)")
-    limit = sys.get_int_max_str_digits()
+    limit = _int_max_str_digits()
     if limit and max(len(parts[0]), _spin_digits(parts[1])) > limit:
         raise ValueError(f"--spin Q and v may have at most {limit} digits each")
     try:

@@ -10,7 +10,8 @@ Suites:
 * ``cyclic``  -- character decompositions of Z and its winding sectors,
                  sector inversions, cumulative characters, closed forms;
 * ``minimal`` -- Beraha-point regroupings and amplitude sign patterns;
-* ``dual``    -- per-configuration duality witnesses, boundary-reweighted
+* ``dual``    -- the duality identity on every configuration class of the
+                 paired walk and in aggregate, boundary-reweighted
                  decomposition, fixed-boundary strips;
 * ``all``     -- the above plus state counting and block structure.
 """

@@ -12,7 +12,6 @@ from fractions import Fraction
 from pottstrip.bruteforce import (
     dual_boundary_z,
     duality_witness_check,
-    duality_witnesses,
     fixed_boundary_spin_z,
     fk_spectrum,
     fk_z,
@@ -35,6 +34,8 @@ from pottstrip.connectivity import catalan, count_states, enumerate_states
 from pottstrip.lattice import square_strip
 from pottstrip.polynomial import Q, Q0, MultiPoly, v
 from pottstrip.transfer import character_K, verify_block_structure
+
+from duality_reference import duality_witnesses
 
 MAIN_GRID = [
     square_strip(width, length)

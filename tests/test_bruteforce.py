@@ -13,7 +13,6 @@ from pottstrip import bruteforce
 from pottstrip.bruteforce import (
     dual_boundary_z,
     duality_witness_check,
-    duality_witnesses,
     fixed_boundary_spin_z,
     fk_histogram,
     fk_spectrum,
@@ -22,6 +21,9 @@ from pottstrip.bruteforce import (
 )
 from pottstrip.lattice import CyclicStrip, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q, Q0, v
+
+import duality_reference
+from duality_reference import duality_witnesses
 
 
 def test_single_site_ring():
@@ -91,7 +93,7 @@ def _mask_histogram(strip):
     edges = strip.edges()
     expected = {}
     for mask in range(1 << strip.edge_count):
-        key = bruteforce._direct_stats(mask, edges, strip.vertex_count)
+        key = duality_reference._direct_stats(mask, edges, strip.vertex_count)
         expected[key] = expected.get(key, 0) + 1
     return expected
 
@@ -293,7 +295,7 @@ def test_memoised_walk_on_random_edge_lists():
         )
         expected = {}
         for mask in range(1 << len(edges)):
-            key = bruteforce._direct_stats(mask, edges, n_vertices)
+            key = duality_reference._direct_stats(mask, edges, n_vertices)
             expected[key] = expected.get(key, 0) + 1
         for period in (1, 2, 3, 4):
             walked = bruteforce._subset_histogram(edges, n_vertices, period=period)
@@ -530,17 +532,19 @@ def test_duality_check_fails_when_a_dual_edge_becomes_a_loop(monkeypatch):
 
 
 def test_duality_check_classifies_no_mask_on_its_own(monkeypatch):
-    calls = []
+    """The library has one duality path, the paired walk: the per-mask
+    classifier lives only in the tests' reference, and the check holds
+    with it broken."""
+    for name in ("DualityWitness", "duality_witnesses", "_direct_stats"):
+        assert not hasattr(bruteforce, name), name
 
-    def counted(*args):
-        calls.append(args)
-        return direct_stats(*args)
+    def broken(*args):
+        raise AssertionError("classified a mask on its own")
 
-    direct_stats = bruteforce._direct_stats
-    monkeypatch.setattr(bruteforce, "_direct_stats", counted)
-    monkeypatch.setattr(bruteforce, "duality_witnesses", None)
+    monkeypatch.setattr(duality_reference, "_direct_stats", broken)
+    with pytest.raises(AssertionError, match="on its own"):
+        next(duality_witnesses(square_strip(2, 3)))
     assert duality_witness_check(square_strip(2, 3))
-    assert calls == []
 
 
 def test_paired_walk_on_random_dual_graphs(monkeypatch):

@@ -393,6 +393,20 @@ def test_oracle_reads_a_spin_v_of_as_many_digits_as_can_print(capsys, spin):
     assert f"spin[Q=2,v={Fraction(spin[2:])}]" in out
 
 
+def test_digit_limits_read_no_limit_before_python_3_10_7(capsys, monkeypatch):
+    """``sys.get_int_max_str_digits`` exists only from Python 3.10.7 on.
+    Without it the --l and --spin checks read no limit, and both commands
+    print what they print with it."""
+    commands = [
+        ("characters", "--lattice", "square:2x2", "--l", "1"),
+        ("oracle", "--lattice", "square:1x2", "--spin", "2,1"),
+    ]
+    expected = [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out and err == "" for code, out, err in expected)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert [run_cli(capsys, *argv) for argv in commands] == expected
+
+
 def test_oracle_refuses_a_spin_sum_too_long_to_print(capsys):
     """v = 10**4000 prints, but the sum over a 2x2 strip holds (1 + v)**8."""
     code, out, err = run_cli(capsys, "oracle", "--lattice", "square:2x2", "--spin", "2,1e4000")

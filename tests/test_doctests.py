@@ -67,6 +67,21 @@ def test_minimal_characters_demo_prints_integers():
     assert "Fraction(" not in proc.stdout
 
 
+def test_duality_demo_prints_the_paired_walk():
+    """Demo 03 reads the paired walk: it counts 2**6 configurations on 2x2,
+    and the empty subset's dual has one winding cluster."""
+    proc = _run_demo(DEMOS[2])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "strip: square:2x2 with 6 bonds",
+        "configurations: 64",
+        "empty subset: direct winding = 0 dual winding = 1",
+        "the j <-> j+1 correspondence holds on every configuration",
+        "every per-configuration weight identity holds",
+        "aggregate duality identity holds",
+    ]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from pottstrip.bruteforce import DualityWitness, NtcSpectrum, duality_witnesses, fk_spectrum
+from pottstrip.bruteforce import NtcSpectrum, fk_spectrum
 from pottstrip.characters import DecompositionResult, z_fixed_boundary, z_from_characters
 from pottstrip.connectivity import ConnectivityState, enumerate_states
 from pottstrip.lattice import CyclicStrip, EdgeOp, horizontal, square_strip, vertical
@@ -35,7 +35,6 @@ def _one_of_each():
         report,
         z_from_characters(square_strip(2, 2)),
         fk_spectrum(square_strip(2, 2)),
-        next(duality_witnesses(square_strip(2, 2))),
         _poly_check("q", Q, Q),
     ]
 
@@ -53,10 +52,6 @@ FIELDS = {
     BlockStructureReport: ("width", "dimension", "triangular_ok", "sectors", "failures"),
     DecompositionResult: ("target", "strip", "value", "terms"),
     NtcSpectrum: ("width", "sectors"),
-    DualityWitness: (
-        "mask", "direct_ntc", "direct_trivial", "direct_bonds",
-        "dual_ntc", "dual_trivial", "dual_bonds", "ok",
-    ),
     CheckResult: ("check_id", "ok", "detail"),
 }
 
