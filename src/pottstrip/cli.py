@@ -30,8 +30,24 @@ if TYPE_CHECKING:
 
 FORMATS = ("json", "csv", "text")
 
-#: The ``decompose`` flags that only some targets read, and those targets.
-_TARGETS_OF_FLAG = {"p": ("z", "zff"), "j": ("z2j",), "l": ("bigf",)}
+#: Each ``decompose`` target: the one flag it reads (None: none), whether
+#: that flag is required, and its named values from the characters module,
+#: the strip and the flag's value (None where the flag is not given).
+_TARGETS = {
+    "z": ("p", False, lambda c, s, p: _decomposition_values(
+        c.z_from_characters(s) if p is None else c.z_minimal(s, p))),
+    "z2j": ("j", True, lambda c, s, j: _decomposition_values(c.z_sector_from_characters(s, j))),
+    "bigf": ("l", True, lambda c, s, l: [("value", c.character_F(s, l))]),
+    "dual": (None, False, lambda c, s, _: _decomposition_values(c.dual_boundary_decomposition(s))),
+    "zff": ("p", False, lambda c, s, p: _decomposition_values(
+        c.z_fixed_boundary(s.width, s.length) if p is None
+        else c.z_fixed_boundary_minimal(s.width, s.length, p))),
+}
+
+
+def _readers(flag: str) -> str:
+    """The ``decompose`` targets that read ``flag``, as ``z or zff``."""
+    return " or ".join(target for target, (read, _, _) in _TARGETS.items() if read == flag)
 
 
 def _print_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -113,52 +129,20 @@ def _decomposition_values(result) -> list[tuple[str, object]]:
 
 
 def _cmd_decompose(args) -> int:
-    from .characters import (
-        character_F,
-        dual_boundary_decomposition,
-        z_fixed_boundary,
-        z_fixed_boundary_minimal,
-        z_from_characters,
-        z_minimal,
-        z_sector_from_characters,
-    )
+    from . import characters
 
-    for flag, targets in _TARGETS_OF_FLAG.items():
-        if getattr(args, flag) is not None and args.target not in targets:
-            raise ValueError(
-                f"--{flag} applies to --target {' or '.join(targets)}, not {args.target}"
-            )
+    flag, required, values_of = _TARGETS[args.target]
+    for other in dict.fromkeys(read for read, _, _ in _TARGETS.values() if read):
+        if other != flag and getattr(args, other) is not None:
+            raise ValueError(f"--{other} applies to --target {_readers(other)}, not {args.target}")
     strip = parse_lattice(args.lattice)
     meta: dict = {"lattice": str(strip), "target": args.target}
-    if args.target == "z":
-        if args.p is not None:
-            meta["p"] = args.p
-            result = z_minimal(strip, args.p)
-        else:
-            result = z_from_characters(strip)
-        values = _decomposition_values(result)
-    elif args.target == "z2j":
-        if args.j is None:
-            raise ValueError("--target z2j requires --j")
-        meta["j"] = args.j
-        values = _decomposition_values(z_sector_from_characters(strip, args.j))
-    elif args.target == "bigf":
-        if args.l is None:
-            raise ValueError("--target bigf requires --l")
-        meta["l"] = args.l
-        values = [("value", character_F(strip, args.l))]
-    elif args.target == "dual":
-        values = _decomposition_values(dual_boundary_decomposition(strip))
-    elif args.target == "zff":
-        if args.p is not None:
-            meta["p"] = args.p
-            result = z_fixed_boundary_minimal(strip.width, strip.length, args.p)
-        else:
-            result = z_fixed_boundary(strip.width, strip.length)
-        values = _decomposition_values(result)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown target {args.target!r}")
-    _emit_values(args.format, meta, values)
+    value = getattr(args, flag) if flag else None
+    if value is not None:
+        meta[flag] = value
+    elif required:
+        raise ValueError(f"--target {args.target} requires --{flag}")
+    _emit_values(args.format, meta, values_of(characters, strip, value))
     return 0
 
 
@@ -318,14 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignored, but must be at least 1: exhaustive enumeration runs "
         "in this process (perfbench's oracle jobs still pass this flag)",
     )
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--lattice", required=True, help="for example square:2x3")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_char = sub.add_parser(
         "characters",
-        parents=[common],
+        parents=[common, lattice],
         help="character polynomials K_1,2l+1 on a cyclic strip",
     )
-    p_char.add_argument("--lattice", required=True, help="for example square:2x3")
     p_char.add_argument(
         "--l", default="all", help="bridge count l, or 'all' (default)"
     )
@@ -333,29 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser(
         "decompose",
-        parents=[common],
+        parents=[common, lattice],
         help="amplitude-times-character decompositions",
     )
-    p_dec.add_argument("--lattice", required=True)
     p_dec.add_argument(
         "--target",
         required=True,
-        choices=("z", "z2j", "bigf", "dual", "zff"),
+        choices=tuple(_TARGETS),
         help="which quantity to decompose",
     )
-    p_dec.add_argument("--j", type=int, help="winding sector (z2j)")
-    p_dec.add_argument("--l", type=int, help="character index (bigf)")
-    p_dec.add_argument(
-        "--p", type=int, help="Beraha parameter in {2,3,4,6} (z, zff)"
-    )
+    p_dec.add_argument("--j", type=int, help=f"winding sector ({_readers('j')})")
+    p_dec.add_argument("--l", type=int, help=f"character index ({_readers('l')})")
+    p_dec.add_argument("--p", type=int, help=f"Beraha parameter in {{2,3,4,6}} ({_readers('p')})")
     p_dec.set_defaults(handler=_cmd_decompose)
 
     p_oracle = sub.add_parser(
         "oracle",
-        parents=[common],
+        parents=[common, lattice],
         help="exhaustive-enumeration reference values",
     )
-    p_oracle.add_argument("--lattice", required=True)
     p_oracle.add_argument(
         "--count-ntc",
         action="store_true",
@@ -388,10 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_block = sub.add_parser(
         "blockcheck",
-        parents=[common],
+        parents=[common, lattice],
         help="verify the block structure of the full two-slice transfer",
     )
-    p_block.add_argument("--lattice", required=True)
     p_block.set_defaults(handler=_cmd_blockcheck)
 
     return parser
@@ -416,9 +396,6 @@ def main(argv=None) -> int:
         # flush at interpreter exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 141
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,7 +123,17 @@ class CyclicStrip(Record):
         return tuple(out)
 
     def __str__(self) -> str:
-        return f"square:{self.width}x{self.length}"
+        """``kind:LxN`` for a strip that ``parse_lattice`` builds, else the
+        size and the column program.
+
+        >>> str(CyclicStrip(2, 3, (horizontal(0), horizontal(1), vertical(0))))
+        '2x3 strip of column program horizontal(0), horizontal(1), vertical(0)'
+        """
+        for kind, build in _BUILDERS.items():
+            if build(self.width, 1).column_program == self.column_program:
+                return f"{kind}:{self.width}x{self.length}"
+        program = ", ".join(map(str, self.column_program))
+        return f"{self.width}x{self.length} strip of column program {program}"
 
 
 def square_strip(width: int, length: int) -> CyclicStrip:

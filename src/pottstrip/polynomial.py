@@ -188,6 +188,9 @@ class MultiPoly:
         return self._terms == q._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
+        if self._terms.keys() <= {(0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ a :class:`CheckResult`; a failing polynomial identity carries the difference
 of the two sides in its detail string.  The CLI's ``verify`` command drives
 these; the test suite asserts them at fixed sizes.
 
-Suites:
+Suites, in the order ``all`` runs them:
 
 * ``cyclic``  -- character decompositions of Z and its winding sectors,
                  sector inversions, cumulative characters, closed forms;
@@ -13,7 +13,11 @@ Suites:
 * ``dual``    -- the duality identity on every configuration class of the
                  paired walk and in aggregate, boundary-reweighted
                  decomposition, fixed-boundary strips;
-* ``all``     -- the above plus state counting and block structure.
+* ``all``     -- state counting and block structure, then the above.
+
+``_ORACLE_WIDTH`` names each suite but ``all`` and the widest strip its
+checks hand the oracle; :func:`run_suite` reads it to refuse, before any
+check runs, an ``Nmax`` whose widest strip is over the oracle's edge cap.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from .lattice import square_strip
 from .polynomial import MultiPoly
 from .transfer import character_K, verify_block_structure
 
-SUITES = ("all", "cyclic", "dual", "minimal")
+#: Each suite but ``all``, in the order ``all`` runs them, and the widest
+#: strip its checks hand the oracle; suite ``name`` runs ``<name>_checks``.
+_ORACLE_WIDTH = {"cyclic": 3, "minimal": 3, "dual": 2}
+
+SUITES = ("all", *sorted(_ORACLE_WIDTH))
 
 
 class CheckResult(Record):
@@ -56,9 +64,9 @@ def _poly_check(check_id: str, lhs: MultiPoly, rhs: MultiPoly) -> CheckResult:
     return CheckResult(check_id, ok, "" if ok else _diff(lhs, rhs))
 
 
-def _strips(l_max: int, n_max: int, l_cap: int, n_min: int = 1):
+def _strips(suite: str, l_max: int, n_max: int, n_min: int = 1):
     for length in range(n_min, n_max + 1):
-        for width in range(1, min(l_max, l_cap) + 1):
+        for width in range(1, min(l_max, _ORACLE_WIDTH[suite]) + 1):
             yield square_strip(width, length)
 
 
@@ -92,7 +100,7 @@ def block_structure_checks(l_max: int) -> list[CheckResult]:
 
 def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = []
-    for strip in _strips(l_max, n_max, l_cap=3):
+    for strip in _strips("cyclic", l_max, n_max):
         name = str(strip)
         spectrum = bruteforce.fk_spectrum(strip)
         out.append(
@@ -148,7 +156,7 @@ def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
                 f"closed-form-K1[{strip}]", character_K(strip, 1), v ** length
             )
         )
-    for strip in _strips(l_max, n_max, l_cap=3):
+    for strip in _strips("cyclic", l_max, n_max):
         out.append(
             _poly_check(
                 f"closed-form-top[{strip}]",
@@ -204,7 +212,7 @@ def amplitude_checks(l_limit: int = 8) -> list[CheckResult]:
 
 def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = amplitude_checks()
-    for strip in _strips(l_max, n_max, l_cap=3, n_min=2):
+    for strip in _strips("minimal", l_max, n_max, n_min=2):
         if strip.width < 2:
             continue
         name = str(strip)
@@ -231,7 +239,7 @@ def minimal_checks(l_max: int, n_max: int) -> list[CheckResult]:
 
 def dual_checks(l_max: int, n_max: int) -> list[CheckResult]:
     out = []
-    for strip in _strips(l_max, n_max, l_cap=2, n_min=2):
+    for strip in _strips("dual", l_max, n_max, n_min=2):
         name = str(strip)
         ok = bruteforce.duality_witness_check(strip)
         out.append(CheckResult(f"duality-witness[{name}]", ok,
@@ -294,9 +302,8 @@ def run_suite(name: str, l_max: int = 3, n_max: int = 3) -> list[CheckResult]:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if l_max < 1 or n_max < 1:
         raise ValueError("Lmax and Nmax must be >= 1")
-    # the widest strip the suite hands the oracle: width min(Lmax, 3), or 2
-    # for ``dual`` alone, at length Nmax
-    widest = square_strip(min(l_max, 2 if name == "dual" else 3), n_max)
+    parts = [part for part in _ORACLE_WIDTH if name in ("all", part)]
+    widest = square_strip(min(l_max, max(_ORACLE_WIDTH[part] for part in parts)), n_max)
     if widest.edge_count > bruteforce.MAX_EDGES:
         per_column = len(widest.column_program)
         raise ValueError(
@@ -304,13 +311,9 @@ def run_suite(name: str, l_max: int = 3, n_max: int = 3) -> list[CheckResult]:
             f"{name} checks {widest}, over the oracle's cap of {bruteforce.MAX_EDGES} edges"
         )
     out: list[CheckResult] = []
-    if name in ("all",):
+    if name == "all":
         out.extend(dimension_checks(l_max))
         out.extend(block_structure_checks(l_max))
-    if name in ("all", "cyclic"):
-        out.extend(cyclic_checks(l_max, n_max))
-    if name in ("all", "minimal"):
-        out.extend(minimal_checks(l_max, n_max))
-    if name in ("all", "dual"):
-        out.extend(dual_checks(l_max, n_max))
+    for part in parts:
+        out.extend(globals()[f"{part}_checks"](l_max, n_max))
     return out

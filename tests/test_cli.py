@@ -292,6 +292,17 @@ DECOMPOSE_DIGESTS = {
     ("square:3x3", "dual", "json", ()): "af68cd76709f93de2c3a7c85d703dd2961ade8d2d5e734e8d90ba8aa8dfd15c0",
     ("square:3x3", "dual", "text", ()): "d3310df4755418265099bcb3190f6c5e7285af3d50986fc05ab56882df712a57",
     ("square:3x3", "dual", "csv", ()): "f7cfcbf535adeab252150d024b746ca1a172d432120bf2b99ee930a405e4d9cd",
+    # recorded while each branch of the decompose handler still checked and
+    # printed its own flag
+    ("square:3x3", "bigf", "json", ("--l", "0")): "ee8b03c72a7bb22ffa530483d710f81f022d1a8743ee969cb4621e19f8876d2a",
+    ("square:3x3", "bigf", "text", ("--l", "0")): "b0a5c447451f13ac22dfd94bca388ff343c84934157dd279bd0f2cd6185bb6de",
+    ("square:3x3", "bigf", "csv", ("--l", "0")): "e18db339a0c2f501fddf2e30bd89ff080ca05f31636584da6d6845df697dd50f",
+    ("square:3x3", "bigf", "json", ("--l", "1")): "ec3f4744142a8b8fbd0ec1dfaff54256d9db5e0202a26277100f7844dc20da34",
+    ("square:3x3", "bigf", "text", ("--l", "1")): "498bb7bafa8a64346e66e10855f465ae138f6348e900873537648fbbdb78d78a",
+    ("square:3x3", "bigf", "csv", ("--l", "1")): "876e7ac86c2576aafd72a792bfc775e1d8de7e530d193a8577e9b5053f95592e",
+    ("square:3x2", "z", "csv", ()): "d2b77d044613161e12dc9eec99c6475ef165f92e8ef5c8bc99f52229c5beb422",
+    ("square:3x2", "z2j", "csv", ("--j", "1")): "1f3275d157ec5f3ae62d4bd77ea6f6ade1c074a199ac3a469a62b101a9344444",
+    ("square:3x2", "zff", "csv", ()): "4c6b0fbfadff7253e8962e30968bc28cf020e345ecc68456e163d3461a957d68",
 }
 
 

@@ -22,6 +22,21 @@ def test_square_strip_counts():
     assert str(strip) == "square:3x4"
 
 
+def test_only_the_square_program_prints_as_square():
+    """A strip reads ``square:LxN`` only when its program is the square one,
+    so no message names a reordered strip as the square strip it is not;
+    every square strip prints as before and reads back from its name."""
+    reordered = CyclicStrip(2, 2, (horizontal(0), horizontal(1), vertical(0)))
+    assert reordered != square_strip(2, 2)
+    assert str(reordered) == "2x2 strip of column program horizontal(0), horizontal(1), vertical(0)"
+    assert str(CyclicStrip(2, 1, (horizontal(0), horizontal(1)))).startswith("2x1 strip of")
+    for width in range(1, 8):
+        for length in range(1, 6):
+            strip = square_strip(width, length)
+            assert str(strip) == f"square:{width}x{length}"
+            assert parse_lattice(str(strip)) == strip
+
+
 def test_width_one_strip_has_no_verticals():
     strip = square_strip(1, 3)
     assert strip.edge_count == 3

@@ -76,6 +76,19 @@ def test_evaluate_refuses_a_value_that_is_not_an_int_or_a_fraction():
     assert (Q + 1).evaluate({"Q": Fraction(1, 3)}) == Fraction(4, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(min_value=-(2**70), max_value=2**70))
+def test_equal_polynomials_hash_equal(a, b, c):
+    """Hashes agree with ``==``, also between a constant and its int, so a
+    constant polynomial finds the dict entry of its int."""
+    pairs = [(a, (a + b) - b), (a * b, b * a), (MultiPoly.constant(c), c), ((a + c) - a, c),
+             (a - a, 0), (ZERO, 0), (ONE, 1)]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert {c: "x"}.get(MultiPoly.constant(c)) == "x"
+    assert {3: "x"}.get(MultiPoly.constant(3)) == "x"
+
+
 def test_terms_are_sorted_descending():
     p = Q0 + v ** 3 + Q * v + Q ** 2
     monos = [m for m, _ in p.terms()]
