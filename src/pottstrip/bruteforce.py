@@ -435,8 +435,6 @@ def fixed_boundary_spin_z(
     """
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    if length < 1:
-        raise ValueError("length must be >= 1")
     if q < 1:
         raise ValueError("q must be a positive integer")
     _check_spin_budget(q, (width - 2) * length)

@@ -29,10 +29,11 @@ is exact and asserted.
 
 Every decomposition here is one call of a single sum, amplitude times
 character over l (K(l), or chi(l) through the signed K(m) of its
-definition; for Z_ff, on the width-(L-1) strip).  That sum passes each
-K(m) it will read through ``check_character_budget`` before computing
-any, so a strip over the caps is refused before a state is built, for
-library and CLI callers alike; the K(m) themselves are cached in
+definition; for Z_ff, on the width-(L-1) strip).  That sum validates its
+Beraha point, then reads every K(m) it needs in one call of
+``transfer.characters_of``, which checks them all against the cost caps
+before computing any: a strip over the caps is refused before a state is
+built, for library and CLI callers alike.  The K(m) are cached in
 ``character_K`` and shared.
 """
 
@@ -45,7 +46,7 @@ from ._record import Record
 from .connectivity import count_states
 from .lattice import CyclicStrip, square_strip
 from .polynomial import ONE, MultiPoly, Q0, v
-from .transfer import character_K, check_character_budget
+from .transfer import characters_of
 
 if TYPE_CHECKING:
     from .bruteforce import NtcSpectrum
@@ -143,33 +144,26 @@ def _character_sum(
     """sum amplitude(l) * K(l) over ``ls``; with a Beraha point ``p``, sum
     amplitude(l) * chi(l) with Q at ``beraha_q(p)`` in both factors.
 
-    Every K(m) the sum reads passes ``check_character_budget`` first, so a
-    strip over the caps is refused before any state or amplitude is built.
+    ``p`` is validated first; then every K(m) the sum reads comes from one
+    ``characters_of`` call, which refuses a strip over the caps before any
+    state or amplitude is built.
     """
+    q = None if p is None else beraha_q(p)
     reads = [(l, [(l, 1)] if p is None else _minimal_marks(strip.width, l, p)) for l in ls]
-    for m in sorted({m for _, marks in reads for m, _ in marks}):
-        check_character_budget(strip, m)
+    ks = characters_of(strip, (m for _, marks in reads for m, _ in marks))
     terms = []
     total = MultiPoly.zero()
     for l, marks in reads:
         amp = amplitude(l)
         character = MultiPoly.zero()
         for m, sign in marks:
-            k = character_K(strip, m)
-            character = character + k if sign > 0 else character - k
-        if p is not None:
-            amp = amp.subs_poly("Q", beraha_q(p))
-            character = character.subs_poly("Q", beraha_q(p))
+            character = character + ks[m] if sign > 0 else character - ks[m]
+        if q is not None:
+            amp = amp.subs_poly("Q", q)
+            character = character.subs_poly("Q", q)
         terms.append((l, amp, character))
         total = total + amp * character
     return DecompositionResult(target, strip, total, tuple(terms))
-
-
-def _minimal_range(p: int) -> range:
-    """The l of the minimal characters a Beraha-point decomposition sums
-    over; ValueError unless p is a supported Beraha point."""
-    beraha_q(p)
-    return range((p - 2) // 2 + 1)
 
 
 def z_from_characters(strip: CyclicStrip) -> DecompositionResult:
@@ -242,7 +236,7 @@ def minimal_character(strip: CyclicStrip, l: int, p: int) -> MultiPoly:
 def z_minimal(strip: CyclicStrip, p: int) -> DecompositionResult:
     """Z at a Beraha point as a finite sum of minimal characters:
     Z = sum_{l=0}^{floor((p-2)/2)} c(l)|_Q  chi(l)."""
-    return _character_sum(f"z@p={p}", strip, _minimal_range(p), amplitude_c, p)
+    return _character_sum(f"z@p={p}", strip, range(p // 2), amplitude_c, p)
 
 
 def z1_minimal_alternating(strip: CyclicStrip, p: int) -> MultiPoly:
@@ -252,7 +246,7 @@ def z1_minimal_alternating(strip: CyclicStrip, p: int) -> MultiPoly:
     if p % 2:
         raise ValueError("the alternating minimal-character form needs even p")
     return _character_sum(
-        f"z1@p={p}", strip, _minimal_range(p), lambda l: MultiPoly.constant((-1) ** l), p
+        f"z1@p={p}", strip, range(p // 2), lambda l: MultiPoly.constant((-1) ** l), p
     ).value
 
 
@@ -276,15 +270,22 @@ def _at_dual_weight(poly: MultiPoly, edges: int) -> MultiPoly:
 def _fixed_boundary(width: int, length: int, p: int | None) -> DecompositionResult:
     """Z_ff from the b(l)|_{Q0=1} character sum of the width-(L-1) strip:
     the sum at the dual weight, divided exactly by Q**(E+2-F) (at a Beraha
-    point, by that integer power of Q's value), times (1+v)**(2N)."""
+    point, by that integer power of Q's value), times (1+v)**(2N).  Both
+    entry points' refusals: unsupported or odd p, width below 3, p = 2."""
+    q = None if p is None else beraha_q(p)
+    if p is not None and p % 2:
+        raise ValueError("the minimal regrouping is stated for even p")
+    if width < 3:
+        raise ValueError("fixed-boundary strips need width >= 3")
+    if q == 0:
+        raise ValueError(
+            "the fixed-boundary regrouping is undefined at p=2: Q = 0 makes "
+            "the dual bond weight Q/v vanish"
+        )
     inner = square_strip(width - 1, length)
-    target = f"zff[{width}x{length}]"
-    if p is None:
-        marks = range(width)
-    else:
-        marks = _minimal_range(p)
-        target += f"@p={p}"
-    result = _character_sum(target, inner, marks, lambda l: amplitude_b(l).subs_poly("Q0", 1), p)
+    target = f"zff[{width}x{length}]" + ("" if p is None else f"@p={p}")
+    ls = range(width) if p is None else range(p // 2)
+    result = _character_sum(target, inner, ls, lambda l: amplitude_b(l).subs_poly("Q0", 1), p)
     edges = inner.edge_count
     dual_sum = _at_dual_weight(result.value, edges)
     if p is None:
@@ -292,7 +293,6 @@ def _fixed_boundary(width: int, length: int, p: int | None) -> DecompositionResu
     else:
         # Z_ff at an integer Q has integer coefficients and (1+v)**(2N) is
         # primitive, so by Gauss's lemma a remainder here is an upstream bug.
-        q = beraha_q(p)
         d = q ** (edges + 2 - inner.face_count)
         dual_sum = dual_sum.subs_poly("Q", q)
         if any(c % d for _, c in dual_sum.terms()):
@@ -318,8 +318,6 @@ def z_fixed_boundary(width: int, length: int) -> DecompositionResult:
     ValueError.  ``terms`` holds the (l, b(l)|_{Q0=1}, K(l)) summands before
     the v -> vd substitution.
     """
-    if width < 3:
-        raise ValueError("fixed-boundary strips need width >= 3")
     return _fixed_boundary(width, length, None)
 
 
@@ -334,14 +332,4 @@ def z_fixed_boundary_minimal(width: int, length: int, p: int) -> DecompositionRe
     v -> Q/v substitution shows only inside ``value``).  p = 2 is rejected:
     there Q = 0 and the dual weight Q/v vanishes.
     """
-    q = beraha_q(p)
-    if p % 2:
-        raise ValueError("the minimal regrouping is stated for even p")
-    if width < 3:
-        raise ValueError("fixed-boundary strips need width >= 3")
-    if not q:
-        raise ValueError(
-            "the fixed-boundary regrouping is undefined at p=2: Q = 0 makes "
-            "the dual bond weight Q/v vanish"
-        )
     return _fixed_boundary(width, length, p)

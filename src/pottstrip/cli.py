@@ -101,21 +101,17 @@ def _emit_values(
 
 
 def _cmd_characters(args) -> int:
-    from .transfer import character_K, check_character_budget
+    from .transfer import characters_of
 
     strip = parse_lattice(args.lattice)
     if args.l == "all":
-        marks = list(range(strip.width + 1))
+        marks = range(strip.width + 1)
     # an l, and so the 2l+1 its label prints, of fewer digits than can print
     elif args.l.isdecimal() and not 0 < _int_max_str_digits() <= len(args.l):
         marks = [int(args.l)]
     else:
         raise ValueError(f"--l takes a non-negative integer or 'all', not {args.l!r}")
-    for l in marks:
-        check_character_budget(strip, l)
-    values = [
-        (f"K_1,{2 * l + 1}", character_K(strip, l)) for l in marks
-    ]
+    values = [(f"K_1,{2 * l + 1}", k) for l, k in characters_of(strip, marks).items()]
     _emit_values(args.format, {"lattice": str(strip)}, values)
     return 0
 
@@ -194,6 +190,7 @@ def _cmd_oracle(args) -> int:
     from .bruteforce import dual_boundary_z, fk_spectrum, fk_z, spin_z
 
     strip = parse_lattice(args.lattice)
+    spin = None if args.spin is None else _parse_spin(args.spin)
     values: list[tuple[str, object]] = [("z", fk_z(strip))]
     if args.count_ntc:
         spectrum = fk_spectrum(strip)
@@ -201,8 +198,8 @@ def _cmd_oracle(args) -> int:
             values.append((f"Z_{2 * j + 1}", sector))
     if args.dual:
         values.append(("dual", dual_boundary_z(strip)))
-    if args.spin is not None:
-        q, vv = _parse_spin(args.spin)
+    if spin is not None:
+        q, vv = spin
         z = spin_z(strip, q, vv)
         try:
             text = str(z)

@@ -130,12 +130,12 @@ def cyclic_checks(l_max: int, n_max: int) -> list[CheckResult]:
         for l in range(strip.width + 1):
             alternating = alternating + (-1) ** l * character_K(strip, l)
         out.append(_poly_check(f"alternating-sector0[{name}]", alternating, spectrum[0]))
+        big_f = [characters.character_F(strip, l, spectrum) for l in range(strip.width + 3)]
         for l in range(strip.width + 2):
             out.append(
                 _poly_check(
                     f"cumulative-difference[{name},l={l}]",
-                    characters.character_F(strip, l, spectrum)
-                    - characters.character_F(strip, l + 1, spectrum),
+                    big_f[l] - big_f[l + 1],
                     character_K(strip, l),
                 )
             )
@@ -191,21 +191,17 @@ def amplitude_checks(l_limit: int = 8) -> list[CheckResult]:
     p = 4
     ok = True
     detail = ""
+    b = [characters.amplitude_b(l).subs_poly("Q", 2) for l in range(l_limit + 1)]
     for l in range(l_limit + 1):
-        b_l = characters.amplitude_b(l).subs_poly("Q", 2)
         for n in range(0, l_limit):
             mirror = p - 1 + n * p - l
-            if 0 <= mirror <= l_limit:
-                b_m = characters.amplitude_b(mirror).subs_poly("Q", 2)
-                if b_l != -1 * b_m:
-                    ok = False
-                    detail = f"b({l}) != -b({mirror}) at Q=2"
+            if 0 <= mirror <= l_limit and b[l] != -1 * b[mirror]:
+                ok = False
+                detail = f"b({l}) != -b({mirror}) at Q=2"
             shifted = n * p + l
-            if n > 0 and shifted <= l_limit:
-                b_s = characters.amplitude_b(shifted).subs_poly("Q", 2)
-                if b_l != b_s:
-                    ok = False
-                    detail = f"b({l}) != b({shifted}) at Q=2"
+            if n > 0 and shifted <= l_limit and b[l] != b[shifted]:
+                ok = False
+                detail = f"b({l}) != b({shifted}) at Q=2"
     out.append(CheckResult("amplitude-b-symmetry[Q=2]", ok, detail))
     return out
 

@@ -74,7 +74,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ._record import Record
 from .connectivity import (
@@ -424,6 +424,16 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     pushed = (_push(head + _cone(column, sources, b, len(head)), b, w) for b, _ in starts)
     trace = sum(weight * col.get(b, 0) for (b, weight), col in zip(starts, pushed))
     return _unpack(trace, w, bonds)
+
+
+def characters_of(strip: CyclicStrip, marks: Iterable[int]) -> dict[int, MultiPoly]:
+    """K(m) for each distinct m of ``marks``, keyed by m in increasing order.
+    Every m passes ``check_character_budget`` before any K(m) is computed, so
+    one sector over the caps refuses the request before a state is built."""
+    distinct = sorted(set(marks))
+    for m in distinct:
+        check_character_budget(strip, m)
+    return {m: character_K(strip, m) for m in distinct}
 
 
 # ----------------------------------------------------------------------

@@ -442,8 +442,9 @@ def test_fixed_boundary_spin_z_validation():
     assert fixed_boundary_spin_z(3, 4, 2, 0) == 2 ** 4
     with pytest.raises(ValueError):
         fixed_boundary_spin_z(2, 4, 2, 1)  # no free rows
-    with pytest.raises(ValueError):
-        fixed_boundary_spin_z(3, 0, 2, 1)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            fixed_boundary_spin_z(3, length, 2, 1)
 
 
 def test_dual_boundary_z_two_site_ring():

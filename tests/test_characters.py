@@ -274,7 +274,7 @@ def test_fixed_boundary_rejects_a_negative_power_of_q(monkeypatch):
     # weight, which Q^4 = Q^(E+2-F) does not divide: Z_ff would not be a
     # polynomial, and that must raise rather than truncate.
     monkeypatch.setattr(
-        characters, "character_K", lambda strip, l: ONE if l == 0 else ZERO
+        characters, "characters_of", lambda strip, ms: {m: ONE if m == 0 else ZERO for m in ms}
     )
     with pytest.raises(ValueError, match="not divisible"):
         z_fixed_boundary(3, 2)
@@ -287,10 +287,19 @@ def test_fixed_boundary_minimal_rejects_a_remainder(monkeypatch):
     # The same sum of 1 maps to v^6 at the dual weight; at p = 4 it must be
     # divided by 2^4 = Q^(E+2-F) at Q = 2, which leaves a remainder.
     monkeypatch.setattr(
-        characters, "character_K", lambda strip, l: ONE if l == 0 else ZERO
+        characters, "characters_of", lambda strip, ms: {m: ONE if m == 0 else ZERO for m in ms}
     )
     with pytest.raises(ValueError, match="not divisible"):
         z_fixed_boundary_minimal(3, 2, 4)
+
+
+def test_character_sum_checks_its_beraha_point_before_any_read(monkeypatch):
+    def read(*args):
+        raise AssertionError("a character was read")
+
+    monkeypatch.setattr(characters, "characters_of", read)
+    with pytest.raises(ValueError, match="p=5 is not supported"):
+        characters._character_sum("z@p=5", square_strip(2, 2), range(2), amplitude_c, 5)
 
 
 @pytest.mark.parametrize("width,length", [(3, 2), (3, 3), (4, 2), (4, 3)])

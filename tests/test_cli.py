@@ -123,10 +123,11 @@ def test_characters_refuses_an_l_too_long_to_print(capsys):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("lattice", ["square:30x1", "square:2x100000"])
+@pytest.mark.parametrize("lattice", ["square:30x1", "square:2x100000", "square:7x4"])
 def test_characters_over_budget_exit_quickly(capsys, monkeypatch, lattice):
-    """Catalan-many states on 30x1, and gigabit packed entries on 2x100000,
-    are refused from the predicted cost, before any state is built."""
+    """Catalan-many states on 30x1, gigabit packed entries on 2x100000, and
+    K(1) on 7x4 (where K(0) fits the caps) are refused from the predicted
+    cost, before any state is built."""
     def no_states(*args):
         raise AssertionError("a state was enumerated")
 
@@ -367,6 +368,16 @@ def test_oracle_bad_spin(capsys):
                    "--spin", "2")[0] == 2
     assert run_cli(capsys, "oracle", "--lattice", "square:1x2",
                    "--spin", "a,b")[0] == 2
+
+
+def test_oracle_reads_spin_before_the_walk(capsys, monkeypatch):
+    def walked(*args):
+        raise AssertionError("the 2^E walk ran")
+
+    monkeypatch.setattr(bruteforce, "fk_histogram", walked)
+    code, out, err = run_cli(capsys, "oracle", "--lattice", "square:2x2", "--spin", "2,x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --spin value '2,x'")
 
 
 @pytest.mark.parametrize(

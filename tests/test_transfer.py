@@ -22,6 +22,7 @@ from pottstrip.transfer import (
     _slot_width,
     _unpack,
     character_K,
+    characters_of,
     check_character_budget,
     column_transfer,
     edge_operator,
@@ -383,6 +384,37 @@ def test_budget_floor_spares_an_empty_sector():
     strip = square_strip(2, 3000)
     assert check_character_budget(strip, 5) == (0, 9000, _slot_width(9000, 0))
     assert character_K(strip, 5) == MultiPoly.zero()
+
+
+def test_characters_of_reads_each_distinct_sector_once(monkeypatch):
+    """Each distinct m is read once and keyed by m in increasing order, and
+    an m above the width reads as zero."""
+    strip = square_strip(2, 3)
+    reads = []
+
+    def counted(strip, m):
+        reads.append(m)
+        return character_K.__wrapped__(strip, m)
+
+    monkeypatch.setattr(transfer, "character_K", counted)
+    got = characters_of(strip, [2, 0, 3, 2, 1, 0])
+    assert sorted(reads) == list(got) == [0, 1, 2, 3]
+    assert got == {m: character_K(strip, m) for m in range(4)}
+    assert got[3] == MultiPoly.zero()
+
+
+def test_characters_of_refuses_before_any_sector_is_built(monkeypatch):
+    """On 7x4 K(0) fits the caps and K(1) does not: asked for both, the
+    read is refused before K(0) is computed or a state is built."""
+    def built(*args):
+        raise AssertionError("a sector was built")
+
+    monkeypatch.setattr(transfer, "character_K", built)
+    monkeypatch.setattr(transfer, "enumerate_states", built)
+    strip = square_strip(7, 4)
+    check_character_budget(strip, 0)
+    with pytest.raises(ValueError, match=r"K\(1\) of square:7x4 .* caps are"):
+        characters_of(strip, [0, 1])
 
 
 def test_budget_message_shows_a_huge_state_count_by_its_size():
