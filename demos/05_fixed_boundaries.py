@@ -29,7 +29,7 @@ width, length = 3, 2
 result = z_fixed_boundary(width, length)
 print("\nZ_ff =", result.value)
 
-# Ground truth is a plain spin sum with the boundary rows frozen.
+# Ground truth is a spin sum with the boundary rows frozen (a frontier sweep).
 for q in (2, 3):
     for vv in (Fraction(1), Fraction(2), Fraction(1, 2)):
         exact = result.value.evaluate({"Q": q, "v": vv, "Q0": 0})

@@ -10,8 +10,8 @@ value is one, such as a spin sum at rational v):
   sectors, boundary-reweighted variants and fixed-boundary strips onto
   those characters, including minimal characters at the rational Beraha
   points Q = 0, 1, 2, 3;
-* exhaustive cluster and spin enumerations that serve as independent
-  ground truth for every identity above.
+* exhaustive cluster enumerations and spin sums that serve as
+  independent ground truth for every identity above.
 """
 
 import importlib

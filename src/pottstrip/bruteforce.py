@@ -52,15 +52,26 @@ below a memo point as it does for one side.  The bonds go in the order the
 FK walk takes them, each with its dual edge.  The per-configuration
 identity is checked once per key, which covers every configuration in it.
 
+The spin sums are one frontier sweep over the bonds in ``_order``'s order,
+so one function decides which side of a strip every oracle sweeps.  Its
+state maps the spins of the live sites, digits of a base-q key, to int
+weights scaled by v's denominator, which is divided out at the end.  A
+site enters at its first bond and is summed out after its last; pinned
+sites hold spin 0, and an unpinned site with no bond is a factor q.  With
+w the most sites live at once a sweep makes about q**(w + 1) * E weight
+updates, on weights of up to E bond factors' bits; counting one step per
+update and 2**13 bits, E alone and then with w are checked against
+``MAX_SPIN_STEPS`` before any state is built.
+
 Everything here is deliberately independent of the transfer-matrix route:
-no connectivity states, no matrix products, just subsets of edges.
+no connectivity states, no matrix products, just subsets of edges and
+spins of sites.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
 from typing import Iterator
 
 from ._record import Record
@@ -71,8 +82,8 @@ from .polynomial import MultiPoly, Q0
 #: not scale.
 MAX_EDGES = 24
 
-#: spin sums beyond 10**7 terms are refused.
-MAX_SPIN_CONFIGS = 10 ** 7
+#: spin sweeps beyond 10**8 steps (weight updates, per 2**13 bits) are refused.
+MAX_SPIN_STEPS = 10 ** 8
 
 #: (clusters, bonds, winding clusters) of one configuration
 Stats = tuple[int, int, int]
@@ -384,44 +395,66 @@ def dual_boundary_z(strip: CyclicStrip) -> MultiPoly:
     return z1 + Q0 * (spectrum.total() - z1).quotient_by_monomial((1, 0, 0))
 
 
-def _spin_sum(strip: CyclicStrip, q: int, v: Fraction | int, pinned: set[int]) -> Fraction:
-    """sum over q**(V - |pinned|) assignments of the unpinned sites, pinned
-    sites held at spin 0, of (1 + v)**(number of bonds with equal ends)."""
-    free = [x for x in range(strip.vertex_count) if x not in pinned]
-    pairs = [(u, w) for u, w, _ in strip.edges()]
-    spins = [0] * strip.vertex_count
-    counts = [0] * (len(pairs) + 1)
-    for assignment in product(range(q), repeat=len(free)):
-        for x, s in zip(free, assignment):
-            spins[x] = s
-        counts[sum(spins[u] == spins[w] for u, w in pairs)] += 1
-    one_plus_v = 1 + Fraction(v)
-    return sum(c * one_plus_v ** k for k, c in enumerate(counts) if c)
-
-
-def _check_spin_budget(q: int, sites: int) -> None:
-    """Refuse q**sites spin configurations beyond MAX_SPIN_CONFIGS without
-    building the power: each factor q >= 2 at least doubles the product."""
-    configs = 1
-    for _ in range(sites if q > 1 else 0):
-        configs *= q
-        if configs > MAX_SPIN_CONFIGS:
-            raise ValueError(
-                f"spin sum over {q}**{sites} configurations exceeds the "
-                f"{MAX_SPIN_CONFIGS} budget"
-            )
+def _spin_sum(
+    strip: CyclicStrip, q: int, v: Fraction | int, pinned_rows: tuple[int, ...] = ()
+) -> Fraction:
+    """The sum over the spins of the sites outside ``pinned_rows``, those in
+    them held at 0, of the product over bonds of (1 + v * [equal ends])."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    n_edges, v = strip.edge_count, Fraction(v)
+    one, same = v.denominator, v.denominator + v.numerator
+    # a step per weight update and 2**13 bits of it; weights reach E factors' bits
+    steps = n_edges * (1 + n_edges * max(abs(same), one).bit_length() // 2 ** 13)
+    if steps > MAX_SPIN_STEPS:
+        raise ValueError(f"{strip} takes {steps} steps or more, over the spin budget of {MAX_SPIN_STEPS}")
+    if q == 1:  # every bond has equal ends
+        return (1 + v) ** n_edges
+    edges = strip.edges()
+    ordered = [edges[k] for k in _order(strip)[0]]
+    free = [x % strip.width not in pinned_rows for x in range(strip.vertex_count)]
+    last = {x: i for i, bond in enumerate(ordered) for x in bond[:2] if free[x]}
+    live: dict[int, int] = {}  # each live site's digit; digit -1 stands for a pinned 0
+    spare, plan, widest = [], [], 0
+    for i, (u, w, _) in enumerate(ordered):
+        ends = {x for x in (u, w) if free[x]}
+        enter = [x for x in ends if x not in live]
+        for x in enter:
+            live[x] = spare.pop() if spare else len(live)
+        widest = max(widest, len(live))
+        # the bond's digits are read before its leaving sites hand theirs on
+        plan.append((live.get(u, -1), live.get(w, -1), [live[x] for x in enter],
+                     [live.pop(x) for x in ends if last[x] == i]))
+        spare += plan[-1][3]
+    # q >= 2, so a power past the cap's bit length is past the cap, and never built
+    if steps * q ** min(widest + 1, MAX_SPIN_STEPS.bit_length()) > MAX_SPIN_STEPS:
+        raise ValueError(f"the spin sweep of {strip} at q = {q} takes {q}**{widest + 1} * "
+                         f"{steps} steps, over the spin budget of {MAX_SPIN_STEPS}")
+    power = [q ** j for j in range(widest + 1)]  # power[-1]: a digit no key reaches
+    state = {0: 1}
+    for u, w, enter, leave in plan:
+        pu, pw = power[u], power[w]
+        for j in enter:
+            state = {key + s * power[j]: c for key, c in state.items() for s in range(q)}
+        out: dict[int, int] = defaultdict(int)
+        for key, c in state.items():
+            c *= same if key // pu % q == key // pw % q else one
+            for j in leave:
+                key -= key // power[j] % q * power[j]
+            out[key] += c
+        state = out
+    isolated = free.count(True) - len(last)  # unpinned sites with no bond
+    return Fraction(sum(state.values()) * q ** isolated, one ** n_edges)
 
 
 def spin_z(strip: CyclicStrip, q: int, v: Fraction | int) -> Fraction:
-    """Potts partition function by explicit spin sum: sum over q**V spin
-    assignments of the product over bonds of (1 + v * delta).
+    """Potts partition function as a spin sum over q**V assignments of the
+    product over bonds of (1 + v * delta), by the sweep of the module
+    docstring.
 
     An entirely independent second oracle: it never sees clusters at all.
     """
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    _check_spin_budget(q, strip.vertex_count)
-    return _spin_sum(strip, q, v, set())
+    return _spin_sum(strip, q, v)
 
 
 def fixed_boundary_spin_z(
@@ -430,17 +463,12 @@ def fixed_boundary_spin_z(
     """Spin sum for the strip with first and last rows frozen to spin 0.
 
     All bonds of the cyclic strip contribute, including the bonds inside
-    each frozen row (each worth 1+v); only rows 1..width-2 are summed over.
-    Width 2 has no free rows at all and is excluded as degenerate.
+    each frozen row (each worth 1+v); only rows 1..width-2 are summed over,
+    by the sweep.  Width 2 has no free rows at all and is excluded.
     """
     if width < 3:
         raise ValueError("fixed-boundary strips need width >= 3")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    _check_spin_budget(q, (width - 2) * length)
-    strip = square_strip(width, length)
-    pinned = {strip.vertex(row, t) for row in (0, width - 1) for t in range(length)}
-    return _spin_sum(strip, q, v, pinned)
+    return _spin_sum(square_strip(width, length), q, v, (0, width - 1))
 
 
 # ----------------------------------------------------------------------

@@ -124,13 +124,19 @@ class CyclicStrip(Record):
 
     def __str__(self) -> str:
         """``kind:LxN`` for a strip that ``parse_lattice`` builds, else the
-        size and the column program.
+        size and the column program.  Programs compare as (kind, site)
+        pairs, and a builder runs again only for a new width.
 
         >>> str(CyclicStrip(2, 3, (horizontal(0), horizontal(1), vertical(0))))
         '2x3 strip of column program horizontal(0), horizontal(1), vertical(0)'
         """
+        ops = [(op.kind, op.site) for op in self.column_program]
         for kind, build in _BUILDERS.items():
-            if build(self.width, 1).column_program == self.column_program:
+            width, built = _PROGRAMS.get(kind, (0, None))
+            if width != self.width:
+                built = [(op.kind, op.site) for op in build(self.width, 1).column_program]
+                _PROGRAMS[kind] = self.width, built
+            if built == ops:
                 return f"{kind}:{self.width}x{self.length}"
         program = ", ".join(map(str, self.column_program))
         return f"{self.width}x{self.length} strip of column program {program}"
@@ -150,6 +156,8 @@ def square_strip(width: int, length: int) -> CyclicStrip:
 
 
 _BUILDERS = {"square": square_strip}
+#: per kind, the last width printed and the (kind, site) pairs of its program
+_PROGRAMS: dict[str, tuple[int, list[tuple[str, int]]]] = {}
 
 #: The widest strip any command serves.  Every sector's packed column holds
 #: at least 8 * (E + 1)**2 bits (one state, one byte per slot), and a square

@@ -24,6 +24,7 @@ from pottstrip.polynomial import Q, Q0, v
 
 import duality_reference
 from duality_reference import duality_witnesses
+from spin_reference import equal_bond_counts, spin_sum
 
 
 def test_single_site_ring():
@@ -379,11 +380,86 @@ def test_spin_z_matches_cluster_expansion():
                 )
 
 
+SPIN_VALUES = (0, 1, 2, Fraction(1, 2), Fraction(-1, 3), -1)
+
+
+def test_spin_sweep_matches_the_brute_sum():
+    """On every square strip with q**V <= 10**5 (the strips of q = 2 at
+    q = 1), free and with rows 0 and L-1 pinned on widths >= 3."""
+    for q in (1, 2, 3):
+        for width in range(1, 17):
+            for length in range(1, 17):
+                if max(q, 2) ** (width * length) > 10 ** 5:
+                    continue
+                strip = square_strip(width, length)
+                for rows in ((), (0, width - 1)) if width >= 3 else ((),):
+                    counts = equal_bond_counts(strip, q, rows)
+                    for vv in SPIN_VALUES:
+                        assert bruteforce._spin_sum(strip, q, vv, rows) == spin_sum(counts, vv), (
+                            strip, q, vv, rows)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        (horizontal(0), horizontal(1), horizontal(2), vertical(0), vertical(1)),
+        (horizontal(0), vertical(0), horizontal(1), vertical(1), horizontal(2)),
+        (vertical(0), horizontal(0), horizontal(1)),
+        (horizontal(0), horizontal(2)),
+    ],
+    ids=["reordered", "diagonal", "row-2-isolated", "row-1-isolated"],
+)
+def test_spin_sweep_matches_the_brute_sum_on_other_programs(program):
+    """Verticals after the horizontals, verticals between them (diagonal
+    bonds), and a row with no bond at all, whose sites are factors q."""
+    for length in (1, 2, 3):
+        strip = CyclicStrip(3, length, program)
+        for q in (2, 3):
+            for rows in ((), (0, 2)):
+                counts = equal_bond_counts(strip, q, rows)
+                for vv in SPIN_VALUES:
+                    assert bruteforce._spin_sum(strip, q, vv, rows) == spin_sum(counts, vv)
+
+
+def test_spin_z_counts_proper_colourings_at_v_minus_1():
+    """At v = -1 a bond with equal ends weighs 0, so Z counts the proper
+    q-colourings: two of the bipartite 8x10 strip, none of 8x9, whose odd
+    rows close an odd cycle.  That is 2**80 configurations for the sweep."""
+    start = time.perf_counter()
+    assert spin_z(square_strip(8, 10), 2, -1) == 2
+    assert spin_z(square_strip(8, 9), 2, -1) == 0
+    assert time.perf_counter() - start < 2
+
+
+def test_spin_sweep_is_independent_of_the_walks():
+    """The spin sweep shares with the FK and duality walks only ``_order``,
+    the choice of the side a strip is swept along."""
+    tree = ast.parse(inspect.getsource(bruteforce._spin_sum))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_order" in names
+    assert not names & {"_walk", "_subset_histogram", "_paired_histogram", "fk_histogram",
+                        "_HISTOGRAM_CACHE"}
+
+
 def test_spin_z_budget_and_validation():
-    with pytest.raises(ValueError):
-        spin_z(square_strip(3, 4), 10, 1)  # 10**12 configurations
+    """3x4 at q = 100 takes 100**6 * 20 steps, over MAX_SPIN_STEPS, and is
+    refused at once."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        spin_z(square_strip(3, 4), 100, 1)
+    assert time.perf_counter() - start < 1
     with pytest.raises(ValueError):
         spin_z(square_strip(1, 2), 0, 1)
+
+
+def test_spin_budget_counts_the_bits_of_the_weights():
+    """On 1x10**6 a sweep would keep only eight states, but each weight
+    grows to about 10**6 bits, so the updates cost minutes: the budget
+    counts a step per 2**13 bits of weight and refuses it at once."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        spin_z(square_strip(1, 10 ** 6), 2, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_spin_budget_refuses_a_huge_strip_without_the_power():

@@ -121,6 +121,15 @@ def test_z_from_characters_matches_spin_sum_beyond_the_oracle():
     assert strip.edge_count > MAX_EDGES
     value = z_from_characters(strip).value.evaluate({"Q": 2, "v": Fraction(1, 2)})
     assert value == spin_z(strip, 2, Fraction(1, 2))
+    # 3**16 spin configurations, which the old q**V cap of 10**7 refused
+    value = z_from_characters(strip).value.evaluate({"Q": 3, "v": Fraction(-1, 3)})
+    assert value == spin_z(strip, 3, Fraction(-1, 3))
+
+
+def test_z_fixed_boundary_matches_the_spin_sweep_beyond_enumeration():
+    """Width 6, length 3 at Q = 4 frees 4**12 spin configurations."""
+    value = z_fixed_boundary(6, 3).value.evaluate({"Q": 4, "v": Fraction(1, 2)})
+    assert value == fixed_boundary_spin_z(6, 3, 4, Fraction(1, 2))
 
 
 def test_sector_decomposition_matches_oracle():

@@ -429,6 +429,14 @@ def test_digit_limits_read_no_limit_before_python_3_10_7(capsys, monkeypatch):
     assert [run_cli(capsys, *argv) for argv in commands] == expected
 
 
+def test_oracle_refuses_a_spin_sum_over_the_budget(capsys):
+    """3x4 at Q = 100 takes 100**6 * 20 sweep steps: exit 2, an error that
+    names the budget, and nothing on stdout."""
+    code, out, err = run_cli(capsys, "oracle", "--lattice", "square:3x4", "--spin", "100,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_oracle_refuses_a_spin_sum_too_long_to_print(capsys):
     """v = 10**4000 prints, but the sum over a 2x2 strip holds (1 + v)**8."""
     code, out, err = run_cli(capsys, "oracle", "--lattice", "square:2x2", "--spin", "2,1e4000")

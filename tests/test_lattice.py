@@ -37,6 +37,29 @@ def test_only_the_square_program_prints_as_square():
             assert parse_lattice(str(strip)) == strip
 
 
+def test_printing_a_strip_runs_its_builder_at_most_once(monkeypatch):
+    """``str`` keeps each builder's program per width, so printing one
+    strip again builds nothing: a wide strip's name used to cost a build of
+    its whole program on every call."""
+    from pottstrip import lattice
+
+    calls = []
+
+    def counted(width, length):
+        calls.append((width, length))
+        return square_strip(width, length)
+
+    monkeypatch.setitem(lattice._BUILDERS, "square", counted)
+    monkeypatch.setattr(lattice, "_PROGRAMS", {})
+    strip = square_strip(5, 3)
+    for _ in range(4):
+        assert str(strip) == "square:5x3"
+    assert len(calls) <= 1
+    reordered = CyclicStrip(5, 3, strip.column_program[::-1])
+    assert str(reordered).startswith("5x3 strip of column program")
+    assert len(calls) <= 1
+
+
 def test_width_one_strip_has_no_verticals():
     strip = square_strip(1, 3)
     assert strip.edge_count == 3
