@@ -60,8 +60,9 @@ site enters at its first bond and is summed out after its last; pinned
 sites hold spin 0, and an unpinned site with no bond is a factor q.  With
 w the most sites live at once a sweep makes about q**(w + 1) * E weight
 updates, on weights of up to E bond factors' bits; counting one step per
-update and 2**13 bits, E alone and then with w are checked against
-``MAX_SPIN_STEPS`` before any state is built.
+update and 2**13 bits, E with a lower bound on w read off the column
+program, and then with w, are checked against ``MAX_SPIN_STEPS``: the
+first before any bond is listed, the second before any state is built.
 
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges and
@@ -406,8 +407,14 @@ def _spin_sum(
     one, same = v.denominator, v.denominator + v.numerator
     # a step per weight update and 2**13 bits of it; weights reach E factors' bits
     steps = n_edges * (1 + n_edges * max(abs(same), one).bit_length() // 2 ** 13)
-    if steps > MAX_SPIN_STEPS:
-        raise ValueError(f"{strip} takes {steps} steps or more, over the spin budget of {MAX_SPIN_STEPS}")
+    # w >= bound: a vertical bond holds its unpinned ends live; a free row's
+    # ring of N sites holds min(N, 3), its first bond's ends until a third enters
+    bound = max(((op.site not in pinned_rows) + (op.site + 1 not in pinned_rows) if op.kind == VERTICAL
+                 else (op.site not in pinned_rows) * (1 + (strip.length > 1) + (strip.length > 2))
+                 for op in strip.column_program), default=0)
+    if steps * q ** (bound + 1) > MAX_SPIN_STEPS:
+        raise ValueError(f"the spin sweep of {strip} at q = {q} takes {q}**{bound + 1} * {steps} steps "
+                         f"or more, over the spin budget of {MAX_SPIN_STEPS}")
     if q == 1:  # every bond has equal ends
         return (1 + v) ** n_edges
     edges = strip.edges()

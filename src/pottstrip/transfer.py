@@ -55,17 +55,15 @@ w = E + n.bit_length() + 1, rounded up to whole bytes, needs no first
 pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
 in one pass over their bytes.
 
-``verify_block_structure`` rebuilds the *full* transfer matrix on two-slice
-states and checks the claimed structure directly, in one pass over its
-pushed columns: bridge count never increases, states of fixed bridge count
-split by left profile into n(L, l) groups of size n(L, l) with no
-transitions between groups, and every group's sub-matrix equals T_l on
-the nose.  A two-slice state is an unmarked state of 2L points, so the
-full matrix is the column program moved onto the right slice and compiled
-through the same cached ``_bond_table`` of width 2L and no marks.  Both
-sides are pushed at one slot width and compared as packed ints, which is
-exact because the packing is injective under the bound ``_compile``
-checks.
+``verify_block_structure`` checks the claimed structure of the *full*
+transfer matrix on two-slice states bond by bond, reading each row of each
+bond's table once: no branch raises the bridge count, states of fixed
+bridge count split by left profile into n(L, l) groups of size n(L, l)
+with no branch between groups, and inside a group every bond acts as on
+the l-mark states, so every group's sub-matrix of the column product
+equals T_l on the nose.  A two-slice state is an unmarked state of 2L
+points, so each bond is moved onto the right slice and compiled through
+the same cached ``_bond_table`` of width 2L and no marks.
 """
 
 from __future__ import annotations
@@ -446,6 +444,12 @@ def _on_right_slice(op: EdgeOp, width: int) -> EdgeOp:
     return EdgeOp(op.kind, right_position(width, op.site + (op.kind == VERTICAL)))
 
 
+def _weight(code: int) -> MultiPoly:
+    """The polynomial of a weight mask, 0 for the empty mask."""
+    monomials = {_ONE: (0, 0, 0), _V: (0, 1, 0), _Q: (1, 0, 0)}
+    return MultiPoly({mono: 1 for bit, mono in monomials.items() if code & bit})
+
+
 class SectorReport(Record):
     """Findings for one bridge sector of the full transfer matrix."""
 
@@ -467,43 +471,34 @@ class BlockStructureReport(Record):
 
 
 def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
-    """Build the column transfer on the full two-slice basis and verify:
+    """Check the column transfer on the full two-slice basis, bond by bond:
 
-    * bridge count never increases across a non-zero entry;
     * for each l, the l-bridge states split by left profile into
       count_states(L, l) groups of count_states(L, l) states each;
-    * entries between different groups of the same bridge count vanish;
-    * each group's sub-matrix equals T_l, the column program's product on
-      the l-mark states, with each state at its place: the index of its
-      reduced state in the l-mark basis.
+    * no branch of a bond raises the bridge count or leads to another
+      group of the same bridge count;
+    * inside a group, a bond's branches, each state at its place (the index
+      of its reduced state in the l-mark basis), are its branches on the
+      l-mark states, weight for weight.
 
-    Each state is read once, for its bridge count, group and place, and
-    each pushed column is walked once.  A group whose places are not
-    exactly range(count_states(L, l)) is reported and not compared.
+    These give the claimed structure of the column product.  Bridge counts
+    never rise, so a path of branches that ends at its starting bridge
+    count keeps it at every step, and so stays in its group; each group
+    block of the product is then the product of the sector tables, which
+    is T_l.  The weights are positive monomials, so nothing cancels: the
+    product's non-zero entries are the ends of such paths.  A mismatch
+    names its bond and both weights; a group whose places are not exactly
+    range(count_states(L, l)) is reported and not compared.
 
-    The two-slice basis is the keys of ``_index(2L, 0)``, the unmarked
-    states of 2L points, and each bond, moved by ``_on_right_slice``, is
-    the cached ``_bond_table`` of that basis.  Every column, two-slice or
-    reference, is pushed at one slot width: both programs have the same E
-    bonds and ``_compile`` bounds both, so equal polynomials pack to equal
-    ints and the columns are compared as packed ints.  Only the two entries
-    of a mismatch are unpacked, for its message.
-
-    Kept to widths <= 4; the basis has Catalan(2L) states.
+    The two-slice basis is ``_index(2L, 0)``, each bond moved by
+    ``_on_right_slice`` is its cached ``_bond_table``, and each state and
+    each row is read once.  Kept to widths <= 5 (Catalan(2L) states).
     """
-    if strip.width > 4:
-        raise ValueError("block-structure verification is capped at width 4")
+    if strip.width > 5:
+        raise ValueError("block-structure verification is capped at width 5")
     width = strip.width
     basis = list(_index(2 * width, 0))
-    n = len(basis)
-    bonds = len(strip.column_program)
-    w = _slot_width(bonds, n)
-    program = [_bond_table(2 * width, 0, _on_right_slice(op, width)) for op in strip.column_program]
     sizes = [count_states(width, l) for l in range(width + 1)]
-    reference = [
-        [_push(_column_program(strip, l), i, w) for i in range(size)]
-        for l, size in enumerate(sizes)
-    ]
     places = [_index(width, l) for l in range(width + 1)]
 
     bridges, group, place = [], [], []
@@ -533,27 +528,30 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     def move(b: int, a: int) -> str:
         return f"{render_two_slice(basis[b], width)} -> {render_two_slice(basis[a], width)}"
 
-    for b in range(n):
-        l = bridges[b]
-        got = {}
-        for a, entry in _push(program, b, w).items():
-            if bridges[a] > l:
-                triangular_ok = False
-                failures.append(f"bridge count grows {l} -> {bridges[a]} on {move(b, a)}")
-            elif group[a] == group[b]:
-                got[place[a]] = entry
-            elif bridges[a] == l:
-                cross_zero[l] = False
-                failures.append(f"leakage between sub-blocks at l={l}: {move(b, a)}")
-        # a group that does not reduce onto the reference basis is not compared
-        want = reference[l][place[b]] if group[b] in slots else got
-        for p in sorted(got.keys() | want.keys()):
-            if got.get(p, 0) != want.get(p, 0):
+    for op in strip.column_program:
+        sector = [[dict(row) for row in _bond_table(width, l, op)] for l in range(width + 1)]
+        for b, branches in enumerate(_bond_table(2 * width, 0, _on_right_slice(op, width))):
+            l, g = bridges[b], group[b]
+            got = {}
+            for a, code in branches:
+                if group[a] == g:  # a group has one bridge count
+                    got[place[a]] = code
+                elif bridges[a] > l:
+                    triangular_ok = False
+                    failures.append(f"bridge count grows {l} -> {bridges[a]} on {move(b, a)}")
+                elif bridges[a] == l:
+                    cross_zero[l] = False
+                    failures.append(f"leakage between sub-blocks at l={l}: {move(b, a)}")
+            # a group that does not reduce onto the reference basis is not compared
+            want = sector[l][place[b]] if g in slots else got
+            if got != want:
                 matches[l] = False
-                failures.append(
-                    f"entry mismatch at l={l}, {move(b, slots[group[b]][p])}: "
-                    f"{_unpack(got.get(p, 0), w, bonds)} != {_unpack(want.get(p, 0), w, bonds)}"
-                )
+                for p in sorted(got.keys() | want.keys()):
+                    if got.get(p, 0) != want.get(p, 0):
+                        failures.append(
+                            f"entry mismatch at l={l}, {op} on {move(b, slots[g][p])}: "
+                            f"{_weight(got.get(p, 0))} != {_weight(want.get(p, 0))}"
+                        )
 
     sector_reports = []
     for l, expected in enumerate(sizes):
@@ -578,7 +576,7 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
 
     return BlockStructureReport(
         width=strip.width,
-        dimension=n,
+        dimension=len(basis),
         triangular_ok=triangular_ok,
         sectors=tuple(sector_reports),
         failures=tuple(failures),

@@ -462,6 +462,55 @@ def test_spin_budget_counts_the_bits_of_the_weights():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("length", [630000, 200000])
+def test_spin_budget_refuses_before_the_bonds_are_listed(monkeypatch, length):
+    """The ring of a free row of N >= 3 sites holds three sites live, so the
+    sweep of 1xN takes at least 2**4 * E steps, over the budget for both
+    lengths: refused from the column program in under 1 s, before
+    ``edges()`` lists a bond."""
+
+    def refuse(strip):
+        raise AssertionError("the bonds were listed")
+
+    monkeypatch.setattr(CyclicStrip, "edges", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        spin_z(square_strip(1, length), 2, 1)
+    assert time.perf_counter() - start < 1
+
+
+def _widest_front(strip, pinned_rows):
+    """The most unpinned sites the sweep holds live at once, in its bond order."""
+    edges = strip.edges()
+    ordered = [edges[k][:2] for k in bruteforce._order(strip)[0]]
+    last = {x: i for i, ends in enumerate(ordered) for x in ends}
+    live, widest = set(), 0
+    for i, ends in enumerate(ordered):
+        live |= {x for x in ends if x % strip.width not in pinned_rows}
+        widest = max(widest, len(live))
+        live -= {x for x in ends if last[x] == i}
+    return widest
+
+
+@pytest.mark.parametrize(
+    "strip, pinned",
+    [(square_strip(w, n), ()) for w in range(1, 5) for n in (1, 2, 3)]
+    + [(square_strip(w, n), (0, w - 1)) for w in (3, 4) for n in (1, 2, 3)]
+    + [(CyclicStrip(3, 2, (vertical(0), horizontal(0), vertical(1), horizontal(1), horizontal(2))), ())],
+    ids=str,
+)
+def test_spin_budget_admits_a_sweep_at_its_exact_cost(monkeypatch, strip, pinned):
+    """The bound read off the column program never exceeds the sweep's
+    widest front: at a budget of exactly E * 2**(w + 1) steps the sweep
+    runs, and one step less refuses it."""
+    cost = strip.edge_count * 2 ** (_widest_front(strip, pinned) + 1)
+    monkeypatch.setattr(bruteforce, "MAX_SPIN_STEPS", cost)
+    assert bruteforce._spin_sum(strip, 2, 1, pinned) == spin_sum(equal_bond_counts(strip, 2, pinned), 1)
+    monkeypatch.setattr(bruteforce, "MAX_SPIN_STEPS", cost - 1)
+    with pytest.raises(ValueError, match="budget"):
+        bruteforce._spin_sum(strip, 2, 1, pinned)
+
+
 def test_spin_budget_refuses_a_huge_strip_without_the_power():
     """q**V is never built: V = 10**12 sites are refused at once."""
     for call in (

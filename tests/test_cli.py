@@ -541,6 +541,12 @@ def test_blockcheck_bytes_are_unchanged(capsys, lattice, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BLOCKCHECK_DIGESTS[lattice, fmt]
 
 
+def test_blockcheck_refuses_width_six(capsys):
+    code, out, err = run_cli(capsys, "blockcheck", "--lattice", "square:6x1")
+    assert code == 2 and out == ""
+    assert "capped at width 5" in err
+
+
 def test_blockcheck_failure_exits_one(capsys, monkeypatch):
     """A two-slice branch sent to another left profile of the same bridge
     count fails the check: exit 1, ``FAIL`` lines, and ``failed`` last."""

@@ -1,11 +1,16 @@
 """Transfer blocks, edge operators, characters and block structure."""
 
+import ast
+import inspect
+
 import pytest
+from block_reference import pushed_block_structure
 
 from pottstrip import transfer
 from pottstrip.connectivity import (
     ConnectivityState,
     bridge_count,
+    catalan,
     count_states,
     enumerate_states,
     enumerate_two_slice,
@@ -502,11 +507,10 @@ def _with_row(monkeypatch, op, key, edit):
     monkeypatch.setattr(transfer, "_compile", patched)
 
 
-def test_block_structure_reports_a_wrong_weight(monkeypatch):
-    """One branch of one two-slice state weighted Q instead of 1, still
-    within the packing bound, fails the check in that state's sector, and
-    the message shows the two entries unpacked as polynomials."""
-    strip = square_strip(3, 1)
+def _weigh_one_branch_q(monkeypatch):
+    """Compile bond horizontal(1) of width 3, on the right slice, with one
+    branch of one two-slice state weighted Q instead of 1, still within
+    the packing bound; returns that state's bridge count."""
     bridges = {key: bridge_count(key, 3) for key in enumerate_two_slice(3)}
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
@@ -520,15 +524,24 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
         if len(row := table[index[key]]) == 2 and bridges[keys[row[1][0]]] == bridges[key]
     )
     _with_row(monkeypatch, op, wrong, lambda row, index: (row[0], (row[1][0], transfer._Q)))
+    return bridges[wrong]
+
+
+def test_block_structure_reports_a_wrong_weight(monkeypatch):
+    """One branch of one two-slice state weighted Q instead of 1, still
+    within the packing bound, fails the check in that state's sector, and
+    the message shows the two weights as polynomials."""
+    strip = square_strip(3, 1)
+    sector = _weigh_one_branch_q(monkeypatch)
     report = verify_block_structure(strip)
     monkeypatch.undo()
     transfer._bond_table.cache_clear()
     assert not report.passed
-    sector = bridges[wrong]
     assert [s.matches_reference for s in report.sectors] == [
         l != sector for l in range(4)
     ]
-    reference = {str(e) for row in column_transfer(strip, sector).rows for e in row}
+    # the faulted bond's own entries on the sector's states
+    reference = {str(e) for row in edge_operator(3, sector, horizontal(1)).rows for e in row}
     mismatches = [f for f in report.failures if f.startswith("entry mismatch")]
     assert mismatches and all(f.startswith(f"entry mismatch at l={sector}") for f in mismatches)
     for failure in mismatches:
@@ -537,13 +550,13 @@ def test_block_structure_reports_a_wrong_weight(monkeypatch):
         assert "Q" in got and got not in reference
 
 
-def _rerouted_check(monkeypatch, strip, op, source, target):
+def _rerouted_check(monkeypatch, strip, op, source, target, check=verify_block_structure):
     """The block check of ``strip`` with the first branch of bond ``op`` on
     two-slice key ``source`` sent to ``target`` at the same weight, which
     keeps the packing bound."""
     _with_row(monkeypatch, op, source, lambda row, index: ((index[target], row[0][1]), *row[1:]))
     try:
-        return verify_block_structure(strip)
+        return check(strip)
     finally:
         monkeypatch.undo()
         transfer._bond_table.cache_clear()
@@ -599,4 +612,62 @@ def test_block_structure_reports_a_growing_bridge_count(monkeypatch):
 
 def test_block_structure_width_cap():
     with pytest.raises(ValueError):
-        verify_block_structure(square_strip(5, 1))
+        verify_block_structure(square_strip(6, 1))
+
+
+def test_block_structure_of_width_five():
+    """Width 5 has Catalan(10) = 16796 two-slice states; each bridge
+    sector splits into n(5, l) groups of n(5, l) states."""
+    report = verify_block_structure(square_strip(5, 1))
+    assert report.passed and report.triangular_ok
+    assert report.dimension == catalan(10)
+    counts = [count_states(5, l) for l in range(6)]
+    assert [s.group_count for s in report.sectors] == counts
+    assert [s.group_sizes for s in report.sectors] == [(n,) * n for n in counts]
+
+
+@pytest.mark.parametrize(
+    "strip",
+    [square_strip(width, 1) for width in range(1, 5)]
+    + [pytest.param(CyclicStrip(3, 1, _INTERLEAVED), id="interleaved:3x1")],
+    ids=str,
+)
+def test_block_check_equals_the_pushed_column_reference(strip):
+    assert verify_block_structure(strip) == pushed_block_structure(strip)
+
+
+def _flags(report):
+    return report.triangular_ok, [(s.cross_group_zero, s.matches_reference) for s in report.sectors]
+
+
+def test_both_block_checks_flag_each_fault_alike(monkeypatch):
+    """On the three faults above, a wrong weight, a leak between groups and
+    a rising bridge count, the bond-by-bond check and the pushed-column
+    reference both fail, in the same sectors with the same flags."""
+    reports = []
+    for check in (verify_block_structure, pushed_block_structure):
+        _weigh_one_branch_q(monkeypatch)
+        try:
+            reports.append(check(square_strip(3, 1)))
+        finally:
+            monkeypatch.undo()
+            transfer._bond_table.cache_clear()
+    for leaves_group in (True, False):
+        one_bond, moved, source, target, _ = _one_bond_move(leaves_group)
+        for check in (verify_block_structure, pushed_block_structure):
+            reports.append(_rerouted_check(monkeypatch, one_bond, moved, source, target, check))
+    for new, reference in zip(reports[::2], reports[1::2]):
+        assert not new.passed and not reference.passed
+        assert _flags(new) == _flags(reference)
+
+
+def test_block_check_pushes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the block check pushed a column")
+
+    monkeypatch.setattr(transfer, "_push", refuse)
+    assert verify_block_structure(square_strip(4, 1)).passed
+    tree = ast.parse(inspect.getsource(transfer.verify_block_structure))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"_push", "_slot_width", "_shifts"}
