@@ -401,6 +401,8 @@ def _spin_sum(
 ) -> Fraction:
     """The sum over the spins of the sites outside ``pinned_rows``, those in
     them held at 0, of the product over bonds of (1 + v * [equal ends])."""
+    if type(q) is not int or type(v) not in (int, Fraction):
+        raise TypeError(f"q must be an int and v an int or a Fraction, not {q!r} and {v!r}")
     if q < 1:
         raise ValueError("q must be a positive integer")
     n_edges, v = strip.edge_count, Fraction(v)

@@ -1,4 +1,4 @@
-"""Strip lattices: cyclic square-lattice strips and their column programs.
+"""Strip lattices: cyclic strips and the column programs they repeat.
 
 A cyclic strip of width L and length N lives on an annulus: N columns of L
 sites, consecutive columns joined by horizontal bonds, column N joined back
@@ -8,16 +8,20 @@ program*, a sequence of edge operations applied in order:
 * ``vertical(i)``   -- bond between sites i and i+1 inside the column;
 * ``horizontal(i)`` -- bond from site i to site i of the next column.
 
-The square strip uses the program [vertical(0..L-2), horizontal(0..L-1)],
-repeated for each of the N columns.  For N = 1 the horizontal bonds close
-onto their own column (self-loops in the quotient graph); they are kept as
-distinct edges, which the cluster expansion handles without special cases.
+Each lattice kind is one entry of ``_KINDS``, its column program at a
+width, built once per width and shared by every strip of that width.  The
+square kind repeats [vertical(0..L-2), horizontal(0..L-1)] in each of the
+N columns.  For N = 1 the horizontal bonds close onto their own column
+(self-loops in the quotient graph); they are kept as distinct edges, which
+the cluster expansion handles without special cases.
 
 Vertex/edge/face counts satisfy Euler's formula on the sphere (the annulus
 plus its two caps): F = E - V + 2.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ._record import Record
 
@@ -123,23 +127,25 @@ class CyclicStrip(Record):
         return tuple(out)
 
     def __str__(self) -> str:
-        """``kind:LxN`` for a strip that ``parse_lattice`` builds, else the
-        size and the column program.  Programs compare as (kind, site)
-        pairs, and a builder runs again only for a new width.
+        """``kind:LxN`` for a strip whose program is that of a kind in
+        ``_KINDS`` at its width, else the size and the column program.
 
         >>> str(CyclicStrip(2, 3, (horizontal(0), horizontal(1), vertical(0))))
         '2x3 strip of column program horizontal(0), horizontal(1), vertical(0)'
         """
-        ops = [(op.kind, op.site) for op in self.column_program]
-        for kind, build in _BUILDERS.items():
-            width, built = _PROGRAMS.get(kind, (0, None))
-            if width != self.width:
-                built = [(op.kind, op.site) for op in build(self.width, 1).column_program]
-                _PROGRAMS[kind] = self.width, built
-            if built == ops:
+        for kind, program in _KINDS.items():
+            if program(self.width) == self.column_program:
                 return f"{kind}:{self.width}x{self.length}"
         program = ", ".join(map(str, self.column_program))
         return f"{self.width}x{self.length} strip of column program {program}"
+
+
+@lru_cache(maxsize=8, typed=True)
+def _square_program(width: int) -> tuple[EdgeOp, ...]:
+    return tuple(map(vertical, range(width - 1))) + tuple(map(horizontal, range(width)))
+
+
+_KINDS = {"square": _square_program}
 
 
 def square_strip(width: int, length: int) -> CyclicStrip:
@@ -149,15 +155,8 @@ def square_strip(width: int, length: int) -> CyclicStrip:
     >>> s.vertex_count, s.edge_count, s.face_count
     (12, 20, 10)
     """
-    program = tuple(vertical(i) for i in range(width - 1)) + tuple(
-        horizontal(i) for i in range(width)
-    )
-    return CyclicStrip(width, length, program)
+    return CyclicStrip(width, length, _KINDS["square"](width))
 
-
-_BUILDERS = {"square": square_strip}
-#: per kind, the last width printed and the (kind, site) pairs of its program
-_PROGRAMS: dict[str, tuple[int, list[tuple[str, int]]]] = {}
 
 #: The widest strip any command serves.  Every sector's packed column holds
 #: at least 8 * (E + 1)**2 bits (one state, one byte per slot), and a square
@@ -176,10 +175,8 @@ def parse_lattice(text: str) -> CyclicStrip:
     9
     """
     kind, sep, size = text.partition(":")
-    if not sep or kind not in _BUILDERS:
-        raise ValueError(
-            f"unknown lattice description {text!r}; expected e.g. square:LxN"
-        )
+    if not sep or kind not in _KINDS:
+        raise ValueError(f"unknown lattice description {text!r}; expected e.g. square:LxN")
     w, sep, n = size.partition("x")
     if not sep:
         raise ValueError(f"lattice size must look like LxN, got {size!r}")
@@ -189,4 +186,4 @@ def parse_lattice(text: str) -> CyclicStrip:
         raise ValueError(f"lattice size must be integers, got {size!r}") from None
     if width > MAX_WIDTH:
         raise ValueError(f"width {width} is above {MAX_WIDTH}, the widest strip served")
-    return _BUILDERS[kind](width, length)
+    return CyclicStrip(width, length, _KINDS[kind](width))

@@ -294,35 +294,24 @@ def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def _block(width: int, marks: int, program: Sequence[BondTable]) -> TransferBlock:
-    """The product of ``program`` on the ``marks``-mark basis, with its
-    non-zero entries unpacked; equal entries share one polynomial."""
-    basis = tuple(_index(width, marks))
-    n = len(basis)
-    w = _slot_width(len(program), n)
-    cols = [_push(program, b, w) for b in range(n)]
-    polys = {c: _unpack(c, w, len(program)) for c in {c for col in cols for c in col.values()}}
-    rows = tuple(
-        tuple(polys[cols[b][a]] if a in cols[b] else ZERO for b in range(n)) for a in range(n)
-    )
-    return TransferBlock(width, marks, basis, rows)
-
-
 def edge_operator(width: int, marks: int, op: EdgeOp) -> TransferBlock:
-    """The matrix of a single bond on the states with ``marks`` marks.
+    """The matrix of a single bond on the states with ``marks`` marks: the
+    ``column_transfer`` of the one-bond strip ``CyclicStrip(width, 1, (op,))``,
+    which raises ValueError for a bond that does not fit the width.
 
     >>> from .lattice import horizontal
     >>> blk = edge_operator(1, 0, horizontal(0))
     >>> print(blk.rows[0][0])
     Q + v
     """
-    return _block(width, marks, (_bond_table(width, marks, op),))
+    return column_transfer(CyclicStrip(width, 1, (op,)), marks)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """The ordered product of the column program's bond operators (first
-    bond applied first) on the fixed-mark basis.
+    bond applied first) on the fixed-mark basis, pushed column by column;
+    each distinct non-zero entry is unpacked once and shared.
 
     For the square strip of width 3, the one-mark block is 9 x 9:
 
@@ -332,7 +321,16 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """
     if marks > strip.width:
         raise ValueError(f"cannot mark {marks} blocks on width {strip.width}")
-    return _block(strip.width, marks, _column_program(strip, marks))
+    program = _column_program(strip, marks)
+    basis = tuple(_index(strip.width, marks))
+    n = len(basis)
+    w = _slot_width(len(program), n)
+    cols = [_push(program, b, w) for b in range(n)]
+    polys = {c: _unpack(c, w, len(program)) for c in {c for col in cols for c in col.values()}}
+    rows = tuple(
+        tuple(polys[cols[b][a]] if a in cols[b] else ZERO for b in range(n)) for a in range(n)
+    )
+    return TransferBlock(strip.width, marks, basis, rows)
 
 
 def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, int]:

@@ -452,6 +452,22 @@ def test_spin_z_budget_and_validation():
         spin_z(square_strip(1, 2), 0, 1)
 
 
+@pytest.mark.parametrize("q, vv", [(2, 0.1), (True, 1), (2.0, 1), (2, True), (2, "1/2")], ids=repr)
+def test_spin_sums_refuse_inexact_values(monkeypatch, q, vv):
+    """Like ``MultiPoly.evaluate``, the spin sums take an int q and an int
+    or Fraction v, and refuse anything else before a bond is listed: a
+    float v used to be summed as its binary value, not as 1/10."""
+
+    def refuse(strip):
+        raise AssertionError("the bonds were listed")
+
+    monkeypatch.setattr(CyclicStrip, "edges", refuse)
+    with pytest.raises(TypeError, match="q must be an int and v an int or a Fraction"):
+        spin_z(square_strip(2, 2), q, vv)
+    with pytest.raises(TypeError, match="q must be an int and v an int or a Fraction"):
+        fixed_boundary_spin_z(3, 2, q, vv)
+
+
 def test_spin_budget_counts_the_bits_of_the_weights():
     """On 1x10**6 a sweep would keep only eight states, but each weight
     grows to about 10**6 bits, so the updates cost minutes: the budget

@@ -116,20 +116,33 @@ def test_identities_beyond_the_oracle(strip):
     assert character_K(strip, strip.width) == v ** (strip.width * strip.length)
 
 
-def test_z_from_characters_matches_spin_sum_beyond_the_oracle():
-    strip = square_strip(4, 4)
+@pytest.mark.parametrize(
+    "strip, q, vv",
+    [
+        (square_strip(4, 4), 2, Fraction(1, 2)),
+        # 3**16 spin configurations, which the old q**V cap of 10**7 refused
+        (square_strip(4, 4), 3, Fraction(-1, 3)),
+        # E = 45 bonds and 3**25 spin configurations
+        (square_strip(5, 5), 3, Fraction(1, 3)),
+        (square_strip(6, 3), 2, Fraction(-1, 2)),
+    ],
+    ids=str,
+)
+def test_z_from_characters_matches_spin_sum_beyond_the_oracle(strip, q, vv):
+    """Past the 2**E walk's cap only the spin sweep certifies Z."""
     assert strip.edge_count > MAX_EDGES
-    value = z_from_characters(strip).value.evaluate({"Q": 2, "v": Fraction(1, 2)})
-    assert value == spin_z(strip, 2, Fraction(1, 2))
-    # 3**16 spin configurations, which the old q**V cap of 10**7 refused
-    value = z_from_characters(strip).value.evaluate({"Q": 3, "v": Fraction(-1, 3)})
-    assert value == spin_z(strip, 3, Fraction(-1, 3))
+    value = z_from_characters(strip).value.evaluate({"Q": q, "v": vv})
+    assert value == spin_z(strip, q, vv)
 
 
-def test_z_fixed_boundary_matches_the_spin_sweep_beyond_enumeration():
-    """Width 6, length 3 at Q = 4 frees 4**12 spin configurations."""
-    value = z_fixed_boundary(6, 3).value.evaluate({"Q": 4, "v": Fraction(1, 2)})
-    assert value == fixed_boundary_spin_z(6, 3, 4, Fraction(1, 2))
+@pytest.mark.parametrize(
+    "width, length, q, vv", [(6, 3, 4, Fraction(1, 2)), (6, 4, 2, Fraction(1, 3))], ids=str
+)
+def test_z_fixed_boundary_matches_the_spin_sweep_beyond_enumeration(width, length, q, vv):
+    """Width 6, length 3 at Q = 4 frees 4**12 spin configurations; 6x4
+    reads the characters of 5x4."""
+    value = z_fixed_boundary(width, length).value.evaluate({"Q": q, "v": vv})
+    assert value == fixed_boundary_spin_z(width, length, q, vv)
 
 
 def test_sector_decomposition_matches_oracle():

@@ -37,27 +37,26 @@ def test_only_the_square_program_prints_as_square():
             assert parse_lattice(str(strip)) == strip
 
 
-def test_printing_a_strip_runs_its_builder_at_most_once(monkeypatch):
-    """``str`` keeps each builder's program per width, so printing one
-    strip again builds nothing: a wide strip's name used to cost a build of
-    its whole program on every call."""
+def test_printing_a_strip_runs_its_builder_at_most_once():
+    """``str`` reads each kind's program from its per-width cache, so
+    printing one strip again builds nothing: a wide strip's name used to
+    cost a build of its whole program on every call."""
     from pottstrip import lattice
 
-    calls = []
-
-    def counted(width, length):
-        calls.append((width, length))
-        return square_strip(width, length)
-
-    monkeypatch.setitem(lattice._BUILDERS, "square", counted)
-    monkeypatch.setattr(lattice, "_PROGRAMS", {})
     strip = square_strip(5, 3)
+    misses = lattice._square_program.cache_info().misses
     for _ in range(4):
         assert str(strip) == "square:5x3"
-    assert len(calls) <= 1
     reordered = CyclicStrip(5, 3, strip.column_program[::-1])
     assert str(reordered).startswith("5x3 strip of column program")
-    assert len(calls) <= 1
+    assert lattice._square_program.cache_info().misses == misses
+
+
+def test_strips_of_one_width_share_one_program():
+    """The table of kinds builds a program once per width, so every strip
+    of that width, parsed or built, holds the same tuple."""
+    assert parse_lattice("square:3x5").column_program is square_strip(3, 2).column_program
+    assert square_strip(4, 1).column_program is square_strip(4, 7).column_program
 
 
 def test_width_one_strip_has_no_verticals():

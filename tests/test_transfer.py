@@ -17,7 +17,15 @@ from pottstrip.connectivity import (
     left_profile,
     render_two_slice,
 )
-from pottstrip.lattice import MAX_WIDTH, VERTICAL, CyclicStrip, horizontal, square_strip, vertical
+from pottstrip.lattice import (
+    HORIZONTAL,
+    MAX_WIDTH,
+    VERTICAL,
+    CyclicStrip,
+    horizontal,
+    square_strip,
+    vertical,
+)
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.transfer import (
     _CACHE_SIZE,
@@ -60,6 +68,21 @@ def test_vertical_join_of_two_bridges_is_dropped():
     op = edge_operator(2, 2, vertical(0))
     assert op.dimension == 1  # only (1.)(2.) carries two marks
     assert op.entry(0, 0) == MultiPoly.one()  # the v-branch would merge marks
+
+
+@pytest.mark.parametrize(
+    "width, op", [(3, vertical(2)), (1, vertical(0)), (2, horizontal(2))], ids=str
+)
+def test_edge_operator_refuses_a_bond_outside_the_width(width, op):
+    """A bond is a one-bond strip, so a bond the width has no room for is
+    refused by the strip, by name, and never read off a state's mark mask."""
+    with pytest.raises(ValueError, match=rf"{op.kind}\({op.site}\) does not fit"):
+        edge_operator(width, 0, op)
+
+
+def test_edge_operator_refuses_more_marks_than_points():
+    with pytest.raises(ValueError, match="cannot mark 3 blocks on width 2"):
+        edge_operator(2, 3, vertical(0))
 
 
 def test_column_transfer_dimensions():
@@ -238,6 +261,54 @@ def test_non_invariant_program_sums_the_full_diagonal():
 
 
 _INTERLEAVED = (vertical(0), horizontal(0), vertical(1), horizontal(1), horizontal(2))
+
+
+def _places(poly, offset):
+    """(c, a) of each monomial Q^a v^b of ``poly``, with c = a + b - offset."""
+    return [(a + b - offset, a) for (a, b, _), _ in poly.terms()]
+
+
+def _bond_counts(strip):
+    """(horizontal bonds H, vertical bonds C) of one column of ``strip``."""
+    h = sum(op.kind == HORIZONTAL for op in strip.column_program)
+    return h, len(strip.column_program) - h
+
+
+@pytest.mark.parametrize(
+    "strip",
+    [square_strip(width, 1) for width in range(1, 6)]
+    + [pytest.param(CyclicStrip(3, 1, _INTERLEAVED), id="interleaved:3x1")],
+    ids=str,
+)
+def test_column_entries_obey_the_euler_relation(strip):
+    """A horizontal bond weighs v, or detaches its point into a new block
+    (1) or off a finished cluster (Q); a vertical bond weighs 1, or v as it
+    merges two blocks or closes a cycle inside one.  So every monomial
+    Q^a v^b of the entry from state s to state t has
+    c = a + b - H - (blocks(s) - blocks(t)) cycles closed, 0 <= c <= C,
+    and (c, a) places each monomial of an entry once."""
+    h, c_max = _bond_counts(strip)
+    for marks in range(strip.width + 1):
+        block = column_transfer(strip, marks)
+        blocks = [len(ConnectivityState.from_key(key).blocks) for key in block.basis]
+        for t, row in enumerate(block.rows):
+            for s, entry in enumerate(row):
+                places = _places(entry, h + blocks[s] - blocks[t])
+                assert all(0 <= c <= c_max for c, _ in places), (marks, s, t, places)
+                assert len(set(places)) == len(places)
+
+
+@pytest.mark.parametrize(
+    "strip", [square_strip(width, length) for width in range(1, 6) for length in (1, 2, 3)], ids=str
+)
+def test_characters_obey_the_euler_relation(strip):
+    """On the trace the block counts cancel: each monomial of K(l) closes
+    c = a + b - N H cycles, 0 <= c <= N C."""
+    h, c_max = _bond_counts(strip)
+    for marks in range(strip.width + 1):
+        places = _places(character_K(strip, marks), strip.length * h)
+        assert all(0 <= c <= strip.length * c_max for c, _ in places), (marks, places)
+        assert len(set(places)) == len(places)
 
 
 def _pruned_diagonal(strip, marks):
