@@ -99,8 +99,8 @@ Move = tuple[int, int, int, int, int, int]
 def _check_edge_budget(strip: CyclicStrip) -> None:
     if strip.edge_count > MAX_EDGES:
         raise ValueError(
-            f"{strip} has {strip.edge_count} edges; exhaustive enumeration is "
-            f"capped at {MAX_EDGES} (use a smaller strip)"
+            f"{strip} has E = {len(strip.column_program)} x {strip.length} edges; exhaustive "
+            f"enumeration is capped at {MAX_EDGES} (use a smaller strip)"
         )
 
 
@@ -408,15 +408,18 @@ def _spin_sum(
     n_edges, v = strip.edge_count, Fraction(v)
     one, same = v.denominator, v.denominator + v.numerator
     # a step per weight update and 2**13 bits of it; weights reach E factors' bits
-    steps = n_edges * (1 + n_edges * max(abs(same), one).bit_length() // 2 ** 13)
+    bits = max(abs(same), one).bit_length()
+    steps = n_edges * (1 + n_edges * bits // 2 ** 13)
+    cost = (f"E * (1 + E * {bits} // 2**13) steps for its E = "  # E may be too long to print
+            f"{len(strip.column_program)} x {strip.length} bonds")
     # w >= bound: a vertical bond holds its unpinned ends live; a free row's
     # ring of N sites holds min(N, 3), its first bond's ends until a third enters
     bound = max(((op.site not in pinned_rows) + (op.site + 1 not in pinned_rows) if op.kind == VERTICAL
                  else (op.site not in pinned_rows) * (1 + (strip.length > 1) + (strip.length > 2))
                  for op in strip.column_program), default=0)
     if steps * q ** (bound + 1) > MAX_SPIN_STEPS:
-        raise ValueError(f"the spin sweep of {strip} at q = {q} takes {q}**{bound + 1} * {steps} steps "
-                         f"or more, over the spin budget of {MAX_SPIN_STEPS}")
+        raise ValueError(f"the spin sweep of {strip} at q = {q} takes at least {q}**{bound + 1} * "
+                         f"{cost}, over the spin budget of {MAX_SPIN_STEPS}")
     if q == 1:  # every bond has equal ends
         return (1 + v) ** n_edges
     edges = strip.edges()
@@ -438,7 +441,7 @@ def _spin_sum(
     # q >= 2, so a power past the cap's bit length is past the cap, and never built
     if steps * q ** min(widest + 1, MAX_SPIN_STEPS.bit_length()) > MAX_SPIN_STEPS:
         raise ValueError(f"the spin sweep of {strip} at q = {q} takes {q}**{widest + 1} * "
-                         f"{steps} steps, over the spin budget of {MAX_SPIN_STEPS}")
+                         f"{cost}, over the spin budget of {MAX_SPIN_STEPS}")
     power = [q ** j for j in range(widest + 1)]  # power[-1]: a digit no key reaches
     state = {0: 1}
     for u, w, enter, leave in plan:

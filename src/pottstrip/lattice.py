@@ -158,12 +158,10 @@ def square_strip(width: int, length: int) -> CyclicStrip:
     return CyclicStrip(width, length, _KINDS["square"](width))
 
 
-#: The widest strip any command serves.  Every sector's packed column holds
-#: at least 8 * (E + 1)**2 bits (one state, one byte per slot), and a square
-#: strip of width L has at least 2L - 1 bonds, so no square strip wider than
-#: isqrt(transfer.MAX_COLUMN_BITS // 32) = 2896 has a character within that
-#: cap.  The fixed-boundary strip reads the characters of width L - 1, hence
-#: 2897.
+#: The widest strip any command serves: no square strip wider than 2896 passes
+#: the floor of ``transfer.check_character_budget``, one state at a byte per
+#: slot of ``transfer._Layout``, and the fixed-boundary strip reads the
+#: characters of width L - 1, hence 2897.
 MAX_WIDTH = 2897
 
 

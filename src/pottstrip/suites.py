@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import bruteforce, characters
 from ._record import Record
-from .connectivity import catalan, count_states, enumerate_states, enumerate_two_slice
+from .connectivity import catalan, count_states, enumerate_states
 from .lattice import square_strip
 from .polynomial import MultiPoly
 from .transfer import character_K, verify_block_structure
@@ -84,7 +84,7 @@ def dimension_checks(l_max: int) -> list[CheckResult]:
         out.append(CheckResult(f"two-slice-count[width={width}]", ok,
                                "" if ok else f"sum of squares {total} != catalan {catalan(2 * width)}"))
         if width <= 3:
-            ok = len(enumerate_two_slice(width)) == catalan(2 * width)
+            ok = len(enumerate_states(2 * width, 0)) == catalan(2 * width)
             out.append(CheckResult(f"two-slice-enumeration[width={width}]", ok))
     return out
 

@@ -27,13 +27,10 @@ basis from; it never reads a key's layout, and a target outside the basis
 raises.  One loop, ``_push``, pushes a start column through a program of E
 bonds; K(l) pushes start states through N copies of the column program and
 sums the diagonal entries they return to; reading nothing else, it pushes
-the last column only on each start's backward cone: the rows that can
-still reach the start, read off a reverse (target -> sources) view of each
-table, cached beside it.  A dropped row adds nothing to the start's entry,
-so the packed trace is the same int.  A bond where the cone holds more
-rows than the column it filters can, as on the first bonds of a
-one-column strip, keeps its full table.  No matrix power is ever formed,
-no eigenvalues, no floats.
+the last column only on each start's backward cone (``_cone``), the rows
+that can still reach the start.  A dropped row adds nothing to the start's
+entry, so the packed trace is the same int.  No matrix power is ever
+formed, no eigenvalues, no floats.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -42,28 +39,14 @@ state per P-orbit and counts the diagonal entry of a pair twice; a column
 program that P does not map onto itself, up to reordering within runs of
 one bond kind, pushes every state.
 
-``_push`` never multiplies polynomials.  Every branch weight is a sum of
-distinct monomials from {1, v, Q} with coefficient 1, so after Kronecker
-substitution, v -> 2**w and Q -> 2**(w*(E+1)), an entry is one Python int
-and a bond is a few shifts and adds.  The substitution is exact when no
-coefficient reaches 2**w.  At Q = v = 1 a state's branch weights add up to
-at most 2 (``_compile`` checks both properties for every table), so after
-k bonds every coefficient is at most 2**k, a trace over n states (the
-weighted sum over orbits is that trace) is below n * 2**E, and
-deg_Q + deg_v <= E fits the E + 1 slots per power of Q.  Hence
-w = E + n.bit_length() + 1, rounded up to whole bytes, needs no first
-pass.  Entries are unpacked to ``MultiPoly`` once, at the boundary,
-in one pass over their bytes.
+``_push`` never multiplies polynomials: an entry is one Python int, each
+monomial in its slot of the packed layout ``_Layout`` states, and a bond is
+a few shifts and adds.  Entries are unpacked to ``MultiPoly`` once, at the
+boundary, in one pass over their bytes.
 
-``verify_block_structure`` checks the claimed structure of the *full*
-transfer matrix on two-slice states bond by bond, reading each row of each
-bond's table once: no branch raises the bridge count, states of fixed
-bridge count split by left profile into n(L, l) groups of size n(L, l)
-with no branch between groups, and inside a group every bond acts as on
-the l-mark states, so every group's sub-matrix of the column product
-equals T_l on the nose.  A two-slice state is an unmarked state of 2L
-points, so each bond is moved onto the right slice and compiled through
-the same cached ``_bond_table`` of width 2L and no marks.
+``verify_block_structure`` checks the claimed block structure of the *full*
+transfer matrix on two-slice states bond by bond, through the same cached
+``_bond_table`` at width 2L and no marks.
 """
 
 from __future__ import annotations
@@ -95,8 +78,24 @@ from .polynomial import ZERO, MultiPoly
 # coefficient 1, coded as a bit mask over the three; small ints are shared
 # objects, so a table holds no weight of its own.
 _ONE, _V, _Q = 1, 2, 4
-#: The number of monomials in each non-empty weight mask.
-_MONOMIALS = {mask: mask.bit_count() for mask in range(1, 8)}
+
+
+class _Layout:
+    """The packed slot layout, stated once.  ``MONOMIALS`` gives each weight
+    bit's monomial (deg_Q, deg_v).  An entry of an E-bond program is one int
+    of ``slots(E)`` slots of w bits, Q^a v^b in slot ``slot(a, b, E)`` and
+    back by ``monomial``: v -> 2**w, Q -> 2**(w * (E + 1)).  A bit's monomial
+    has degree <= 1, so deg_Q + deg_v <= E.  ``_compile`` keeps a state's
+    weights at Q = v = 1 to at most 2, so after k bonds a coefficient is at
+    most 2**k, and a trace over n states (or its sum over orbits) is below
+    n * 2**E < 2**w for ``_slot_width``'s w = E + n.bit_length() + 1.
+    """
+
+    MONOMIALS = {_ONE: (0, 0), _V: (0, 1), _Q: (1, 0)}
+    slot = staticmethod(lambda deg_q, deg_v, bonds: deg_q * (bonds + 1) + deg_v)
+    monomial = staticmethod(lambda slot, bonds: divmod(slot, bonds + 1))
+    slots = staticmethod(lambda bonds: (bonds + 1) ** 2)
+
 
 #: ``table[b]`` lists the (target index, weight mask) branches of one bond
 #: on basis state b.
@@ -107,8 +106,8 @@ BondTable = tuple[tuple[tuple[int, int], ...], ...]
 _CACHE_SIZE = 128
 
 #: ``character_K`` predicts the cost of a sector with n states and E bonds
-#: before building any state, from the packed size of one entry,
-#: w * (E + 1)**2 bits, and refuses it when its column of n entries would
+#: before building any state, from the packed size of one entry, w bits per
+#: slot of ``_Layout``, and refuses it when its column of n entries would
 #: exceed MAX_COLUMN_BITS (32 MiB) ...
 MAX_COLUMN_BITS = 1 << 28
 #: ... or when n pushes through E bonds would shift and add more than
@@ -151,16 +150,18 @@ def _compile(index: dict, op: EdgeOp) -> BondTable:
     kind in ``_MOVES`` and its weights; a move that leaves the sector (None)
     keeps only the unmoved branch.
 
-    Raises AssertionError unless every weight is a non-empty mask over
-    {1, v, Q} and a state's weights add up to at most 2 at Q = v = 1: the
-    packing in ``_push`` is exact only under that bound.  Raises
+    Raises AssertionError unless every weight is a non-empty mask over the
+    bits of ``_Layout.MONOMIALS`` and a state's weights add up to at most 2
+    at Q = v = 1: the packing is exact only under that bound.  Raises
     AssertionError too when a move leaves the basis.  The keys are those of
     an enumerated basis, each a state the constructor accepts, so
     membership carries every property the constructor checks.
     """
     move, kept, moved, unchanged = _MOVES[op.kind]
-    # a mask outside {1, v, Q} counts 3, over the bound on its own
-    if max(_MONOMIALS.get(kept, 3) + _MONOMIALS.get(moved, 3), _MONOMIALS.get(unchanged, 3)) > 2:
+    known = sum(_Layout.MONOMIALS)
+    # an empty mask or one off the layout's bits counts 3, over the bound on its own
+    terms = [m.bit_count() if m and not m & ~known else 3 for m in (kept, moved, unchanged)]
+    if max(terms[0] + terms[1], terms[2]) > 2:
         raise AssertionError(f"{op} breaks the packing bound: {_MOVES[op.kind]}")
     table = []
     for k, key in enumerate(index):
@@ -257,10 +258,10 @@ def _slot_width(bonds: int, states: int) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
-    """The shifts of each weight mask's monomials, v -> 2**w and
-    Q -> 2**(w * (bonds + 1)), indexed by mask."""
-    slot = ((_ONE, 0), (_V, w), (_Q, w * (bonds + 1)))
-    return tuple(tuple(s for mask, s in slot if code & mask) for code in range(8))
+    """The shifts of each weight mask's monomials in a ``bonds``-bond
+    program with slot width ``w``, indexed by mask."""
+    shift = [(bit, w * _Layout.slot(*mono, bonds)) for bit, mono in _Layout.MONOMIALS.items()]
+    return tuple(tuple(s for bit, s in shift if code & bit) for code in range(8))
 
 
 def _push(program: Sequence[BondTable], start: int, w: int) -> dict[int, int]:
@@ -289,8 +290,7 @@ def _unpack(packed: int, w: int, bonds: int) -> MultiPoly:
     for i in range(0, len(data), size):
         c = int.from_bytes(data[i : i + size], "little")
         if c:
-            dq, dv = divmod(i // size, bonds + 1)
-            terms[(dq, dv, 0)] = c
+            terms[(*_Layout.monomial(i // size, bonds), 0)] = c
     return MultiPoly(terms)
 
 
@@ -344,9 +344,9 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     starts, although ``character_K`` pushes only one per orbit of the width
     reflection (counting the states the reflection fixes without building
     them needs a formula this module does not have).  They count a full
-    column, n rows of (E + 1)**2 slots, at every bond, although a column
-    pushed from one start fills in row by row and degree by degree, and
-    ``_cone`` keeps the last column to the rows that can return to the
+    column, n rows of ``_Layout.slots(E)`` slots, at every bond, though a
+    column pushed from one start fills in row by row and degree by degree,
+    and ``_cone`` keeps the last column to the rows that can return to the
     start.  For l = 1 the prediction is 11 times the bits pushed on 3x10,
     30 times on 4x4, 68 times on 5x3 and 580 times on 6x2.
 
@@ -359,7 +359,7 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     # is tested before the state count, a binomial in the width; E is shown
     # as its two factors, so no product past the int-to-string limit is
     # formatted.  A sector with more marks than sites is empty and free.
-    if marks <= strip.width and 8 * (bonds + 1) ** 2 > MAX_COLUMN_BITS:
+    if marks <= strip.width and 8 * _Layout.slots(bonds) > MAX_COLUMN_BITS:
         raise ValueError(
             f"K({marks}) of {strip} needs at least 8 * (E + 1)**2 bits per packed "
             f"column for its E = {len(strip.column_program)} x {strip.length} bonds; "
@@ -367,7 +367,7 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
         )
     n = count_states(strip.width, marks)
     w = _slot_width(bonds, n)
-    column_bits = n * w * (bonds + 1) ** 2
+    column_bits = n * w * _Layout.slots(bonds)
     if column_bits > MAX_COLUMN_BITS or n * bonds * column_bits > MAX_PUSH_BITS:
         raise ValueError(
             f"K({marks}) of {strip} needs {_shown(n)} states x {bonds} bonds of "
@@ -444,8 +444,7 @@ def _on_right_slice(op: EdgeOp, width: int) -> EdgeOp:
 
 def _weight(code: int) -> MultiPoly:
     """The polynomial of a weight mask, 0 for the empty mask."""
-    monomials = {_ONE: (0, 0, 0), _V: (0, 1, 0), _Q: (1, 0, 0)}
-    return MultiPoly({mono: 1 for bit, mono in monomials.items() if code & bit})
+    return MultiPoly({(*mono, 0): 1 for bit, mono in _Layout.MONOMIALS.items() if code & bit})
 
 
 class SectorReport(Record):

@@ -452,6 +452,15 @@ def test_spin_z_budget_and_validation():
         spin_z(square_strip(1, 2), 0, 1)
 
 
+def test_spin_budget_refusal_prints_the_bond_count_as_its_factors():
+    """On 3x10**4299 the step count has over 8000 digits, past the
+    int-to-string limit: the refusal shows E as its two factors, with the
+    formula of the steps, and names the spin budget."""
+    with pytest.raises(ValueError, match=r"takes at least 2\*\*4 \* E \* \(1 \+ E \* 2 // 2\*\*13\) "
+                       r"steps for its E = 5 x 10{4299} bonds, over the spin budget of 100000000"):
+        spin_z(square_strip(3, 10 ** 4299), 2, 1)
+
+
 @pytest.mark.parametrize("q, vv", [(2, 0.1), (True, 1), (2.0, 1), (2, True), (2, "1/2")], ids=repr)
 def test_spin_sums_refuse_inexact_values(monkeypatch, q, vv):
     """Like ``MultiPoly.evaluate``, the spin sums take an int q and an int

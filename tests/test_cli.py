@@ -179,6 +179,17 @@ def test_a_width_no_command_serves_is_refused_before_the_strip_is_built(capsys, 
     assert time.perf_counter() - start < 2
 
 
+def test_oracle_refuses_an_edge_count_too_long_to_print(capsys):
+    """square:2897x(4299 nines) prints, but its 5793 x N edges have 4303
+    digits, past the int-to-string limit: the refusal shows E as its two
+    factors and names the oracle's edge cap."""
+    length = "9" * 4299
+    code, out, err = run_cli(capsys, "oracle", "--lattice", f"square:{MAX_WIDTH}x{length}")
+    assert code == 2 and out == ""
+    assert err == (f"error: square:{MAX_WIDTH}x{length} has E = 5793 x {length} edges; "
+                   "exhaustive enumeration is capped at 24 (use a smaller strip)\n")
+
+
 def test_an_empty_sector_of_a_long_strip_is_zero(capsys):
     code, out, err = run_cli(
         capsys, "characters", "--lattice", "square:2x3000", "--l", "5"

@@ -363,7 +363,7 @@ def test_cone_keeps_full_tables_where_it_cannot_prune():
 def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
     """``check_character_budget`` predicts n * w * (E + 1)**2 bits per
     column; no column that any push of ``character_K`` holds, after any
-    bond, has more bits, on every sector up to 5x3 and on 6x2."""
+    bond, has more bits, on every sector up to 5x4 and up to 6x3."""
     held = []
 
     def recording_push(program, start, w):
@@ -382,13 +382,75 @@ def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
         return col
 
     monkeypatch.setattr(transfer, "_push", recording_push)
-    strips = [square_strip(width, length) for width in range(1, 6) for length in (1, 2, 3)]
-    for strip in strips + [square_strip(6, 2)]:
+    strips = [square_strip(width, length) for width in range(1, 6) for length in (1, 2, 3, 4)]
+    for strip in strips + [square_strip(6, length) for length in (1, 2, 3)]:
         for marks in range(strip.width + 1):
             n, bonds, w = check_character_budget(strip, marks)
             del held[:]
             character_K.__wrapped__(strip, marks)
             assert held and max(held) <= n * w * (bonds + 1) ** 2
+
+
+class _DegVFirst(transfer._Layout):
+    """The packed layout with deg_v before deg_Q: Q -> 2**w and
+    v -> 2**(w * (E + 1))."""
+
+    @staticmethod
+    def slot(deg_q, deg_v, bonds):
+        return deg_v * (bonds + 1) + deg_q
+
+    @staticmethod
+    def monomial(slot, bonds):
+        deg_v, deg_q = divmod(slot, bonds + 1)
+        return deg_q, deg_v
+
+
+def test_a_second_layout_is_a_change_to_the_one_definition(monkeypatch):
+    """A deg_v-before-deg_Q layout, swapped in by patching ``_Layout`` alone,
+    gives the same K(l) on every sector of 3x4, 4x3 and 5x2 and the same
+    ``column_transfer`` on square 3x1, 4x1 and the interleaved 3x1."""
+    strips = [square_strip(3, 4), square_strip(4, 3), square_strip(5, 2)]
+    columns = [square_strip(3, 1), square_strip(4, 1), CyclicStrip(3, 1, _INTERLEAVED)]
+
+    def compute():
+        return (
+            [character_K.__wrapped__(s, m) for s in strips for m in range(s.width + 1)],
+            [column_transfer.__wrapped__(s, m) for s in columns for m in range(s.width + 1)],
+        )
+
+    reference = compute()
+    assert transfer._shifts(8, 1)[transfer._Q] == (16,)
+    monkeypatch.setattr(transfer, "_Layout", _DegVFirst)
+    transfer._shifts.cache_clear()
+    try:
+        assert transfer._shifts(8, 1)[transfer._Q] == (8,)  # the swapped layout is read
+        swapped = compute()
+    finally:
+        monkeypatch.undo()
+        transfer._shifts.cache_clear()
+    assert swapped == reference
+
+
+def test_only_the_layout_states_the_slot_layout():
+    """Outside ``_Layout``, no code of ``transfer`` states the slot radix
+    (a ``divmod``, a power, or E + 1: the only sums with 1 are a width's
+    and ``_slot_width``'s carry bit) or a bit-to-monomial table (a tuple of
+    exponents 0 and 1); each reader of the layout names ``_Layout``."""
+    plus_one = {"width + 1", "strip.width + 1", "bonds + states.bit_length() + 1"}
+    tree = ast.parse(inspect.getsource(transfer))
+    layout = next(n for n in tree.body if getattr(n, "name", None) == "_Layout")
+    tree.body.remove(layout)
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Name) and node.id == "divmod")
+        if isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant):
+            assert not isinstance(node.op, ast.Pow), ast.unparse(node)
+            if isinstance(node.op, ast.Add) and node.right.value == 1:
+                assert ast.unparse(node) in plus_one, ast.unparse(node)
+        if isinstance(node, ast.Tuple) and node.elts:
+            assert not all(isinstance(e, ast.Constant) and e.value in (0, 1) for e in node.elts)
+    readers = (transfer._shifts, transfer._unpack, transfer._weight, _compile, check_character_budget)
+    for reader in readers:
+        assert "_Layout" in inspect.getsource(reader), reader.__name__
 
 
 def test_characters_are_computed_once():
