@@ -95,6 +95,9 @@ class _Layout:
     slot = staticmethod(lambda deg_q, deg_v, bonds: deg_q * (bonds + 1) + deg_v)
     monomial = staticmethod(lambda slot, bonds: divmod(slot, bonds + 1))
     slots = staticmethod(lambda bonds: (bonds + 1) ** 2)
+    #: ``slots(E)`` as the budget refusal prints it, since E may be too
+    #: long to print as a number.
+    SLOTS_TEXT = "(E + 1)**2"
 
 
 #: ``table[b]`` lists the (target index, weight mask) branches of one bond
@@ -266,8 +269,9 @@ def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
 
 def _push(program: Sequence[BondTable], start: int, w: int) -> dict[int, int]:
     """Column ``start`` of the ordered product of ``program``'s bonds (first
-    bond applied first), as a sparse {row: entry} map of packed entries,
-    v -> 2**w and Q -> 2**(w * (len(program) + 1))."""
+    bond applied first), as a sparse {row: entry} map of entries packed as
+    ``_Layout`` states for a ``len(program)``-bond program with slot width
+    ``w``."""
     shifts = _shifts(w, len(program))
     col = {start: 1}
     for table in program:
@@ -361,7 +365,7 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     # formatted.  A sector with more marks than sites is empty and free.
     if marks <= strip.width and 8 * _Layout.slots(bonds) > MAX_COLUMN_BITS:
         raise ValueError(
-            f"K({marks}) of {strip} needs at least 8 * (E + 1)**2 bits per packed "
+            f"K({marks}) of {strip} needs at least 8 * {_Layout.SLOTS_TEXT} bits per packed "
             f"column for its E = {len(strip.column_program)} x {strip.length} bonds; "
             + _CAPS
         )

@@ -605,6 +605,35 @@ def test_verify_bytes_are_unchanged(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
 
 
+#: sha256 of ``verify --suite S --Lmax 3 --Nmax N --format F`` stdout per
+#: (S, N, F), recorded while each suite still built some of its results
+#: by hand.
+SUITE_DIGESTS = {
+    ("cyclic", 3, "text"): "aa5a0a3b55b3af0d68f21b833953dc467320635c1a36fa910b5e0e553a07bead",
+    ("cyclic", 3, "csv"): "27c9ad477748ce794415cead58f88f62fb9b6bd09198396a91dcf84df7525282",
+    ("cyclic", 3, "json"): "bf7163ef21f116ede184a18b7c356762db65cc7b2c726f1379c9f40d555d7e76",
+    ("minimal", 3, "text"): "639b238a79c43bcfc30268ac534373efb140b1f2f3887fc675459a673b61225b",
+    ("minimal", 3, "csv"): "f90e5bfdc68c433f37e7cd579d080ad931c4a4b8f01dee8cddd9ad9b4915e6fb",
+    ("minimal", 3, "json"): "142a5aea16c57f896bebea74293f9fb3bda45c6e588662fd175c726c89687252",
+    ("dual", 3, "text"): "deaf89ac202d0b570e0f8252d793ef1b4abdd9c93425757c1ccbc5b3ea8f4ed6",
+    ("dual", 3, "csv"): "3c0a483711a7b3c4e0f020c71e3f775026b63275417eadd3de53dcfd6de6573e",
+    ("dual", 3, "json"): "4562ae1353075326aa651936e91d35e0f936d479708fa868dfeeba61bee7b837",
+    ("all", 3, "text"): "a4070585632fc9cfc9d74b4ac2d55d38f635d20ca6d0cabb37bb4e84a153505e",
+    ("all", 3, "csv"): "986406d6ed581c8a62d03ccc39109fafc892f7f1595533ce74c6e54a7c9fb27a",
+    ("all", 3, "json"): "80a4e74a3188095696e30f3e2326f626f240a795c215b33c720318f1bb18dc94",
+    ("all", 4, "json"): "a856873281246a3f755efc327a9aac795e995528e7e2259cc5538b321f1c6e7d",
+}
+
+
+@pytest.mark.parametrize("suite,n_max,fmt", SUITE_DIGESTS)
+def test_every_suite_keeps_its_bytes(capsys, suite, n_max, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", suite, "--Lmax", "3", "--Nmax", str(n_max), "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite, n_max, fmt]
+
+
 #: sha256 of ``oracle --spin ... --format csv`` stdout per (lattice, spin).
 ORACLE_SPIN_DIGESTS = {
     ("square:2x2", "2,1/2"): "87f90846ef03a46d06b71964f3050e1064e99d57a0f61493d34dff04516f6a2e",

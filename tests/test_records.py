@@ -13,7 +13,7 @@ from pottstrip.characters import DecompositionResult, z_fixed_boundary, z_from_c
 from pottstrip.connectivity import ConnectivityState, enumerate_states
 from pottstrip.lattice import CyclicStrip, EdgeOp, horizontal, square_strip, vertical
 from pottstrip.polynomial import Q
-from pottstrip.suites import CheckResult, _poly_check
+from pottstrip.suites import CheckResult, _check
 from pottstrip.transfer import (
     BlockStructureReport,
     SectorReport,
@@ -35,7 +35,7 @@ def _one_of_each():
         report,
         z_from_characters(square_strip(2, 2)),
         fk_spectrum(square_strip(2, 2)),
-        _poly_check("q", Q, Q),
+        _check("q", Q, Q),
     ]
 
 

@@ -393,7 +393,9 @@ def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
 
 class _DegVFirst(transfer._Layout):
     """The packed layout with deg_v before deg_Q: Q -> 2**w and
-    v -> 2**(w * (E + 1))."""
+    v -> 2**(w * (E + 1)).  It has as many slots, written its own way."""
+
+    SLOTS_TEXT = "(1 + E)**2"
 
     @staticmethod
     def slot(deg_q, deg_v, bonds):
@@ -408,7 +410,8 @@ class _DegVFirst(transfer._Layout):
 def test_a_second_layout_is_a_change_to_the_one_definition(monkeypatch):
     """A deg_v-before-deg_Q layout, swapped in by patching ``_Layout`` alone,
     gives the same K(l) on every sector of 3x4, 4x3 and 5x2 and the same
-    ``column_transfer`` on square 3x1, 4x1 and the interleaved 3x1."""
+    ``column_transfer`` on square 3x1, 4x1 and the interleaved 3x1, and the
+    budget floor's refusal prints the swapped layout's slot count."""
     strips = [square_strip(3, 4), square_strip(4, 3), square_strip(5, 2)]
     columns = [square_strip(3, 1), square_strip(4, 1), CyclicStrip(3, 1, _INTERLEAVED)]
 
@@ -425,6 +428,8 @@ def test_a_second_layout_is_a_change_to_the_one_definition(monkeypatch):
     try:
         assert transfer._shifts(8, 1)[transfer._Q] == (8,)  # the swapped layout is read
         swapped = compute()
+        with pytest.raises(ValueError, match=r"at least 8 \* \(1 \+ E\)\*\*2 bits"):
+            check_character_budget(square_strip(2, 10**5), 0)
     finally:
         monkeypatch.undo()
         transfer._shifts.cache_clear()
