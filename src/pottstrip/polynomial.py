@@ -212,18 +212,21 @@ class MultiPoly:
         """
         from fractions import Fraction
 
-        vals = []
+        scaled, denominator = [], 1
         for i, name in enumerate(VARIABLES):
             value = assignment.get(name, 0)
             if type(value) not in (int, Fraction):
                 raise TypeError(f"a value must be an int or a Fraction, not {value!r}")
             if name not in assignment and any(m[i] for m in self._terms):
                 raise ValueError(f"no value assigned to variable {name!r}")
-            vals.append(Fraction(value))
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            total += c * vals[0] ** m[0] * vals[1] ** m[1] * vals[2] ** m[2]
-        return total.numerator if total.denominator == 1 else total
+            # x = p/q of degree d: x**e = p**e * q**(d - e) / q**d, summed as ints
+            p, q = value.as_integer_ratio()
+            d = max((m[i] for m in self._terms), default=0)
+            scaled.append([p**e * q ** (d - e) for e in range(d + 1)])
+            denominator *= q**d
+        s_q, s_v, s_q0 = scaled
+        total = sum(c * s_q[a] * s_v[b] * s_q0[e] for (a, b, e), c in self._terms.items())
+        return total // denominator if total % denominator == 0 else Fraction(total, denominator)
 
     def subs_poly(self, name: str, value: "MultiPoly | int") -> "MultiPoly":
         """Substitute a polynomial (or constant) for a variable, by Horner's

@@ -62,13 +62,26 @@ def _diff(lhs: MultiPoly, rhs: MultiPoly) -> str:
     )
 
 
+def _shown(side) -> str:
+    """``str(side)``, with each element of a list or tuple by ``str`` too."""
+    if not isinstance(side, (list, tuple)):
+        return str(side)
+    text = ", ".join(map(str, side)) + "," * (len(side) == 1 and isinstance(side, tuple))
+    return f"[{text}]" if isinstance(side, list) else f"({text})"
+
+
 def _check(check_id: str, lhs, rhs) -> CheckResult:
     """The check ``check_id``, passed when ``lhs == rhs``; a failure shows
-    :func:`_diff` of two polynomials, or else both sides."""
+    :func:`_diff` of two polynomials, or else both sides (``_shown``), led
+    for two lists or tuples of one length by the first position that differs."""
     if lhs == rhs:
         return CheckResult(check_id, True)
     polys = isinstance(lhs, MultiPoly) and isinstance(rhs, MultiPoly)
-    return CheckResult(check_id, False, _diff(lhs, rhs) if polys else f"{lhs} != {rhs}")
+    detail = _diff(lhs, rhs) if polys else f"{_shown(lhs)} != {_shown(rhs)}"
+    if type(lhs) is type(rhs) and isinstance(lhs, (list, tuple)) and len(lhs) == len(rhs):
+        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        detail = f"first difference at [{k}]: {lhs[k]} != {rhs[k]}; {detail}"
+    return CheckResult(check_id, False, detail)
 
 
 def _strips(suite: str, l_max: int, n_max: int, n_min: int = 1):

@@ -27,10 +27,10 @@ basis from; it never reads a key's layout, and a target outside the basis
 raises.  One loop, ``_push``, pushes a start column through a program of E
 bonds; K(l) pushes start states through N copies of the column program and
 sums the diagonal entries they return to; reading nothing else, it pushes
-the last column only on each start's backward cone (``_cone``), the rows
-that can still reach the start.  A dropped row adds nothing to the start's
-entry, so the packed trace is the same int.  No matrix power is ever
-formed, no eigenvalues, no floats.
+the last column only on the rows that can still reach the start, by masks
+``_reach`` reads backward off the same bond tables.  A dropped row adds
+nothing to the start's entry, so the packed trace is the same int.  No
+matrix power is ever formed, no eigenvalues, no floats.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -51,11 +51,10 @@ transfer matrix on two-slice states bond by bond, through the same cached
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .connectivity import (
@@ -193,34 +192,16 @@ def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sources(width: int, marks: int, op: EdgeOp) -> BondTable:
-    """``_bond_table(width, marks, op)`` reversed: ``sources[a]`` lists the
-    (source index, weight mask) branches into basis state a."""
-    table = _bond_table(width, marks, op)
-    sources: list[list[tuple[int, int]]] = [[] for _ in table]
-    for b, branches in enumerate(table):
-        for a, code in branches:
-            sources[a].append((b, code))
-    return tuple(map(tuple, sources))
-
-
-def _cone(column: Sequence[BondTable], sources: Sequence[BondTable], start: int, pushed: int):
-    """The last column's tables, pushed after ``pushed`` bonds, each kept to
-    its branches into the rows that can still reach ``start``; other rows
-    read as no branch.  Going back from the last bond, pruning stops at the
-    first bond j (of the whole program) whose kept rows are as many as a
-    column can hold after j bonds from one row: 2**j, or the basis."""
-    keep: Collection[int] = (start,)
-    cone = list(column)
-    for j in reversed(range(len(column))):
-        if len(keep) >= min(len(column[j]), 1 << pushed + j):
-            break
-        table = defaultdict(list)
-        for a in keep:
-            for b, code in sources[j][a]:
-                table[b].append((a, code))
-        cone[j] = keep = table
-    return tuple(cone)
+def _reach(width: int, marks: int, program: tuple[EdgeOp, ...]) -> tuple[tuple[int, ...], ...]:
+    """Masks for each bond j of the column ``program``: ``reach[j][a]`` is the
+    bit mask of the rows that bonds j.. carry basis state a to, read backward
+    off ``_bond_table``, where a row reaches what its one or two targets do."""
+    after = tuple(1 << a for a in range(len(_index(width, marks))))
+    reach = []
+    for op in reversed(program):
+        after = tuple(after[r[0][0]] | after[r[-1][0]] for r in _bond_table(width, marks, op))
+        reach.append(after)
+    return tuple(reversed(reach))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -267,14 +248,18 @@ def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s for bit, s in shift if code & bit) for code in range(8))
 
 
-def _push(program: Sequence[BondTable], start: int, w: int) -> dict[int, int]:
+def _push(program: Sequence[BondTable], start: int, w: int, reach: Sequence = ()) -> dict[int, int]:
     """Column ``start`` of the ordered product of ``program``'s bonds (first
     bond applied first), as a sparse {row: entry} map of entries packed as
     ``_Layout`` states for a ``len(program)``-bond program with slot width
-    ``w``."""
+    ``w``.  Before each of the last ``len(reach)`` bonds it drops the rows
+    whose ``_reach`` mask lacks the start, so only that entry stays exact."""
     shifts = _shifts(w, len(program))
     col = {start: 1}
-    for table in program:
+    bit = 1 << start
+    for j, table in enumerate(program, len(reach) - len(program)):
+        if j >= 0:
+            col = {k: c for k, c in col.items() if reach[j][k] & bit}
         out: dict[int, int] = {}
         get = out.get
         for k, c in col.items():
@@ -350,9 +335,9 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     them needs a formula this module does not have).  They count a full
     column, n rows of ``_Layout.slots(E)`` slots, at every bond, though a
     column pushed from one start fills in row by row and degree by degree,
-    and ``_cone`` keeps the last column to the rows that can return to the
-    start.  For l = 1 the prediction is 11 times the bits pushed on 3x10,
-    30 times on 4x4, 68 times on 5x3 and 580 times on 6x2.
+    and in the last column only rows whose ``_reach`` mask holds the start
+    are kept.  For l = 1 the prediction is 10 times the bits pushed on 3x10,
+    27 times on 4x4, 60 times on 5x3 and 435 times on 6x2.
 
     >>> from .lattice import square_strip
     >>> check_character_budget(square_strip(3, 10), 1)
@@ -394,7 +379,7 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     Each start state is pushed through the E = N * |column program| bonds
     on its own, as one packed int per entry, so only one column of T_l ** N
     is held at a time, and its last column only on the rows that can still
-    return to the start (``_cone``); the diagonal ints, weighted by orbit
+    return to the start (``_reach``); the diagonal ints, weighted by orbit
     size when the program is reflection-invariant, are summed and the sum
     is unpacked once.  Zero for l > L: a width-L slice cannot seed more
     than L wrapping clusters.  Results are cached, so every decomposition
@@ -414,15 +399,13 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     if marks > strip.width:
         return MultiPoly.zero()
     n, bonds, w = check_character_budget(strip, marks)
-    column = _column_program(strip, marks)
-    head = column * (strip.length - 1)
-    sources = [_sources(strip.width, marks, op) for op in strip.column_program]
+    program = _column_program(strip, marks) * strip.length
+    reach = _reach(strip.width, marks, strip.column_program)
     if _reflection_invariant(strip.column_program, strip.width):
         starts = _reflection_orbits(strip.width, marks)
     else:
         starts = [(b, 1) for b in range(n)]
-    pushed = (_push(head + _cone(column, sources, b, len(head)), b, w) for b, _ in starts)
-    trace = sum(weight * col.get(b, 0) for (b, weight), col in zip(starts, pushed))
+    trace = sum(weight * _push(program, b, w, reach).get(b, 0) for b, weight in starts)
     return _unpack(trace, w, bonds)
 
 

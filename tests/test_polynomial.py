@@ -115,6 +115,28 @@ def test_evaluation_is_a_homomorphism(a, b, point):
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
+def _evaluated_term_by_term(p, point):
+    """The value of ``p`` at ``point`` as a sum of Fraction powers, term by term."""
+    q, vv, q0 = (Fraction(point[name]) for name in ("Q", "v", "Q0"))
+    total = Fraction(0)
+    for (a, b, e), c in p.terms():
+        total += c * q**a * vv**b * q0**e
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), points, st.sampled_from([(), ("Q",), ("v", "Q0"), ("Q", "v", "Q0")]))
+def test_evaluate_equals_the_term_by_term_sum(p, point, zeros):
+    """Random polynomials at random rational points, some coordinates 0 and
+    others negative, take the value of the per-term Fraction sum, as an int
+    exactly when it is integral."""
+    point = {**point, **dict.fromkeys(zeros, 0)}
+    want = _evaluated_term_by_term(p, point)
+    got = p.evaluate(point)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_evaluate_returns_an_int_when_the_value_is_integral():
     value = (Q * Q - 3 * Q * v + 1).evaluate({"Q": 2, "v": 3})
     assert value == -13 and type(value) is int

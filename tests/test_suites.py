@@ -52,6 +52,19 @@ def test_a_mismatch_of_other_values_shows_both_sides():
     assert _check("forced", Fraction(1, 2), 1).detail == "1/2 != 1"
 
 
+def test_a_sequence_mismatch_names_its_first_difference():
+    """A list or tuple shows its elements by ``str``; at equal lengths the
+    detail starts with the first position where the sides differ."""
+    assert _check("forced", [Q, v, 1], [Q, Q, 2]).detail == (
+        "first difference at [1]: v != Q; [Q, v, 1] != [Q, Q, 2]"
+    )
+    assert _check("forced", (0, 1), (0, 2)).detail == (
+        "first difference at [1]: 1 != 2; (0, 1) != (0, 2)"
+    )
+    assert _check("forced", [v], [v, Q]).detail == "[v] != [v, Q]"
+    assert _check("forced", (v,), ()).detail == "(v,) != ()"
+
+
 def _by_id(results) -> dict:
     return {result.check_id: result for result in results}
 
@@ -63,7 +76,9 @@ def test_a_wrong_state_count_shows_both_sides(monkeypatch):
     )
     results = _by_id(suites.dimension_checks(2))
     assert [r.ok for r in results.values()] == [True, True, True, False, False, True]
-    assert results["state-count[width=2]"].detail == "[2, 4, 1, 0] != [2, 3, 1, 0]"
+    assert results["state-count[width=2]"].detail == (
+        "first difference at [1]: 4 != 3; [2, 4, 1, 0] != [2, 3, 1, 0]"
+    )
     assert results["two-slice-count[width=2]"].detail == "21 != 14"
 
     monkeypatch.setattr(suites, "count_states", count_states)
@@ -78,25 +93,36 @@ def test_a_wrong_amplitude_shows_both_sides(monkeypatch):
     monkeypatch.setattr(characters, "amplitude_c", lambda l: amplitude_c(l) + int(l == 5))
     q2, q3, b = suites.amplitude_checks()
     assert not q2.ok and not q3.ok and b.ok
-    assert q2.detail == "[1, 1, -1, -1, 1, 2, -1, -1, 1] != [1, 1, -1, -1, 1, 1, -1, -1, 1]"
-    assert q3.detail == "[1, 2, 1, -1, -2, 0, 1, 2, 1] != [1, 2, 1, -1, -2, -1, 1, 2, 1]"
+    assert q2.detail == (
+        "first difference at [5]: 2 != 1; "
+        "[1, 1, -1, -1, 1, 2, -1, -1, 1] != [1, 1, -1, -1, 1, 1, -1, -1, 1]"
+    )
+    assert q3.detail == (
+        "first difference at [5]: 0 != -1; "
+        "[1, 2, 1, -1, -2, 0, 1, 2, 1] != [1, 2, 1, -1, -2, -1, 1, 2, 1]"
+    )
 
 
 @pytest.mark.parametrize("changed", range(9))
 def test_changing_any_one_b_breaks_the_b_symmetry(monkeypatch, changed):
     """The pattern (b0, b1, -b1, -b0) repeated is the rule b(l) = b(l + 4n)
     = -b(3 + 4n - l) on l = 0..8: adding 1 to any single b(l) breaks it,
-    and the detail shows the nine b(l) and the pattern they were held to."""
+    and the detail names the first l where they differ, then shows the
+    nine b(l) and the pattern they were held to."""
     assert all(result.ok for result in suites.amplitude_checks())
     amplitude_b = characters.amplitude_b
     monkeypatch.setattr(characters, "amplitude_b", lambda l: amplitude_b(l) + int(l == changed))
     result = suites.amplitude_checks()[-1]
     assert result.check_id == "amplitude-b-symmetry[Q=2]"
     assert not result.ok
-    lhs, rhs = result.detail.split(" != ")
     b = [amplitude_b(l).subs_poly("Q", 2) + int(l == changed) for l in range(9)]
-    assert lhs == str(b)
-    assert rhs == str([(b[0], b[1], -b[1], -b[0])[l % 4] for l in range(9)])
+    pattern = [(b[0], b[1], -b[1], -b[0])[l % 4] for l in range(9)]
+    k = next(l for l in range(9) if b[l] != pattern[l])
+    listed = [f"[{', '.join(map(str, side))}]" for side in (b, pattern)]
+    assert result.detail == (
+        f"first difference at [{k}]: {b[k]} != {pattern[k]}; {listed[0]} != {listed[1]}"
+    )
+    assert "MultiPoly" not in result.detail
 
 
 def test_a_wrong_fixed_boundary_value_shows_both_sides(monkeypatch):

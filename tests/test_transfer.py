@@ -226,9 +226,9 @@ def test_character_pushes_one_start_per_reflection_orbit(monkeypatch):
     """Width 5 has 252 states over all l and 142 orbits of the reflection."""
     starts = []
 
-    def counting_push(program, start, w):
+    def counting_push(program, start, w, reach=()):
         starts.append(start)
-        return _push(program, start, w)
+        return _push(program, start, w, reach)
 
     monkeypatch.setattr(transfer, "_push", counting_push)
     strip = square_strip(5, 2)
@@ -312,17 +312,13 @@ def test_characters_obey_the_euler_relation(strip):
 
 
 def _pruned_diagonal(strip, marks):
-    """(T_l^N)_ss for every start s, each pushed through the last column's
-    cone as ``character_K`` pushes it, as packed ints."""
+    """(T_l^N)_ss for every start s, each pushed with the last column's
+    reach masks as ``character_K`` pushes it, as packed ints."""
     n = count_states(strip.width, marks)
-    column = _column_program(strip, marks)
-    head = column * (strip.length - 1)
-    sources = [transfer._sources(strip.width, marks, op) for op in strip.column_program]
-    w = _slot_width(len(head) + len(column), n)
-    return [
-        _push(head + transfer._cone(column, sources, b, len(head)), b, w).get(b, 0)
-        for b in range(n)
-    ]
+    program = _column_program(strip, marks) * strip.length
+    reach = transfer._reach(strip.width, marks, strip.column_program)
+    w = _slot_width(len(program), n)
+    return [_push(program, b, w, reach).get(b, 0) for b in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -336,28 +332,56 @@ def _pruned_diagonal(strip, marks):
     ids=str,
 )
 def test_pruned_trace_equals_the_full_diagonal(strip):
-    """Pushing a start through the last column's cone drops only rows that
-    cannot return to it, so every diagonal entry, and the character, is the
-    one the full pushes give."""
+    """Pushing a start with the last column's reach masks drops only rows
+    that cannot return to it, so every diagonal entry, and the character,
+    is the one the full pushes give."""
     for marks in range(strip.width + 1):
         diagonal, w, bonds = _full_diagonal(strip, marks)
         assert _pruned_diagonal(strip, marks) == diagonal
         assert character_K.__wrapped__(strip, marks) == _unpack(sum(diagonal), w, bonds)
 
 
-def test_cone_keeps_full_tables_where_it_cannot_prune():
-    """A bond keeps its full table once the rows kept after it are as many
-    as the column pushed into it can hold: on a one-column strip the first
-    bond acts on the start's column of one row, so it is never pruned,
-    while the last bond keeps only the branches into the start."""
+def test_reach_keeps_the_start_and_only_rows_that_return_to_it():
+    """On a one-column strip every start can return to itself, so it is
+    kept before the first bond, while before the last bond only the rows
+    with a branch into the start survive."""
     strip = square_strip(4, 1)
     column = _column_program(strip, 1)
-    sources = [transfer._sources(4, 1, op) for op in strip.column_program]
+    reach = transfer._reach(4, 1, strip.column_program)
+    assert len(reach) == len(column)
     for b in range(count_states(4, 1)):
-        cone = transfer._cone(column, sources, b, 0)
-        assert cone[0] is column[0]
-        last = {(k, branch) for k, branches in cone[-1].items() for branch in branches}
-        assert last == {(k, (b, code)) for k, code in sources[-1][b]}
+        assert reach[0][b] >> b & 1
+        last = {k for k in range(len(column[-1])) if reach[-1][k] >> b & 1}
+        assert last == {k for k, row in enumerate(column[-1]) if b in (a for a, _ in row)}
+
+
+@pytest.mark.parametrize(
+    "strip",
+    [square_strip(width, 1) for width in range(1, 6)]
+    + [pytest.param(CyclicStrip(3, 1, _INTERLEAVED), id="interleaved:3x1")],
+    ids=str,
+)
+def test_reach_masks_are_the_rows_a_push_reaches(strip):
+    """Bit t of ``reach[j][a]`` is set exactly when pushing row a through
+    bonds j.. of the column gives a non-zero row t, on every sector."""
+    for marks in range(strip.width + 1):
+        column = _column_program(strip, marks)
+        reach = transfer._reach(strip.width, marks, strip.column_program)
+        assert len(reach) == len(column)
+        for j in range(len(column)):
+            w = _slot_width(len(column) - j, len(column[j]))
+            for a, mask in enumerate(reach[j]):
+                rows = _push(column[j:], a, w)
+                assert mask == sum(1 << t for t, c in rows.items() if c), (marks, j, a)
+
+
+def test_the_last_column_has_one_table_per_bond():
+    """Pruning reads the forward bond tables alone: no reversed table, no
+    per-start cone, no ``defaultdict`` import."""
+    assert not hasattr(transfer, "_sources") and not hasattr(transfer, "_cone")
+    tree = ast.parse(inspect.getsource(transfer))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "defaultdict" not in imported
 
 
 def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
@@ -366,11 +390,13 @@ def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
     bond, has more bits, on every sector up to 5x4 and up to 6x3."""
     held = []
 
-    def recording_push(program, start, w):
+    def recording_push(program, start, w, reach=()):
         # ``_push`` bond by bond, keeping the bits of each column it holds
         shifts = transfer._shifts(w, len(program))
         col = {start: 1}
-        for table in program:
+        for j, table in enumerate(program, len(reach) - len(program)):
+            if j >= 0:
+                col = {k: c for k, c in col.items() if reach[j][k] >> start & 1}
             out = {}
             for k, c in col.items():
                 for a, code in table[k]:
@@ -378,7 +404,7 @@ def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
                         out[a] = out.get(a, 0) + (c << s)
             col = out
             held.append(sum(c.bit_length() for c in col.values()))
-        assert col == _push(program, start, w)
+        assert col == _push(program, start, w, reach)
         return col
 
     monkeypatch.setattr(transfer, "_push", recording_push)
