@@ -60,9 +60,9 @@ site enters at its first bond and is summed out after its last; pinned
 sites hold spin 0, and an unpinned site with no bond is a factor q.  With
 w the most sites live at once a sweep makes about q**(w + 1) * E weight
 updates, on weights of up to E bond factors' bits; counting one step per
-update and 2**13 bits, E with a lower bound on w read off the column
-program, and then with w, are checked against ``MAX_SPIN_STEPS``: the
-first before any bond is listed, the second before any state is built.
+update and 2**13 bits, one check against ``MAX_SPIN_STEPS`` is the sweep's
+one refusal: at a lower bound on w read off the column program before any
+bond is listed, then at w before any state is built.
 
 Everything here is deliberately independent of the transfer-matrix route:
 no connectivity states, no matrix products, just subsets of edges and
@@ -98,10 +98,8 @@ Move = tuple[int, int, int, int, int, int]
 
 def _check_edge_budget(strip: CyclicStrip) -> None:
     if strip.edge_count > MAX_EDGES:
-        raise ValueError(
-            f"{strip} has E = {len(strip.column_program)} x {strip.length} edges; exhaustive "
-            f"enumeration is capped at {MAX_EDGES} (use a smaller strip)"
-        )
+        raise ValueError(f"{strip} has {strip.edge_count_text} edges; exhaustive enumeration "
+                         f"is capped at {MAX_EDGES} (use a smaller strip)")
 
 
 def _walk(
@@ -410,16 +408,19 @@ def _spin_sum(
     # a step per weight update and 2**13 bits of it; weights reach E factors' bits
     bits = max(abs(same), one).bit_length()
     steps = n_edges * (1 + n_edges * bits // 2 ** 13)
-    cost = (f"E * (1 + E * {bits} // 2**13) steps for its E = "  # E may be too long to print
-            f"{len(strip.column_program)} x {strip.length} bonds")
-    # w >= bound: a vertical bond holds its unpinned ends live; a free row's
+
+    def check(front: int, at_least: str) -> None:  # ``front``: the most sites live at once
+        # for q >= 2 a power past the cap's bit length is past the cap, and never built
+        if steps * q ** min(front + 1, MAX_SPIN_STEPS.bit_length()) > MAX_SPIN_STEPS:
+            raise ValueError(f"the spin sweep of {strip} at q = {q} takes {at_least}{q}**{front + 1}"
+                             f" * E * (1 + E * {bits} // 2**13) steps for its {strip.edge_count_text}"
+                             f" bonds, over the spin budget of {MAX_SPIN_STEPS}")
+
+    # w >= this: a vertical bond holds its unpinned ends live; a free row's
     # ring of N sites holds min(N, 3), its first bond's ends until a third enters
-    bound = max(((op.site not in pinned_rows) + (op.site + 1 not in pinned_rows) if op.kind == VERTICAL
-                 else (op.site not in pinned_rows) * (1 + (strip.length > 1) + (strip.length > 2))
-                 for op in strip.column_program), default=0)
-    if steps * q ** (bound + 1) > MAX_SPIN_STEPS:
-        raise ValueError(f"the spin sweep of {strip} at q = {q} takes at least {q}**{bound + 1} * "
-                         f"{cost}, over the spin budget of {MAX_SPIN_STEPS}")
+    check(max(((op.site not in pinned_rows) + (op.site + 1 not in pinned_rows) if op.kind == VERTICAL
+               else (op.site not in pinned_rows) * (1 + (strip.length > 1) + (strip.length > 2))
+               for op in strip.column_program), default=0), "at least ")
     if q == 1:  # every bond has equal ends
         return (1 + v) ** n_edges
     edges = strip.edges()
@@ -438,10 +439,7 @@ def _spin_sum(
         plan.append((live.get(u, -1), live.get(w, -1), [live[x] for x in enter],
                      [live.pop(x) for x in ends if last[x] == i]))
         spare += plan[-1][3]
-    # q >= 2, so a power past the cap's bit length is past the cap, and never built
-    if steps * q ** min(widest + 1, MAX_SPIN_STEPS.bit_length()) > MAX_SPIN_STEPS:
-        raise ValueError(f"the spin sweep of {strip} at q = {q} takes {q}**{widest + 1} * "
-                         f"{cost}, over the spin budget of {MAX_SPIN_STEPS}")
+    check(widest, "")
     power = [q ** j for j in range(widest + 1)]  # power[-1]: a digit no key reaches
     state = {0: 1}
     for u, w, enter, leave in plan:

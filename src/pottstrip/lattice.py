@@ -95,6 +95,11 @@ class CyclicStrip(Record):
     def face_count(self) -> int:
         return self.edge_count - self.vertex_count + 2
 
+    @property
+    def edge_count_text(self) -> str:
+        """E as bonds per column x columns, for E past the int-to-string limit."""
+        return f"E = {len(self.column_program)} x {self.length}"
+
     def vertex(self, row: int, column: int) -> int:
         if not 0 <= row < self.width:
             raise ValueError(f"row {row} outside range(0, {self.width})")

@@ -30,7 +30,8 @@ sums the diagonal entries they return to; reading nothing else, it pushes
 the last column only on the rows that can still reach the start, by masks
 ``_reach`` reads backward off the same bond tables.  A dropped row adds
 nothing to the start's entry, so the packed trace is the same int.  No
-matrix power is ever formed, no eigenvalues, no floats.
+matrix power is ever formed, no eigenvalues, no floats, and no state is
+built before ``check_character_budget``, the engine's one refusal, passes.
 
 The width reflection P, point i -> L-1-i, maps the bonds of a square
 column onto themselves, and bonds of one kind commute, so P commutes with
@@ -117,10 +118,6 @@ MAX_COLUMN_BITS = 1 << 28
 #: of CPU at 4e10 bits/s (a 2-core VM, Python 3.11); 6x6 and 3x40 fit,
 #: 7x4 and width 9 do not.
 MAX_PUSH_BITS = 1 << 42
-_CAPS = (
-    f"the caps are {MAX_COLUMN_BITS} bits per column and {MAX_PUSH_BITS} bits "
-    "pushed (use a smaller strip)"
-)
 
 
 class TransferBlock(Record):
@@ -300,7 +297,9 @@ def edge_operator(width: int, marks: int, op: EdgeOp) -> TransferBlock:
 def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """The ordered product of the column program's bond operators (first
     bond applied first) on the fixed-mark basis, pushed column by column;
-    each distinct non-zero entry is unpacked once and shared.
+    each distinct non-zero entry is unpacked once and shared.  One column
+    first passes ``check_character_budget``, and n x n entries, a 64-bit
+    reference each, must fit ``MAX_COLUMN_BITS``.
 
     For the square strip of width 3, the one-mark block is 9 x 9:
 
@@ -310,10 +309,12 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """
     if marks > strip.width:
         raise ValueError(f"cannot mark {marks} blocks on width {strip.width}")
+    n, _, w = check_character_budget(CyclicStrip(strip.width, 1, strip.column_program), marks)
+    if n * n > MAX_COLUMN_BITS // 64:  # n <= 2048: width 8 but at 1-3 marks
+        raise ValueError(f"the column block of {strip} on {marks} marks has {n} x {n} entries; "
+                         f"the cap is {MAX_COLUMN_BITS // 64} (use a smaller strip)")
     program = _column_program(strip, marks)
     basis = tuple(_index(strip.width, marks))
-    n = len(basis)
-    w = _slot_width(len(program), n)
     cols = [_push(program, b, w) for b in range(n)]
     polys = {c: _unpack(c, w, len(program)) for c in {c for col in cols for c in col.values()}}
     rows = tuple(
@@ -324,8 +325,9 @@ def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
 
 def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, int]:
     """The cost of K(marks) on ``strip``, predicted without building a
-    state: (states n, bonds E, slot width w).  Raises ValueError when the
-    packed column or the bits pushed are above ``MAX_COLUMN_BITS`` or
+    state: (states n, bonds E, slot width w).  The engine's one refusal,
+    which every route into it takes, raises ValueError once when the packed
+    column or the bits pushed are above ``MAX_COLUMN_BITS`` or
     ``MAX_PUSH_BITS``; a strip whose bond count alone puts every non-empty
     sector over the column cap is refused before its states are counted.
 
@@ -344,25 +346,23 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     (9, 50, 56)
     """
     bonds = len(strip.column_program) * strip.length
-    # one state at one byte per slot, the floor of every non-empty sector,
-    # is tested before the state count, a binomial in the width; E is shown
-    # as its two factors, so no product past the int-to-string limit is
-    # formatted.  A sector with more marks than sites is empty and free.
+    # the floor of every non-empty sector, one state at a byte per slot, comes before the
+    # state count, a binomial in the width; a sector with more marks than sites is free.
     if marks <= strip.width and 8 * _Layout.slots(bonds) > MAX_COLUMN_BITS:
-        raise ValueError(
-            f"K({marks}) of {strip} needs at least 8 * {_Layout.SLOTS_TEXT} bits per packed "
-            f"column for its E = {len(strip.column_program)} x {strip.length} bonds; "
-            + _CAPS
-        )
-    n = count_states(strip.width, marks)
-    w = _slot_width(bonds, n)
-    column_bits = n * w * _Layout.slots(bonds)
-    if column_bits > MAX_COLUMN_BITS or n * bonds * column_bits > MAX_PUSH_BITS:
-        raise ValueError(
-            f"K({marks}) of {strip} needs {_shown(n)} states x {bonds} bonds of "
-            f"packed columns of {_shown(column_bits)} bits; " + _CAPS
-        )
-    return n, bonds, w
+        needs = (f"at least 8 * {_Layout.SLOTS_TEXT} bits per packed column for its "
+                 f"{strip.edge_count_text} bonds")
+    else:
+        n = count_states(strip.width, marks)
+        w = _slot_width(bonds, n)
+        column_bits = n * w * _Layout.slots(bonds)
+        if column_bits <= MAX_COLUMN_BITS and n * bonds * column_bits <= MAX_PUSH_BITS:
+            return n, bonds, w
+        needs = (f"{_shown(n)} states x {bonds} bonds of packed columns of "
+                 f"{_shown(column_bits)} bits")
+    raise ValueError(
+        f"K({marks}) of {strip} needs {needs}; the caps are {MAX_COLUMN_BITS} bits per column "
+        f"and {MAX_PUSH_BITS} bits pushed (use a smaller strip)"
+    )
 
 
 def _shown(count: int) -> str:
@@ -384,9 +384,6 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     is unpacked once.  Zero for l > L: a width-L slice cannot seed more
     than L wrapping clusters.  Results are cached, so every decomposition
     of a strip shares one computation of each K(l).
-
-    Before any state is built, ``check_character_budget`` predicts the
-    cost and refuses a sector beyond the caps with ValueError.
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import ast
 import concurrent.futures
 import hashlib
 import importlib
@@ -16,7 +17,7 @@ import pytest
 import pottstrip
 from pottstrip import bruteforce, suites, transfer
 from pottstrip.connectivity import bridge_count, enumerate_two_slice, left_profile
-from pottstrip.lattice import MAX_WIDTH, horizontal
+from pottstrip.lattice import MAX_WIDTH, horizontal, square_strip, vertical
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
 from pottstrip.suites import SUITES
@@ -177,6 +178,88 @@ def test_a_width_no_command_serves_is_refused_before_the_strip_is_built(capsys, 
     assert code == 2 and out == ""
     assert f"above {MAX_WIDTH}" in err
     assert time.perf_counter() - start < 2
+
+
+_ENGINE_CAPS = ("the caps are 268435456 bits per column and 4398046511104 bits pushed "
+                "(use a smaller strip)")
+
+#: One row per refusal of each route: a command line, whose refusal is
+#: printed after "error: ", or a call, whose ValueError carries the text.
+REFUSALS = [
+    pytest.param(("characters", "--lattice", "square:2x100000", "--l", "0"),
+                 "K(0) of square:2x100000 needs at least 8 * (E + 1)**2 bits per packed column "
+                 "for its E = 3 x 100000 bonds; " + _ENGINE_CAPS, id="engine-floor"),
+    pytest.param(("characters", "--lattice", "square:7x4", "--l", "1"),
+                 "K(1) of square:7x4 needs 1001 states x 52 bonds of packed columns of "
+                 "179955776 bits; " + _ENGINE_CAPS, id="engine-model"),
+    pytest.param(("oracle", "--lattice", "square:5x5"),
+                 "square:5x5 has E = 9 x 5 edges; exhaustive enumeration is capped at 24 "
+                 "(use a smaller strip)", id="walk"),
+    pytest.param(lambda: bruteforce.spin_z(square_strip(3, 4), 100, 1),
+                 "the spin sweep of square:3x4 at q = 100 takes at least 100**4 * "
+                 "E * (1 + E * 2 // 2**13) steps for its E = 5 x 4 bonds, over the spin budget "
+                 "of 100000000", id="spin-bound"),
+    pytest.param(lambda: bruteforce.spin_z(square_strip(6, 6), 10, 1),
+                 "the spin sweep of square:6x6 at q = 10 takes 10**8 * E * (1 + E * 2 // 2**13) "
+                 "steps for its E = 11 x 6 bonds, over the spin budget of 100000000",
+                 id="spin-width"),
+    pytest.param(("blockcheck", "--lattice", "square:6x1"),
+                 "block-structure verification is capped at width 5", id="blockcheck"),
+    pytest.param(("verify", "--Lmax", "3", "--Nmax", "5"),
+                 "Nmax must be <= 4 at Lmax 3: suite all checks square:3x5, over the oracle's "
+                 "cap of 24 edges", id="verify"),
+    pytest.param(lambda: transfer.column_transfer(square_strip(9, 1), 2),
+                 "K(2) of square:9x1 needs 13260 states x 17 bonds of packed columns of "
+                 "137479680 bits; " + _ENGINE_CAPS, id="column-block-budget"),
+    pytest.param(lambda: transfer.edge_operator(9, 2, vertical(0)),
+                 "the column block of 9x1 strip of column program vertical(0) on 2 marks has "
+                 "13260 x 13260 entries; the cap is 4194304 (use a smaller strip)",
+                 id="edge-operator-entries"),
+    pytest.param(lambda: transfer.column_transfer(square_strip(8, 1), 2),
+                 "the column block of square:8x1 on 2 marks has 3640 x 3640 entries; the cap is "
+                 "4194304 (use a smaller strip)", id="column-block-entries"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_every_refusal_text_is_pinned(capsys, monkeypatch, call, message):
+    """Each route refuses with its text byte for byte, in under a second and
+    before the engine enumerates a state: a command exits 2 with the text on
+    stderr and nothing on stdout, a call raises it as a ValueError."""
+    def enumerated(*args):
+        raise AssertionError("a state was enumerated")
+
+    monkeypatch.setattr(transfer, "enumerate_states", enumerated)
+    start = time.perf_counter()
+    if isinstance(call, tuple):
+        assert run_cli(capsys, *call) == (2, "", f"error: {message}\n")
+    else:
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert str(refusal.value) == message
+    assert time.perf_counter() - start < 1
+
+
+def test_each_route_states_its_refusal_once():
+    """``check_character_budget`` has one ``raise``, ``_spin_sum`` one raise
+    of the spin budget, ``transfer`` keeps no shared cap text apart from
+    it, and only ``lattice`` formats a bond count as "a x {strip.length}"."""
+    def raises(function):
+        tree = ast.parse(inspect.getsource(function))
+        return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+    assert len(raises(transfer.check_character_budget)) == 1
+    assert len([text for text in raises(bruteforce._spin_sum) if "spin budget" in text]) == 1
+    assert not hasattr(transfer, "_CAPS")
+    factors = []
+    for path in sorted(Path(pottstrip.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                for text, value in zip(node.values, node.values[1:]):
+                    if (isinstance(text, ast.Constant) and text.value.endswith(" x ")
+                            and getattr(value.value, "attr", None) == "length"):
+                        factors.append(path.name)
+    assert factors == ["lattice.py"]
 
 
 def test_oracle_refuses_an_edge_count_too_long_to_print(capsys):
