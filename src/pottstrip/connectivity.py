@@ -28,8 +28,8 @@ A state is its key, from enumeration on.  This module provides
   which the block structure of the reduced matrices is verified.  A
   non-crossing partition of the 2L points of two slices is an unmarked
   state of 2L points, on which right point k sits at point 2L-1-k
-  (:func:`right_position`); plain functions read its bridges, its left
-  profile, its rendering and its reduction to the right slice from its key;
+  (:func:`right_position`); :func:`split_two_slice` reads it as the pair
+  of slice states it is, and :func:`render_two_slice` prints it;
 * enumeration of one sector's keys in canonical order by a single walk
   over the points that writes block labels and never enters a partition
   with too few unnested blocks, plus the ballot-number count
@@ -333,9 +333,12 @@ def enumerate_states(width: int, marks: int) -> list[StateKey]:
 # partition of the 2L boundary points read in the order 1', 2', ..., L',
 # L, ..., 2, 1 (left slice downward, then right slice back up).  That is an
 # unmarked connectivity state of 2L points, so it needs no class of its
-# own: the functions below read its blocks.  Blocks meeting both slices are
-# *bridges*; their count can only decrease under transfer moves, which is
-# the origin of the triangular block structure of the full transfer matrix.
+# own.  Blocks meeting both slices are *bridges*; their count can only
+# decrease under transfer moves, which is the origin of the triangular block
+# structure of the full transfer matrix.  An l-bridge state is exactly a
+# pair (left slice state, right slice state), each with its l bridges
+# marked, and ``split_two_slice`` is the one reader of those halves: the
+# n(L, l)**2 pairs of each l, summed over l, are the Catalan(2L) states.
 
 
 def right_position(width: int, point: int) -> int:
@@ -346,36 +349,23 @@ def right_position(width: int, point: int) -> int:
     return 2 * width - 1 - point
 
 
-def reduced(key: StateKey, width: int) -> StateKey:
-    """Forget the left slice of a two-slice state: the key of the partition
-    induced on the right slice, bridge blocks marked.  Blocks living only on
-    the left vanish.
-
-    >>> reduced((0, 1, 2, 0, 0), 2)
-    (0, 1, 1)
-    """
-    # right point k sits at point 2L-1-k
-    right = key[2 * width - 1 : width - 1 : -1]
-    return _canonical(right, sum({1 << c for c in key[:width]}))
-
-
-def bridge_count(key: StateKey, width: int) -> int:
-    """Number of blocks of a two-slice state meeting both slices."""
-    return len(set(key[:width]).intersection(key[width:-1]))
-
-
-def left_profile(key: StateKey, width: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """The partition a two-slice state induces on the left slice, each
-    induced block tagged True when its parent block reaches the right slice
-    (a bridge).  Left points come first, so the profile comes out in block
-    order, read off the L left points alone.
+def split_two_slice(key: StateKey, width: int) -> tuple[StateKey, StateKey]:
+    """The pair of slice states a two-slice state is: the partitions it
+    induces on the left slice and on the right slice (right point k at point
+    2L-1-k), each with its bridges, the blocks meeting both slices, marked.
+    Both are keys of width L with l marks, l the bridge count.
 
     Transfer moves act on the right slice only, so within a fixed bridge
-    count the left profile is conserved; states sharing a profile form one
-    diagonal sub-block of the full transfer matrix.
+    count the left half is conserved: the states of one left half form one
+    diagonal sub-block of the full transfer matrix, each at the place of its
+    right half in the l-mark basis.
+
+    >>> split_two_slice((0, 1, 2, 0, 0), 2)
+    ((0, 1, 1), (0, 1, 1))
     """
-    right = set(key[width:-1])
-    return tuple((b, key[b[0]] in right) for b in _blocks(key[:width]))
+    left, right = key[:width], key[2 * width - 1 : width - 1 : -1]
+    on_left, on_right = sum({1 << c for c in left}), sum({1 << c for c in right})
+    return _canonical(left, on_right), _canonical(right, on_left)
 
 
 def render_two_slice(key: StateKey, width: int) -> str:

@@ -26,10 +26,11 @@ once per (width, marks) in a cache that every ``TransferBlock`` takes its
 basis from; it never reads a key's layout, and a target outside the basis
 raises.  One loop, ``_push``, pushes a start column through a program of E
 bonds; K(l) pushes start states through N copies of the column program and
-sums the diagonal entries they return to; reading nothing else, it pushes
-the last column only on the rows that can still reach the start, by masks
-``_reach`` reads backward off the same bond tables.  A dropped row adds
-nothing to the start's entry, so the packed trace is the same int.  No
+sums the diagonal entries they return to; reading nothing else, from the
+bond before the last column on it adds a branch only into a row that can
+still reach the start, by masks ``_reach`` reads backward off the same bond
+tables.  A dropped branch adds nothing to the start's entry, so the packed
+trace is the same int.  No
 matrix power is ever formed, no eigenvalues, no floats, and no state is
 built before ``check_character_budget``, the engine's one refusal, passes.
 
@@ -60,16 +61,14 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .connectivity import (
     StateKey,
-    bridge_count,
     count_states,
     detach,
     enumerate_states,
     join,
-    left_profile,
     mirror,
-    reduced,
     render_two_slice,
     right_position,
+    split_two_slice,
 )
 from .lattice import HORIZONTAL, VERTICAL, CyclicStrip, EdgeOp
 from .polynomial import ZERO, MultiPoly
@@ -190,11 +189,13 @@ def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reach(width: int, marks: int, program: tuple[EdgeOp, ...]) -> tuple[tuple[int, ...], ...]:
-    """Masks for each bond j of the column ``program``: ``reach[j][a]`` is the
-    bit mask of the rows that bonds j.. carry basis state a to, read backward
-    off ``_bond_table``, where a row reaches what its one or two targets do."""
+    """Masks for each bond j of the column ``program`` and after its last
+    bond: ``reach[j][a]`` is the bit mask of the rows that bonds j.. carry
+    basis state a to, read backward off ``_bond_table``, where a row reaches
+    what its one or two targets do; after the last bond a row reaches only
+    itself."""
     after = tuple(1 << a for a in range(len(_index(width, marks))))
-    reach = []
+    reach = [after]
     for op in reversed(program):
         after = tuple(after[r[0][0]] | after[r[-1][0]] for r in _bond_table(width, marks, op))
         reach.append(after)
@@ -245,24 +246,27 @@ def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s for bit, s in shift if code & bit) for code in range(8))
 
 
-def _push(program: Sequence[BondTable], start: int, w: int, reach: Sequence = ()) -> dict[int, int]:
+def _push(program: Sequence[BondTable], start: int, w: int, reach: tuple = ()) -> dict[int, int]:
     """Column ``start`` of the ordered product of ``program``'s bonds (first
     bond applied first), as a sparse {row: entry} map of entries packed as
     ``_Layout`` states for a ``len(program)``-bond program with slot width
-    ``w``.  Before each of the last ``len(reach)`` bonds it drops the rows
-    whose ``_reach`` mask lacks the start, so only that entry stays exact."""
+    ``w``.  Given a last column's ``_reach`` masks, each bond from the one
+    before that column on adds a branch only into a row whose mask for the
+    next bond holds the start, so only the start's entry stays exact."""
     shifts = _shifts(w, len(program))
-    col = {start: 1}
+    # each bond's masks of its targets; all ones before the filter starts
+    every_row = (-1,) * len(program[0]) if program else ()
+    masks = ((every_row,) * len(program) + reach)[-len(program):]
     bit = 1 << start
-    for j, table in enumerate(program, len(reach) - len(program)):
-        if j >= 0:
-            col = {k: c for k, c in col.items() if reach[j][k] & bit}
+    col = {start: 1}
+    for table, after in zip(program, masks):
         out: dict[int, int] = {}
         get = out.get
         for k, c in col.items():
             for a, code in table[k]:
-                for s in shifts[code]:
-                    out[a] = get(a, 0) + (c << s)
+                if after[a] & bit:
+                    for s in shifts[code]:
+                        out[a] = get(a, 0) + (c << s)
         col = out
     return col
 
@@ -337,9 +341,10 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     them needs a formula this module does not have).  They count a full
     column, n rows of ``_Layout.slots(E)`` slots, at every bond, though a
     column pushed from one start fills in row by row and degree by degree,
-    and in the last column only rows whose ``_reach`` mask holds the start
-    are kept.  For l = 1 the prediction is 10 times the bits pushed on 3x10,
-    27 times on 4x4, 60 times on 5x3 and 435 times on 6x2.
+    and from the bond before the last column on only branches into rows
+    whose next ``_reach`` mask holds the start are added.  For l = 1 the
+    prediction is 11 times the bits pushed on 3x10, 31 times on 4x4, 74
+    times on 5x3 and 643 times on 6x2.
 
     >>> from .lattice import square_strip
     >>> check_character_budget(square_strip(3, 10), 1)
@@ -378,12 +383,13 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
 
     Each start state is pushed through the E = N * |column program| bonds
     on its own, as one packed int per entry, so only one column of T_l ** N
-    is held at a time, and its last column only on the rows that can still
-    return to the start (``_reach``); the diagonal ints, weighted by orbit
-    size when the program is reflection-invariant, are summed and the sum
-    is unpacked once.  Zero for l > L: a width-L slice cannot seed more
-    than L wrapping clusters.  Results are cached, so every decomposition
-    of a strip shares one computation of each K(l).
+    is held at a time, and from the bond before its last column on a
+    branch goes only into a row that can still return to the start
+    (``_reach``); the diagonal ints, weighted by orbit size when the program
+    is reflection-invariant, are summed and the sum is unpacked once.  Zero
+    for l > L: a width-L slice cannot seed more than L wrapping clusters.
+    Results are cached, so every decomposition of a strip shares one
+    computation of each K(l).
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))
@@ -452,15 +458,19 @@ class BlockStructureReport(Record):
 
 
 def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
-    """Check the column transfer on the full two-slice basis, bond by bond:
+    """Check the column transfer on the full two-slice basis, bond by bond.
 
-    * for each l, the l-bridge states split by left profile into
-      count_states(L, l) groups of count_states(L, l) states each;
+    Each two-slice key is split once, by ``split_two_slice``, into its left
+    and right halves, slice states with l marks for its l bridges: its group
+    is the index of its left half in the l-mark basis, its place that of its
+    right half.  The check finds
+
+    * for each l, count_states(L, l) groups of count_states(L, l) states
+      each;
     * no branch of a bond raises the bridge count or leads to another
       group of the same bridge count;
-    * inside a group, a bond's branches, each state at its place (the index
-      of its reduced state in the l-mark basis), are its branches on the
-      l-mark states, weight for weight.
+    * inside a group, a bond's branches, each state at its place, are its
+      branches on the l-mark states, weight for weight.
 
     These give the claimed structure of the column product.  Bridge counts
     never rise, so a path of branches that ends at its starting bridge
@@ -468,8 +478,8 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     block of the product is then the product of the sector tables, which
     is T_l.  The weights are positive monomials, so nothing cancels: the
     product's non-zero entries are the ends of such paths.  A mismatch
-    names its bond and both weights; a group whose places are not exactly
-    range(count_states(L, l)) is reported and not compared.
+    names its bond and both weights; a sector with a half missing from the
+    l-mark basis is reported and not compared.
 
     The two-slice basis is ``_index(2L, 0)``, each bond moved by
     ``_on_right_slice`` is its cached ``_bond_table``, and each state and
@@ -482,29 +492,26 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
     sizes = [count_states(width, l) for l in range(width + 1)]
     places = [_index(width, l) for l in range(width + 1)]
 
-    bridges, group, place = [], [], []
-    groups: dict[tuple, list[int]] = {}
-    for k, key in enumerate(basis):
-        l = bridge_count(key, width)
-        members = groups.setdefault((l, left_profile(key, width)), [])
-        members.append(k)
-        bridges.append(l)
-        group.append(members[0])  # a group is named by its first state
-        place.append(places[l].get(reduced(key, width)))
-
     failures: list[str] = []
     triangular_ok = True
     cross_zero = [True] * (width + 1)
-    matches = [True] * (width + 1)
-    # the state at each place of every group whose places are range(n(L, l))
-    slots = {}
-    for (l, _), members in sorted(groups.items()):
-        at = {place[k]: k for k in members}
-        if len(members) == sizes[l] and at.keys() == set(range(sizes[l])):
-            slots[members[0]] = at
-        else:
-            matches[l] = False
+    reduces = [True] * (width + 1)  # sectors whose every half is in the l-mark basis
+    # each key's bridge count, group and place, and the state at[l][group][place]
+    bridges, group, place = [], [], []
+    at: list[dict[int, dict[int, int]]] = [{} for _ in sizes]
+    for k, key in enumerate(basis):
+        left, right = split_two_slice(key, width)
+        l = left[-1].bit_count()
+        g, p = places[l].get(left), places[l].get(right)
+        bridges.append(l)
+        group.append(g)
+        place.append(p)
+        if g is not None and p is not None:
+            at[l].setdefault(g, {})[p] = k
+        elif reduces[l]:
+            reduces[l] = False
             failures.append(f"group at l={l} does not reduce onto the reference basis")
+    matches = reduces.copy()
 
     def move(b: int, a: int) -> str:
         return f"{render_two_slice(basis[b], width)} -> {render_two_slice(basis[a], width)}"
@@ -515,28 +522,27 @@ def verify_block_structure(strip: CyclicStrip) -> BlockStructureReport:
             l, g = bridges[b], group[b]
             got = {}
             for a, code in branches:
-                if group[a] == g:  # a group has one bridge count
-                    got[place[a]] = code
-                elif bridges[a] > l:
+                if bridges[a] > l:
                     triangular_ok = False
                     failures.append(f"bridge count grows {l} -> {bridges[a]} on {move(b, a)}")
-                elif bridges[a] == l:
+                elif bridges[a] == l and group[a] != g:
                     cross_zero[l] = False
                     failures.append(f"leakage between sub-blocks at l={l}: {move(b, a)}")
-            # a group that does not reduce onto the reference basis is not compared
-            want = sector[l][place[b]] if g in slots else got
+                elif bridges[a] == l:
+                    got[place[a]] = code
+            want = sector[l][place[b]] if reduces[l] else got
             if got != want:
                 matches[l] = False
                 for p in sorted(got.keys() | want.keys()):
                     if got.get(p, 0) != want.get(p, 0):
                         failures.append(
-                            f"entry mismatch at l={l}, {op} on {move(b, slots[g][p])}: "
+                            f"entry mismatch at l={l}, {op} on {move(b, at[l][g][p])}: "
                             f"{_weight(got.get(p, 0))} != {_weight(want.get(p, 0))}"
                         )
 
     sector_reports = []
     for l, expected in enumerate(sizes):
-        group_sizes = tuple(len(members) for key, members in sorted(groups.items()) if key[0] == l)
+        group_sizes = tuple(len(states) for _, states in sorted(at[l].items()))
         sector_reports.append(
             SectorReport(
                 bridges=l,

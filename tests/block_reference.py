@@ -4,31 +4,27 @@ with the column of T_l it should equal.  ``transfer.verify_block_structure``
 reads each bond's table once instead and shares none of this loop, so the
 tests compare the two reports.
 
-The tables, pushes and report records are the library's, looked up through
-``transfer`` at each call, so a test that patches ``transfer._compile``
-patches the reference and the bond-by-bond check alike.
+The split, tables, pushes and report records are the library's, looked up
+through ``transfer`` at each call, so a test that patches
+``transfer._compile`` or ``transfer.split_two_slice`` patches the reference
+and the bond-by-bond check alike.
 """
 
 from pottstrip import transfer
-from pottstrip.connectivity import (
-    bridge_count,
-    count_states,
-    left_profile,
-    reduced,
-    render_two_slice,
-)
+from pottstrip.connectivity import count_states, render_two_slice
 
 
 def pushed_block_structure(strip):
     """The ``BlockStructureReport`` of ``strip`` from its pushed columns:
 
     * bridge count never increases across a non-zero entry;
-    * for each l, the l-bridge states split by left profile into
-      count_states(L, l) groups of count_states(L, l) states each;
+    * for each l, the l-bridge states split into count_states(L, l) groups
+      of count_states(L, l) states each, a group being the index of a
+      state's left half (``transfer.split_two_slice``) in the l-mark basis;
     * entries between different groups of the same bridge count vanish;
     * each group's sub-matrix equals T_l, the column program's product on
       the l-mark states, with each state at its place: the index of its
-      reduced state in the l-mark basis.
+      right half in the l-mark basis.
 
     Every column, two-slice or reference, is pushed at one slot width: both
     programs have the same E bonds and ``_compile`` bounds both, so equal
@@ -52,59 +48,56 @@ def pushed_block_structure(strip):
     ]
     places = [transfer._index(width, l) for l in range(width + 1)]
 
-    bridges, group, place = [], [], []
-    groups = {}
-    for k, key in enumerate(basis):
-        l = bridge_count(key, width)
-        members = groups.setdefault((l, left_profile(key, width)), [])
-        members.append(k)
-        bridges.append(l)
-        group.append(members[0])  # a group is named by its first state
-        place.append(places[l].get(reduced(key, width)))
-
     failures = []
     triangular_ok = True
     cross_zero = [True] * (width + 1)
-    matches = [True] * (width + 1)
-    # the state at each place of every group whose places are range(n(L, l))
-    slots = {}
-    for (l, _), members in sorted(groups.items()):
-        at = {place[k]: k for k in members}
-        if len(members) == sizes[l] and at.keys() == set(range(sizes[l])):
-            slots[members[0]] = at
-        else:
-            matches[l] = False
+    reduces = [True] * (width + 1)  # sectors whose every half is in the l-mark basis
+    bridges, group, place = [], [], []
+    at = [{} for _ in sizes]  # the state at[l][group][place]
+    for k, key in enumerate(basis):
+        left, right = transfer.split_two_slice(key, width)
+        l = left[-1].bit_count()
+        g, p = places[l].get(left), places[l].get(right)
+        bridges.append(l)
+        group.append(g)
+        place.append(p)
+        if g is not None and p is not None:
+            at[l].setdefault(g, {})[p] = k
+        elif reduces[l]:
+            reduces[l] = False
             failures.append(f"group at l={l} does not reduce onto the reference basis")
+    matches = reduces.copy()
 
     def move(b, a):
         return f"{render_two_slice(basis[b], width)} -> {render_two_slice(basis[a], width)}"
 
     for b in range(n):
-        l = bridges[b]
+        l, g = bridges[b], group[b]
         got = {}
         for a, entry in transfer._push(program, b, w).items():
             if bridges[a] > l:
                 triangular_ok = False
                 failures.append(f"bridge count grows {l} -> {bridges[a]} on {move(b, a)}")
-            elif group[a] == group[b]:
-                got[place[a]] = entry
-            elif bridges[a] == l:
+            elif bridges[a] == l and group[a] != g:
                 cross_zero[l] = False
                 failures.append(f"leakage between sub-blocks at l={l}: {move(b, a)}")
-        # a group that does not reduce onto the reference basis is not compared
-        want = reference[l][place[b]] if group[b] in slots else got
+            elif bridges[a] == l:
+                got[place[a]] = entry
+        if not reduces[l]:
+            continue
+        want = reference[l][place[b]]
         for p in sorted(got.keys() | want.keys()):
             if got.get(p, 0) != want.get(p, 0):
                 matches[l] = False
                 failures.append(
-                    f"entry mismatch at l={l}, {move(b, slots[group[b]][p])}: "
+                    f"entry mismatch at l={l}, {move(b, at[l][g][p])}: "
                     f"{transfer._unpack(got.get(p, 0), w, bonds)} != "
                     f"{transfer._unpack(want.get(p, 0), w, bonds)}"
                 )
 
     sector_reports = []
     for l, expected in enumerate(sizes):
-        group_sizes = tuple(len(members) for key, members in sorted(groups.items()) if key[0] == l)
+        group_sizes = tuple(len(states) for _, states in sorted(at[l].items()))
         sector_reports.append(
             transfer.SectorReport(
                 bridges=l,

@@ -16,7 +16,7 @@ import pytest
 
 import pottstrip
 from pottstrip import bruteforce, suites, transfer
-from pottstrip.connectivity import bridge_count, enumerate_two_slice, left_profile
+from pottstrip.connectivity import enumerate_two_slice, split_two_slice
 from pottstrip.lattice import MAX_WIDTH, horizontal, square_strip, vertical
 from pottstrip.cli import main
 from pottstrip.polynomial import Q, MultiPoly, v
@@ -642,11 +642,12 @@ def test_blockcheck_refuses_width_six(capsys):
 
 
 def test_blockcheck_failure_exits_one(capsys, monkeypatch):
-    """A two-slice branch sent to another left profile of the same bridge
+    """A two-slice branch sent to another left half of the same bridge
     count fails the check: exit 1, ``FAIL`` lines, and ``failed`` last."""
-    group = {key: (bridge_count(key, 2), left_profile(key, 2)) for key in enumerate_two_slice(2)}
+    left = {key: split_two_slice(key, 2)[0] for key in enumerate_two_slice(2)}
     source, target = next(
-        (a, b) for a in group for b in group if group[a][0] == group[b][0] and group[a] != group[b]
+        (a, b) for a in left for b in left
+        if left[a][-1].bit_count() == left[b][-1].bit_count() and left[a] != left[b]
     )
     op = transfer._on_right_slice(horizontal(0), 2)
     compile_ = transfer._compile

@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from pottstrip import connectivity
 from pottstrip.connectivity import (
     ConnectivityState,
-    bridge_count,
     catalan,
     count_states,
     detach,
     enumerate_states,
     enumerate_two_slice,
     join,
-    left_profile,
     mirror,
-    reduced,
     render_two_slice,
     right_position,
+    split_two_slice,
 )
 
 
@@ -399,12 +397,15 @@ def test_two_slice_one_column():
     assert renders == ["(1')(1)", "(1'1)"]
 
 
+def _bridges(key, width):
+    """The bridge count of a two-slice key: the mark count of its halves."""
+    return split_two_slice(key, width)[0][-1].bit_count()
+
+
 def test_two_slice_bridge_distribution():
     for width in (1, 2, 3):
         for l in range(width + 1):
-            matching = [
-                key for key in enumerate_two_slice(width) if bridge_count(key, width) == l
-            ]
+            matching = [key for key in enumerate_two_slice(width) if _bridges(key, width) == l]
             assert len(matching) == count_states(width, l) ** 2
 
 
@@ -421,9 +422,8 @@ def test_two_slice_membership_width_six():
         ],
     )
     assert state.key in enumerate_two_slice(6)
-    assert bridge_count(state.key, 6) == 2
-    right = _state(6, reduced(state.key, 6))
-    assert right.mark_count == 2
+    left, right = split_two_slice(state.key, 6)
+    assert _state(6, left).mark_count == _state(6, right).mark_count == 2
 
 
 def test_two_slice_moves_stay_in_the_basis():
@@ -457,28 +457,48 @@ def test_two_slice_crossing_rejected():
         _two_slice(2, [("1'", "2"), ("2'", "1")])
 
 
-def test_reduced_state_profiles():
-    for width in (1, 2):
-        for key in enumerate_two_slice(width):
-            bridges = bridge_count(key, width)
-            assert _state(width, reduced(key, width)).mark_count == bridges
-            profile = left_profile(key, width)
-            assert sum(1 for _, bridge in profile if bridge) == bridges
+def test_split_is_a_bijection_onto_pairs_of_l_mark_keys():
+    """On widths 1-5 the two halves of a two-slice key are keys of one
+    l-mark basis, and every pair of l-mark keys is the split of exactly one
+    two-slice key: the sum over l of n(L, l)**2 is Catalan(2L)."""
+    for width in range(1, 6):
+        pairs = [split_two_slice(key, width) for key in enumerate_two_slice(width)]
+        assert len(set(pairs)) == len(pairs) == catalan(2 * width)
+        for l in range(width + 1):
+            basis = enumerate_states(width, l)
+            halves = sorted(pair for pair in pairs if pair[0][-1].bit_count() == l)
+            assert halves == sorted(itertools.product(basis, basis))
 
 
-@pytest.mark.parametrize("width", range(1, 5))
+def _induced(blocks, side) -> tuple[int, ...]:
+    """The key of the slice state that the two-slice ``blocks`` induce on
+    ``side``, the slice's points by their place on it, a block marked when
+    it has points off the side too."""
+    place = {p: k for k, p in enumerate(side)}
+    induced = sorted(
+        (tuple(sorted(place[p] for p in b if p in place)), not place.keys() >= set(b))
+        for b in blocks
+        if not place.keys().isdisjoint(b)
+    )
+    marked = tuple(k for k, (_, bridge) in enumerate(induced) if bridge)
+    return ConnectivityState(len(side), tuple(b for b, _ in induced), marked).key
+
+
+@pytest.mark.parametrize("width", range(1, 6))
 def test_two_slice_readers_equal_their_block_definitions(width):
     """On every two-slice key of the width, the key readers equal the
-    definitions on the blocks of the state the key decodes to: a bridge is
-    a block with a left and a right point, the left profile lists each
-    block's left points with its bridge flag, and the rendering primes the
-    left points."""
+    definitions on the blocks of the state the key decodes to: the left
+    half is the partition of the left points, a block marked when it has a
+    right point too (a bridge); the right half is that of the right points,
+    right point k at ``right_position``, a block marked when it has a left
+    point too; and the rendering primes the left points."""
+    right = [right_position(width, k) for k in range(width)]
     for key in enumerate_two_slice(width):
         blocks = ConnectivityState.from_key(key).blocks
-        assert bridge_count(key, width) == sum(1 for b in blocks if b[0] < width <= b[-1])
-        assert left_profile(key, width) == tuple(
-            (tuple(p for p in b if p < width), b[-1] >= width) for b in blocks if b[0] < width
-        )
+        halves = (_induced(blocks, range(width)), _induced(blocks, right))
+        assert split_two_slice(key, width) == halves
+        bridges = sum(1 for b in blocks if b[0] < width <= b[-1])
+        assert halves[0][-1].bit_count() == halves[1][-1].bit_count() == bridges
         labels = (
             [f"{p + 1}'" if p < width else str(2 * width - p) for p in b] for b in blocks
         )

@@ -9,13 +9,12 @@ from block_reference import pushed_block_structure
 from pottstrip import transfer
 from pottstrip.connectivity import (
     ConnectivityState,
-    bridge_count,
     catalan,
     count_states,
     enumerate_states,
     enumerate_two_slice,
-    left_profile,
     render_two_slice,
+    split_two_slice,
 )
 from pottstrip.lattice import (
     HORIZONTAL,
@@ -318,7 +317,9 @@ def _pruned_diagonal(strip, marks):
     program = _column_program(strip, marks) * strip.length
     reach = transfer._reach(strip.width, marks, strip.column_program)
     w = _slot_width(len(program), n)
-    return [_push(program, b, w, reach).get(b, 0) for b in range(n)]
+    cols = [_push(program, b, w, reach) for b in range(n)]
+    assert all(col.keys() <= {b} for b, col in enumerate(cols))  # only the start is left
+    return [col.get(b, 0) for b, col in enumerate(cols)]
 
 
 @pytest.mark.parametrize(
@@ -344,15 +345,16 @@ def test_pruned_trace_equals_the_full_diagonal(strip):
 def test_reach_keeps_the_start_and_only_rows_that_return_to_it():
     """On a one-column strip every start can return to itself, so it is
     kept before the first bond, while before the last bond only the rows
-    with a branch into the start survive."""
+    with a branch into the start survive, and after it only the start."""
     strip = square_strip(4, 1)
     column = _column_program(strip, 1)
     reach = transfer._reach(4, 1, strip.column_program)
-    assert len(reach) == len(column)
+    assert len(reach) == len(column) + 1
     for b in range(count_states(4, 1)):
         assert reach[0][b] >> b & 1
-        last = {k for k in range(len(column[-1])) if reach[-1][k] >> b & 1}
+        last = {k for k in range(len(column[-1])) if reach[-2][k] >> b & 1}
         assert last == {k for k, row in enumerate(column[-1]) if b in (a for a, _ in row)}
+        assert {k for k in range(len(column[-1])) if reach[-1][k] >> b & 1} == {b}
 
 
 @pytest.mark.parametrize(
@@ -367,7 +369,8 @@ def test_reach_masks_are_the_rows_a_push_reaches(strip):
     for marks in range(strip.width + 1):
         column = _column_program(strip, marks)
         reach = transfer._reach(strip.width, marks, strip.column_program)
-        assert len(reach) == len(column)
+        assert len(reach) == len(column) + 1
+        assert reach[-1] == tuple(1 << a for a in range(len(column[0])))
         for j in range(len(column)):
             w = _slot_width(len(column) - j, len(column[j]))
             for a, mask in enumerate(reach[j]):
@@ -391,17 +394,18 @@ def test_budget_bounds_every_column_a_character_pushes(monkeypatch):
     held = []
 
     def recording_push(program, start, w, reach=()):
-        # ``_push`` bond by bond, keeping the bits of each column it holds
+        # ``_push`` bond by bond, keeping the bits of each column it holds:
+        # from the bond before the last column on, a branch goes only into a
+        # row whose mask for the next bond holds the start
         shifts = transfer._shifts(w, len(program))
         col = {start: 1}
-        for j, table in enumerate(program, len(reach) - len(program)):
-            if j >= 0:
-                col = {k: c for k, c in col.items() if reach[j][k] >> start & 1}
+        for j, table in enumerate(program, len(reach) - 1 - len(program)):
             out = {}
             for k, c in col.items():
                 for a, code in table[k]:
-                    for s in shifts[code]:
-                        out[a] = out.get(a, 0) + (c << s)
+                    if j < -1 or reach[j + 1][a] >> start & 1:
+                        for s in shifts[code]:
+                            out[a] = out.get(a, 0) + (c << s)
             col = out
             held.append(sum(c.bit_length() for c in col.values()))
         assert col == _push(program, start, w, reach)
@@ -671,11 +675,16 @@ def _with_row(monkeypatch, op, key, edit):
     monkeypatch.setattr(transfer, "_compile", patched)
 
 
+def _bridges(key, width):
+    """The bridge count of a two-slice key: the mark count of its halves."""
+    return split_two_slice(key, width)[0][-1].bit_count()
+
+
 def _weigh_one_branch_q(monkeypatch):
     """Compile bond horizontal(1) of width 3, on the right slice, with one
     branch of one two-slice state weighted Q instead of 1, still within
     the packing bound; returns that state's bridge count."""
-    bridges = {key: bridge_count(key, 3) for key in enumerate_two_slice(3)}
+    bridges = {key: _bridges(key, 3) for key in enumerate_two_slice(3)}
     # horizontal(1) on the right slice: right point 1 sits at point 2L-2 = 4
     op = horizontal(4)
     index = transfer._index(6, 0)
@@ -729,15 +738,15 @@ def _rerouted_check(monkeypatch, strip, op, source, target, check=verify_block_s
 def _one_bond_move(leaves_group):
     """A width-2 strip whose column program is the one bond horizontal(0),
     that bond on the right slice, and a (source, target) pair of two-slice
-    states: the target has the source's bridge count and another left
-    profile when ``leaves_group``, and more bridges otherwise."""
+    states: the target has the source's bridge count and another left half
+    when ``leaves_group``, and more bridges otherwise."""
     strip = CyclicStrip(2, 1, (horizontal(0),))
-    group = {key: (bridge_count(key, 2), left_profile(key, 2)) for key in enumerate_two_slice(2)}
+    group = {key: (_bridges(key, 2), split_two_slice(key, 2)[0]) for key in enumerate_two_slice(2)}
 
     def wanted(a, b):
-        (bridges_a, profile_a), (bridges_b, profile_b) = group[a], group[b]
+        (bridges_a, left_a), (bridges_b, left_b) = group[a], group[b]
         if leaves_group:
-            return bridges_a == bridges_b and profile_a != profile_b
+            return bridges_a == bridges_b and left_a != left_b
         return bridges_a < bridges_b
 
     source, target = next((a, b) for a in group for b in group if wanted(a, b))
@@ -746,7 +755,7 @@ def _one_bond_move(leaves_group):
 
 def test_block_structure_reports_leakage_between_groups(monkeypatch):
     """A branch sent to a state of the same bridge count but another left
-    profile breaks the zero between the groups of that sector only, and
+    half breaks the zero between the groups of that sector only, and
     the one leakage message names the move."""
     strip, op, source, target, group = _one_bond_move(leaves_group=True)
     assert verify_block_structure(strip).passed
@@ -772,6 +781,31 @@ def test_block_structure_reports_a_growing_bridge_count(monkeypatch):
         f"bridge count grows {group[source][0]} -> {group[target][0]} on "
         f"{render[source]} -> {render[target]}"
     ) in report.failures
+
+
+def test_block_structure_reports_a_half_outside_the_basis(monkeypatch):
+    """A two-slice key whose right half is no key of the l-mark basis fails
+    its sector once, as a group that does not reduce onto the reference
+    basis, and leaves that sector uncompared; the pushed-column reference
+    reports it alike."""
+    split = transfer.split_two_slice
+    source = next(key for key in enumerate_two_slice(2) if _bridges(key, 2) == 1)
+
+    def broken(key, width):
+        # a mark on a label that no block has
+        left, right = split(key, width)
+        return left, right[:-1] + (right[-1] | (key == source) << width,)
+
+    monkeypatch.setattr(transfer, "split_two_slice", broken)
+    checks = (verify_block_structure, pushed_block_structure)
+    reports = [check(square_strip(2, 1)) for check in checks]
+    monkeypatch.undo()
+    for report in reports:
+        assert not report.passed and report.triangular_ok
+        assert report.failures.count("group at l=1 does not reduce onto the reference basis") == 1
+        assert [s.matches_reference for s in report.sectors] == [True, False, True]
+        assert sorted(report.sectors[1].group_sizes) == [2, 3, 3]
+    assert reports[0] == reports[1]
 
 
 def test_block_structure_width_cap():
