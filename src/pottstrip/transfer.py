@@ -103,8 +103,8 @@ class _Layout:
 #: on basis state b.
 BondTable = tuple[tuple[tuple[int, int], ...], ...]
 
-#: The bound of every cache in this module.  A width-6 strip compiles
-#: (L+1)(2L-1) = 77 bond tables.
+#: The bound of every cache here.  ``characters --l all`` compiles (L+1)(2L-1) bond tables,
+#: 135 at width 8, past it: harmless, as one sector's 2L-1 fit and none is read once done.
 _CACHE_SIZE = 128
 
 #: ``character_K`` predicts the cost of a sector with n states and E bonds
@@ -176,24 +176,23 @@ def _compile(index: dict, op: EdgeOp) -> BondTable:
     return tuple(table)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)  # re-read by every bond table, character and column block
 def _index(width: int, marks: int) -> dict[StateKey, int]:
     """Each key of ``enumerate_states(width, marks)`` mapped to its index."""
     return {key: k for k, key in enumerate(enumerate_states(width, marks))}
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)  # re-read by every character, column block and block check
 def _bond_table(width: int, marks: int, op: EdgeOp) -> BondTable:
     return _compile(_index(width, marks), op)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _reach(width: int, marks: int, program: tuple[EdgeOp, ...]) -> tuple[tuple[int, ...], ...]:
     """Masks for each bond j of the column ``program`` and after its last
     bond: ``reach[j][a]`` is the bit mask of the rows that bonds j.. carry
     basis state a to, read backward off ``_bond_table``, where a row reaches
     what its one or two targets do; after the last bond a row reaches only
-    itself."""
+    itself.  Built per character and freed with it, not cached."""
     after = tuple(1 << a for a in range(len(_index(width, marks))))
     reach = [after]
     for op in reversed(program):
@@ -202,11 +201,10 @@ def _reach(width: int, marks: int, program: tuple[EdgeOp, ...]) -> tuple[tuple[i
     return tuple(reversed(reach))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _reflection_orbits(width: int, marks: int) -> tuple[tuple[int, int], ...]:
     """One (index, weight) per orbit of the width reflection P, point
     i -> width-1-i, on the basis ``_index(width, marks)``: the lower index
-    of the orbit, with weight 1 for a state P fixes and 2 otherwise."""
+    of the orbit, weight 1 if P fixes it, else 2.  Built per character, not cached."""
     index = _index(width, marks)
     images = [index[mirror(key)] for key in index]
     return tuple((k, 1 if k == image else 2) for k, image in enumerate(images) if k <= image)
@@ -238,7 +236,7 @@ def _slot_width(bonds: int, states: int) -> int:
     return -(-(bonds + states.bit_length() + 1) // 8) * 8
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)  # re-read by every push
 def _shifts(w: int, bonds: int) -> tuple[tuple[int, ...], ...]:
     """The shifts of each weight mask's monomials in a ``bonds``-bond
     program with slot width ``w``, indexed by mask."""
@@ -297,7 +295,7 @@ def edge_operator(width: int, marks: int, op: EdgeOp) -> TransferBlock:
     return column_transfer(CyclicStrip(width, 1, (op,)), marks)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)  # re-read by edge_operator, repeat calls and perfbench's miss count
 def column_transfer(strip: CyclicStrip, marks: int) -> TransferBlock:
     """The ordered product of the column program's bond operators (first
     bond applied first) on the fixed-mark basis, pushed column by column;
@@ -350,7 +348,7 @@ def check_character_budget(strip: CyclicStrip, marks: int) -> tuple[int, int, in
     >>> check_character_budget(square_strip(3, 10), 1)
     (9, 50, 56)
     """
-    bonds = len(strip.column_program) * strip.length
+    bonds = strip.edge_count
     # the floor of every non-empty sector, one state at a byte per slot, comes before the
     # state count, a binomial in the width; a sector with more marks than sites is free.
     if marks <= strip.width and 8 * _Layout.slots(bonds) > MAX_COLUMN_BITS:
@@ -377,7 +375,7 @@ def _shown(count: int) -> str:
     return str(count) if count.bit_length() <= 64 else f"over 2**{count.bit_length() - 1}"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)  # re-read by every decomposition of the strip
 def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     """The character K(1, 2l+1) = trace(T_l ** N), an exact polynomial.
 
@@ -388,8 +386,8 @@ def character_K(strip: CyclicStrip, marks: int) -> MultiPoly:
     (``_reach``); the diagonal ints, weighted by orbit size when the program
     is reflection-invariant, are summed and the sum is unpacked once.  Zero
     for l > L: a width-L slice cannot seed more than L wrapping clusters.
-    Results are cached, so every decomposition of a strip shares one
-    computation of each K(l).
+    Results are cached, so every decomposition of a strip shares one K(l);
+    its reach masks and reflection orbits are built per call and freed.
 
     >>> from .lattice import square_strip
     >>> print(character_K(square_strip(1, 3), 0))

@@ -495,6 +495,14 @@ def test_characters_are_computed_once():
     assert character_K.cache_info().maxsize == _CACHE_SIZE
 
 
+def test_the_module_caches_only_what_a_later_call_rereads():
+    """The compiled basis and bond tables, the shift tables, the characters
+    and the column blocks are cached; what one character derives from them,
+    its reach masks and reflection orbits, is built per call and freed."""
+    cached = {name for name, value in vars(transfer).items() if hasattr(value, "cache_info")}
+    assert cached == {"_index", "_bond_table", "_shifts", "character_K", "column_transfer"}
+
+
 def test_compile_refuses_weights_beyond_the_packing_bound(monkeypatch):
     """An empty weight, a monomial outside {1, v, Q}, and branch weights
     adding up to 3 at Q = v = 1 would each break the slot width."""
